@@ -249,6 +249,11 @@ class ExternalProcessOracle:
                         f"malformed response line {line_number}: {err}",
                         partial=reported,
                     ) from err
+                if not math.isfinite(value):
+                    raise OracleResponseError(
+                        f"non-finite effectiveness on response line {line_number}",
+                        partial=reported,
+                    )
                 if request_id in reported:
                     raise OracleResponseError(
                         f"duplicate response id {request_id!r}", partial=reported

@@ -140,19 +140,19 @@ def prune(
         if dim.kind == INTEGER_RANGE:
             ordered = sorted(kept)
             # Monotone size model => feasible set is a prefix of the range.
-            assert ordered[0] == dim.lower, f"{dim.name}: feasible set not a prefix"
-            assert ordered[-1] - ordered[0] + 1 == len(ordered), (
-                f"{dim.name}: feasible set not contiguous"
-            )
+            if ordered[0] != dim.lower:
+                raise RuntimeError(f"{dim.name}: feasible set not a prefix")
+            if ordered[-1] - ordered[0] + 1 != len(ordered):
+                raise RuntimeError(f"{dim.name}: feasible set not contiguous")
             new_dims.append(
                 Dimension(name=dim.name, kind=INTEGER_RANGE, lower=ordered[0], upper=ordered[-1])
             )
         else:
-            assert dim.kind == DISCRETE_NUMERIC_SET
+            if dim.kind != DISCRETE_NUMERIC_SET:
+                raise RuntimeError(f"{dim.name}: size dimension of kind {dim.kind}")
             cutoff = max(kept)
-            assert kept == {v for v in dim.values if v <= cutoff}, (
-                f"{dim.name}: feasible set not a prefix under value order"
-            )
+            if kept != {v for v in dim.values if v <= cutoff}:
+                raise RuntimeError(f"{dim.name}: feasible set not a prefix under value order")
             new_dims.append(
                 Dimension(
                     name=dim.name,

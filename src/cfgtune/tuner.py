@@ -10,6 +10,7 @@ non-dominated evaluated configurations. Deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -261,37 +262,45 @@ def tournament_select(
     return winners
 
 
-def _staircase_area(points: list[tuple[float, float]], rx: float, ry: float) -> float:
-    """Area dominated (toward +inf) by 2-d minimization points within the
-    reference box corner (rx, ry)."""
-    frontier = []
-    min_y = math.inf
-    for x, y in sorted(points):
-        # x ascending: a point joins the staircase iff it strictly improves y.
-        if y < min_y:
-            frontier.append((x, y))
-            min_y = y
-    area = 0.0
-    for idx, (x, y) in enumerate(frontier):
-        next_x = frontier[idx + 1][0] if idx + 1 < len(frontier) else rx
-        area += max(0.0, next_x - x) * max(0.0, ry - y)
-    return area
-
-
 def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, float]) -> float:
     """Volume dominated by the point set within the reference box
-    (3 objectives, minimization), by sweeping distinct third-coordinate
-    levels and accumulating 2-d staircase areas."""
+    (3 objectives, minimization).
+
+    A dimension sweep: points inside the box are inserted in ascending third
+    coordinate into one 2-d staircase (x strictly ascending, y strictly
+    descending); after each distinct level, the staircase area times the gap
+    to the next level (or the reference) is added. O(n log n) for the sort
+    plus O(n) per level, so O(n^2) in all. The staircase and the
+    left-to-right order of the area sums are those of rebuilding the
+    staircase at every level, so the value equals that per-level definition
+    exactly.
+    """
     rx, ry, rz = reference
-    clipped = [p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz]
-    if not clipped:
-        return 0.0
-    levels = sorted({p[2] for p in clipped})
+    clipped = sorted(
+        (p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz),
+        key=lambda p: p[2],
+    )
+    xs: list[float] = []
+    ys: list[float] = []
     volume = 0.0
-    for idx, z in enumerate(levels):
-        upper = levels[idx + 1] if idx + 1 < len(levels) else rz
-        active = [(p[0], p[1]) for p in clipped if p[2] <= z]
-        volume += _staircase_area(active, rx, ry) * max(0.0, upper - z)
+    for idx, (x, y, z) in enumerate(clipped):
+        right = bisect.bisect_right(xs, x)
+        # Skip a point weakly dominated by the staircase; the member with the
+        # largest x' <= x has the smallest y' among those.
+        if not (right and ys[right - 1] <= y):
+            left = bisect.bisect_left(xs, x)
+            end = left
+            while end < len(ys) and ys[end] >= y:
+                end += 1
+            xs[left:end] = [x]
+            ys[left:end] = [y]
+        if idx + 1 < len(clipped) and clipped[idx + 1][2] == z:
+            continue
+        upper = clipped[idx + 1][2] if idx + 1 < len(clipped) else rz
+        area = 0.0
+        for x0, x1, y0 in zip(xs, xs[1:] + [rx], ys):
+            area += max(0.0, x1 - x0) * max(0.0, ry - y0)
+        volume += area * max(0.0, upper - z)
     return volume
 
 
@@ -352,14 +361,15 @@ def tune(
     def evaluate(config: Configuration) -> Individual:
         cached = memo.get(config)
         if cached is None:
-            effectiveness = min(1.0, max(0.0, float(effectiveness_of(config))))
+            effectiveness = float(effectiveness_of(config))
             cached = ObjectiveVector(
                 size_mb=model_size_mb(config),
                 gflops=forward_gflops(config),
-                neg_effectiveness=-effectiveness,
+                neg_effectiveness=-min(1.0, max(0.0, effectiveness)),
             )
-            if not all(math.isfinite(v) for v in cached):
-                raise ValueError(f"non-finite objectives for {config}")
+            # The raw effectiveness is checked: the clamp maps NaN to 0.0.
+            if not all(math.isfinite(v) for v in (cached.size_mb, cached.gflops, effectiveness)):
+                raise RuntimeError(f"non-finite objectives for {config}")
             memo[config] = cached
         return Individual(config=config, objectives=cached)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import textwrap
 
@@ -309,6 +310,13 @@ def test_tune_checksum_mismatch_exits_constraint(pipeline):
 def test_tune_impossible_budget_exits_constraint(pipeline):
     code, _ = run_tune(pipeline, "front.jsonl", budget="0.0001")
     assert code == EXIT_CONSTRAINT
+
+
+def test_tune_nan_effectiveness_exits_internal(pipeline, monkeypatch):
+    # Clamping would score NaN as 0.0; a non-finite prediction is a fault.
+    monkeypatch.setattr(SurrogateModel, "predict_mean", lambda self, x: math.nan)
+    code, _ = run_tune(pipeline, "front.jsonl")
+    assert code == EXIT_INTERNAL
 
 
 def test_tune_missing_model_exits_internal(pipeline):

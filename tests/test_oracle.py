@@ -224,6 +224,12 @@ with open(sys.argv[2], "w") as out:
     out.write('{"id": "cfg-0", "effectiveness": "not-a-number"}\\n')
 """
 
+NAN_EVALUATOR = """
+import sys
+with open(sys.argv[2], "w") as out:
+    out.write('{"id": "cfg-0", "effectiveness": NaN}\\n')
+"""
+
 CRASHING_EVALUATOR = """
 import sys
 sys.exit(3)
@@ -273,6 +279,14 @@ def test_external_oracle_malformed_response(tmp_path, pruned_space):
     command = write_evaluator(tmp_path, "malformed.py", MALFORMED_EVALUATOR)
     oracle = ExternalProcessOracle(command=command)
     with pytest.raises(OracleResponseError):
+        oracle.evaluate(pruned_space.sample_uniform(1, seed=1)[0])
+
+
+def test_external_oracle_rejects_nan_effectiveness(tmp_path, pruned_space):
+    # Python's json reads NaN; clamping it would silently score 0.0.
+    command = write_evaluator(tmp_path, "nan.py", NAN_EVALUATOR)
+    oracle = ExternalProcessOracle(command=command)
+    with pytest.raises(OracleResponseError, match="non-finite"):
         oracle.evaluate(pruned_space.sample_uniform(1, seed=1)[0])
 
 

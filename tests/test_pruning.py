@@ -13,6 +13,7 @@ from cfgtune import (
     prune_report,
     space_from_mapping,
 )
+from cfgtune import pruning
 from conftest import MINI_SPACE_DOCUMENT
 
 
@@ -130,6 +131,17 @@ def test_prune_with_huge_budget_is_identity(canonical_space):
 def test_prune_empty_feasible_set(canonical_space):
     with pytest.raises(EmptyFeasibleSpaceError):
         prune(canonical_space, SizeConstraint(0.00001))
+
+
+@pytest.mark.parametrize("name, bad_value", [("num_hidden_layers", 2), ("hidden_size", 32)])
+def test_prune_raises_when_size_model_is_not_monotone(monkeypatch, name, bad_value):
+    # Only bad_value exceeds the budget, so the feasible values are no prefix.
+    def non_monotone_bytes(**dims):
+        return 10 * MEGABYTE if dims[name] == bad_value else 0
+
+    monkeypatch.setattr(pruning, "parameter_file_bytes", non_monotone_bytes)
+    with pytest.raises(RuntimeError, match=name):
+        prune(space_from_mapping(MINI_SPACE_DOCUMENT), SizeConstraint(3.0))
 
 
 def test_pruned_space_is_dimension_wise_subset(canonical_space, pruned_space):

@@ -324,6 +324,44 @@ def inclusion_exclusion_hypervolume(points, reference):
     return total
 
 
+def per_level_hypervolume(points, reference):
+    """Reference definition: one 2-d staircase built from scratch per
+    distinct third-coordinate level, its area times the gap to the next
+    level. ``hypervolume`` must return exactly this value."""
+    rx, ry, rz = reference
+    clipped = [p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz]
+    levels = sorted({p[2] for p in clipped})
+    volume = 0.0
+    for idx, z in enumerate(levels):
+        upper = levels[idx + 1] if idx + 1 < len(levels) else rz
+        frontier = []
+        min_y = math.inf
+        for x, y in sorted((p[0], p[1]) for p in clipped if p[2] <= z):
+            if y < min_y:
+                frontier.append((x, y))
+                min_y = y
+        area = 0.0
+        for k, (x, y) in enumerate(frontier):
+            next_x = frontier[k + 1][0] if k + 1 < len(frontier) else rx
+            area += max(0.0, next_x - x) * max(0.0, ry - y)
+        volume += area * max(0.0, upper - z)
+    return volume
+
+
+# Coordinates on a coarse grid tie in every objective, repeat whole points
+# and land on the reference boundary; unconstrained floats almost never do.
+# Sums of tenths round, so a different staircase or summation order shows.
+grid_coordinates = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+tenth_coordinates = st.sampled_from([k / 10 for k in range(11)])
+unit_coordinates = st.floats(min_value=0, max_value=1, allow_nan=False)
+
+
+def point_lists(coordinates, max_size):
+    return st.lists(
+        st.tuples(coordinates, coordinates, coordinates), min_size=1, max_size=max_size
+    )
+
+
 def test_hypervolume_single_point():
     assert hypervolume([vec(1, 1, -1)], (2.0, 2.0, 0.0)) == pytest.approx(1.0)
 
@@ -342,23 +380,40 @@ def test_hypervolume_ignores_points_outside_reference():
 
 
 @settings(max_examples=60)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=1, allow_nan=False),
-            st.floats(min_value=0, max_value=1, allow_nan=False),
-            st.floats(min_value=0, max_value=1, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=8,
-    )
-)
+@given(st.one_of(point_lists(unit_coordinates, 8), point_lists(grid_coordinates, 8)))
 def test_hypervolume_matches_inclusion_exclusion(raw_points):
     points = [vec(*p) for p in raw_points]
     reference = (1.0, 1.0, 1.0)
     assert hypervolume(points, reference) == pytest.approx(
         inclusion_exclusion_hypervolume(raw_points, reference), abs=1e-12
     )
+
+
+@settings(max_examples=300)
+@given(
+    raw_points=st.one_of(
+        point_lists(grid_coordinates, 60),
+        point_lists(tenth_coordinates, 60),
+        point_lists(unit_coordinates, 60),
+    ),
+    reference=st.tuples(grid_coordinates, grid_coordinates, grid_coordinates),
+)
+def test_hypervolume_equals_per_level_definition_exactly(raw_points, reference):
+    points = [vec(*p) for p in raw_points]
+    assert hypervolume(points, reference) == per_level_hypervolume(points, reference)
+
+
+def test_hypervolume_equals_per_level_definition_on_random_fronts():
+    # Large sets make the float sums order-sensitive, so a changed staircase
+    # or summation order shows here; tenths also tie in every objective.
+    rng = random.Random(17)
+    tenths = [k / 10 for k in range(11)]
+    for trial in range(400):
+        draw = rng.random if trial % 2 else lambda: rng.choice(tenths)
+        points = [vec(draw(), draw(), draw()) for _ in range(40)]
+        points += rng.choices(points, k=5)
+        reference = (1.0, 1.0, 1.0)
+        assert hypervolume(points, reference) == per_level_hypervolume(points, reference)
 
 
 def test_hypervolume_monotone_under_additional_points():
