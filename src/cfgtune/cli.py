@@ -39,6 +39,7 @@ from .space import (
     Configuration,
     SpaceFormatError,
     UnsatisfiableSpaceError,
+    atomic_open,
     load_space,
     save_space,
 )
@@ -124,7 +125,7 @@ def cmd_prune(args) -> int:
     save_space(pruned, args.out)
     report = prune_report(space, pruned, constraint, args.partitions)
     report_path = _derived_path(args.out, ".report.json")
-    with open(report_path, "w", encoding="utf-8") as handle:
+    with atomic_open(report_path) as handle:
         json.dump(report.as_dict(), handle, indent=2)
         handle.write("\n")
     print(f"pruned space written to {args.out}")
@@ -152,7 +153,7 @@ def cmd_fit(args) -> int:
     )
     model.save(args.out)
     table_path = _derived_path(args.out, ".table.jsonl")
-    with open(table_path, "w", encoding="utf-8") as handle:
+    with atomic_open(table_path) as handle:
         for config, target in zip(configs, table.targets):
             handle.write(
                 json.dumps(
@@ -199,12 +200,12 @@ def cmd_tune(args) -> int:
         ),
         key=_front_sort_key,
     )
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with atomic_open(args.out) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     log_path = _derived_path(args.out, ".runlog.jsonl")
-    with open(log_path, "w", encoding="utf-8") as handle:
+    with atomic_open(log_path) as handle:
         for rec in result.records:
             handle.write(
                 json.dumps(
@@ -240,7 +241,7 @@ def cmd_tune(args) -> int:
         "front_size": len(records),
         "written_at": _utc_now(),
     }
-    with open(manifest_path, "w", encoding="utf-8") as handle:
+    with atomic_open(manifest_path) as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
 
@@ -333,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune = commands.add_parser("prune", help="drop values that cannot fit the size budget")
     p_prune.add_argument("--space", required=True, help="space JSON file")
     p_prune.add_argument("--budget-mb", type=float, default=3.0)
-    p_prune.add_argument("--partitions", type=int, default=13)
+    p_prune.add_argument(
+        "--partitions", type=int, default=13, help="subspaces to prune; the result does not depend on it"
+    )
     p_prune.add_argument("--out", required=True, help="pruned space JSON file")
     p_prune.set_defaults(handler=cmd_prune)
 

@@ -3,17 +3,18 @@
 A value of a size-relevant dimension survives iff at least one configuration
 containing it fits the byte budget. The size model is strictly increasing in
 each size-relevant dimension, so that minimum is attained at the all-minimum
-corner of the remaining dimensions and feasibility is a single closed-form
-evaluation, no solver needed. The space is split along its largest integer
-dimension into disjoint subspaces which are pruned in parallel and merged by
-per-dimension union; the result is independent of the partition count.
+corner of the remaining dimensions and the survivors are the values up to a
+cutoff, found by bisection: O(log range) closed-form evaluations per
+dimension, no solver needed. The sizes at the probed values must strictly
+increase with the value, else ``RuntimeError``; values between probes are not
+evaluated. The space may be split along its largest integer dimension into
+disjoint subspaces whose cutoffs merge by maximum; the result is independent
+of the partition count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes
 from .space import (
@@ -89,77 +90,69 @@ def partition(space: ConfigurationSpace, n: int) -> list[ConfigurationSpace]:
     return subspaces
 
 
-def _feasible_values(subspace: ConfigurationSpace, constraint: SizeConstraint) -> dict:
-    """Per size-relevant dimension, the values feasible within this subspace."""
-    kept: dict[str, list] = {}
-    for name in SIZE_RELEVANT_DIMENSIONS:
-        dim = subspace.dimension(name)
-        kept[name] = [
-            v for v in dim.iter_values()
-            if constraint.admits(min_corner_bytes(subspace, name, v))
-        ]
-    return kept
+def _cutoff(subspace: ConfigurationSpace, name: str, constraint: SizeConstraint):
+    """(cutoff, monotone): the largest value of the dimension whose min-corner
+    size fits (None if none does), by bisection over the ascending values with
+    both ends always probed; monotone is whether the sizes at the probed
+    values strictly increase with the value, as the bisection assumes."""
+    dim = subspace.dimension(name)
+    values = dim.iter_values() if dim.kind == INTEGER_RANGE else sorted(dim.values)
+    sizes: dict[int, int] = {}
+
+    def fits(index: int) -> bool:
+        if index not in sizes:
+            sizes[index] = min_corner_bytes(subspace, name, values[index])
+        return constraint.admits(sizes[index])
+
+    lo, hi = 0, len(values) - 1
+    top_fits = fits(hi)
+    if not fits(lo):
+        cutoff = None
+    elif top_fits:
+        cutoff = values[hi]
+    else:
+        # Invariant: values[lo] fits and values[hi] does not.
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+        cutoff = values[lo]
+    probed = [sizes[index] for index in sorted(sizes)]
+    return cutoff, all(a < b for a, b in zip(probed, probed[1:]))
 
 
 def prune(
-    space: ConfigurationSpace,
-    constraint: SizeConstraint,
-    partitions: int = 1,
-    max_workers: int | None = None,
+    space: ConfigurationSpace, constraint: SizeConstraint, partitions: int = 1
 ) -> ConfigurationSpace:
     """Drop every size-relevant value that cannot appear in any configuration
     within budget. Non-size dimensions pass through unchanged. Deterministic
     and independent of the partition count."""
     subspaces = partition(space, partitions)
-    if max_workers is None:
-        max_workers = min(len(subspaces), os.cpu_count() or 1)
-    if len(subspaces) == 1:
-        results = [_feasible_values(subspaces[0], constraint)]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(
-                pool.map(lambda sub: _feasible_values(sub, constraint), subspaces)
-            )
-
-    merged = {name: set() for name in SIZE_RELEVANT_DIMENSIONS}
-    for chunk_result in results:
-        for name, values in chunk_result.items():
-            merged[name].update(values)
+    cutoffs, not_monotone = {}, []
+    for name in SIZE_RELEVANT_DIMENSIONS:
+        results = [_cutoff(subspace, name, constraint) for subspace in subspaces]
+        if not all(monotone for _, monotone in results):
+            not_monotone.append(name)
+        cutoffs[name] = max((c for c, _ in results if c is not None), default=None)
+    if not_monotone:
+        raise RuntimeError(f"size model not strictly increasing in {', '.join(not_monotone)}")
+    if None in cutoffs.values():
+        raise EmptyFeasibleSpaceError(
+            f"no configuration fits {constraint.budget_mb} MB; even the "
+            f"all-minimum corner exceeds the budget"
+        )
 
     new_dims = []
     for dim in space.dimensions:
-        if dim.name not in merged:
+        cutoff = cutoffs.get(dim.name)
+        if cutoff is None:
             new_dims.append(dim)
-            continue
-        kept = merged[dim.name]
-        if not kept:
-            raise EmptyFeasibleSpaceError(
-                f"no configuration fits {constraint.budget_mb} MB; even the "
-                f"all-minimum corner exceeds the budget"
-            )
-        if dim.kind == INTEGER_RANGE:
-            ordered = sorted(kept)
-            # Monotone size model => feasible set is a prefix of the range.
-            if ordered[0] != dim.lower:
-                raise RuntimeError(f"{dim.name}: feasible set not a prefix")
-            if ordered[-1] - ordered[0] + 1 != len(ordered):
-                raise RuntimeError(f"{dim.name}: feasible set not contiguous")
-            new_dims.append(
-                Dimension(name=dim.name, kind=INTEGER_RANGE, lower=ordered[0], upper=ordered[-1])
-            )
+        elif dim.kind == INTEGER_RANGE:
+            new_dims.append(replace(dim, upper=cutoff))
         else:
-            if dim.kind != DISCRETE_NUMERIC_SET:
-                raise RuntimeError(f"{dim.name}: size dimension of kind {dim.kind}")
-            cutoff = max(kept)
-            if kept != {v for v in dim.values if v <= cutoff}:
-                raise RuntimeError(f"{dim.name}: feasible set not a prefix under value order")
-            new_dims.append(
-                Dimension(
-                    name=dim.name,
-                    kind=DISCRETE_NUMERIC_SET,
-                    values=tuple(v for v in dim.values if v in kept),
-                )
-            )
+            new_dims.append(replace(dim, values=tuple(v for v in dim.values if v <= cutoff)))
     return ConfigurationSpace(tuple(new_dims))
 
 

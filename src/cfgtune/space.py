@@ -10,10 +10,12 @@ computations and regression.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -396,8 +398,27 @@ def load_space(path) -> ConfigurationSpace:
         return parse_space(handle.read())
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Text handle on a temporary file beside ``path`` that replaces ``path``
+    by ``os.replace`` when the block succeeds and is removed when it raises,
+    so ``path`` holds either its previous content or the whole new one."""
+    path = os.fspath(path)
+    temporary = os.path.join(
+        os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp"
+    )
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
 def save_space(space: ConfigurationSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         json.dump(space.to_document(), handle, indent=2)
         handle.write("\n")
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .space import atomic_open
+
 # Fixed-point hyperparameter guards: keep the iteration inside a sane box so
 # degenerate data (perfect fits, constant targets) cannot overflow.
 _PRECISION_FLOOR = 1e-12
@@ -99,7 +101,7 @@ class SurrogateModel:
             "converged": self.converged,
             "space_checksum": self.space_checksum,
         }
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_open(path) as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")
 

@@ -96,6 +96,39 @@ def test_prune_writes_space_and_report(tmp_path, space_file, capsys):
     assert report["pruned_cardinality"] == str(pruned.cardinality())
 
 
+@pytest.mark.parametrize("failing_dump", [1, 2])  # 1: the space, 2: its report
+def test_prune_failing_write_keeps_previous_artifacts(
+    tmp_path, space_file, monkeypatch, failing_dump
+):
+    def prune_to(budget):
+        return main(
+            ["prune", "--space", str(space_file), "--budget-mb", budget,
+             "--out", str(tmp_path / "pruned.json")]
+        )
+
+    assert prune_to("3.0") == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_dump, dumps = json.dump, []
+
+    def dump_then_fail(obj, handle, **kwargs):
+        dumps.append(obj)
+        if len(dumps) == failing_dump:
+            handle.write('{"dimensions": [')
+            raise OSError("no space left on device")
+        real_dump(obj, handle, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    # 0.2 MB drops values, so a completed write would change both files.
+    assert prune_to("0.2") == EXIT_INTERNAL
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)  # no temporary file left behind
+    assert after["pruned.report.json"] == before["pruned.report.json"]
+    if failing_dump == 1:
+        assert after["pruned.json"] == before["pruned.json"]
+    else:  # the space was written whole before the report failed
+        assert load_space(tmp_path / "pruned.json").dimension("vocab_size").values == (1000,)
+
+
 def test_prune_malformed_json_exits_parse(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

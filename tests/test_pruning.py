@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cfgtune import (
+    ConfigurationSpace,
+    Dimension,
     EmptyFeasibleSpaceError,
     MEGABYTE,
     SIZE_RELEVANT_DIMENSIONS,
     SizeConstraint,
     is_feasible_value,
     min_corner_bytes,
+    parameter_file_bytes,
     partition,
     prune,
     prune_report,
     space_from_mapping,
 )
 from cfgtune import pruning
+from cfgtune.space import INTEGER_RANGE
 from conftest import MINI_SPACE_DOCUMENT
 
 
@@ -67,6 +73,141 @@ def brute_force_retained_values(space, budget_mb):
         mask = feasible.any(axis=reduce_axes)
         retained[name] = [int(x) for x in axes[name][mask]]
     return retained
+
+
+def scan_min_corner_sizes(space, partitions):
+    """The per-value scan that bisection replaced, up to the budget test:
+    per subspace and size-relevant dimension, every value with its min-corner
+    size. Kept apart from the budget so one scan serves many budgets."""
+    return [
+        {
+            name: [(v, min_corner_bytes(sub, name, v)) for v in sub.dimension(name).iter_values()]
+            for name in SIZE_RELEVANT_DIMENSIONS
+        }
+        for sub in partition(space, partitions)
+    ]
+
+
+def scan_prune(space, constraint, scanned):
+    """Reference pruning: a value survives iff it fits in some subspace, the
+    survivors of each dimension merge by set union."""
+    kept = {name: set() for name in SIZE_RELEVANT_DIMENSIONS}
+    for per_dimension in scanned:
+        for name, pairs in per_dimension.items():
+            kept[name].update(v for v, size in pairs if constraint.admits(size))
+    dims = []
+    for dim in space.dimensions:
+        values = kept.get(dim.name)
+        if values is None:
+            dims.append(dim)
+        elif not values:
+            raise EmptyFeasibleSpaceError(f"{dim.name}: no value fits")
+        elif dim.kind == INTEGER_RANGE:
+            lower, upper = min(values), max(values)
+            assert upper - lower + 1 == len(values), f"{dim.name}: survivors not contiguous"
+            dims.append(Dimension(name=dim.name, kind=INTEGER_RANGE, lower=lower, upper=upper))
+        else:
+            dims.append(
+                Dimension(
+                    name=dim.name,
+                    kind=dim.kind,
+                    values=tuple(v for v in dim.values if v in values),
+                )
+            )
+    return ConfigurationSpace(tuple(dims))
+
+
+def assert_prune_matches_scan(space, budget_mb, partitions, scanned):
+    constraint = SizeConstraint(budget_mb)
+    try:
+        expected = scan_prune(space, constraint, scanned)
+    except EmptyFeasibleSpaceError:
+        with pytest.raises(EmptyFeasibleSpaceError):
+            prune(space, constraint, partitions=partitions)
+        return
+    assert prune(space, constraint, partitions=partitions) == expected, budget_mb
+
+
+@pytest.fixture(scope="module")
+def canonical_scans(canonical_space):
+    return {p: scan_min_corner_sizes(canonical_space, p) for p in (1, 13)}
+
+
+@pytest.mark.parametrize("partitions", [1, 13])
+def test_prune_equals_scan_over_budget_sweep(canonical_space, canonical_scans, partitions):
+    budgets = [0.01 * 1.5**k for k in range(46)] + [3.0, 64.0, 1e6]  # 0.01 MB .. 1e6 MB
+    for budget_mb in budgets:
+        assert_prune_matches_scan(canonical_space, budget_mb, partitions, canonical_scans[partitions])
+
+
+@pytest.mark.parametrize("partitions", [1, 13])
+def test_prune_equals_scan_at_boundary_budgets(canonical_space, canonical_scans, partitions):
+    # Budgets exactly at, one byte under and one byte over the min-corner size
+    # of each dimension's ends and of its cutoffs at 0.1, 3 and 64 MB.
+    boundary_bytes = set()
+    for name in SIZE_RELEVANT_DIMENSIONS:
+        dim = canonical_space.dimension(name)
+        values = {dim.min_value(), dim.max_value()}
+        for budget_mb in (0.1, 3.0, 64.0):
+            pruned = scan_prune(canonical_space, SizeConstraint(budget_mb), canonical_scans[1])
+            values.add(pruned.dimension(name).max_value())
+        for value in values:
+            size = min_corner_bytes(canonical_space, name, value)
+            boundary_bytes.update((size - 1, size, size + 1))
+    for size in sorted(boundary_bytes):
+        assert_prune_matches_scan(
+            canonical_space, size / MEGABYTE, partitions, canonical_scans[partitions]
+        )
+
+
+# Narrow value ranges, so that every value of a small space can be scanned.
+SMALL_SIZE_AXES = {
+    "vocab_size": (100, 300),
+    "num_hidden_layers": (1, 6),
+    "hidden_size": (1, 64),
+    "intermediate_size": (1, 128),
+    "max_sequence_length": (1, 128),
+}
+
+
+@st.composite
+def small_spaces_with_unsorted_sets(draw):
+    """Small spaces whose size dimensions are integer ranges or discrete sets
+    listed in a drawn order, mostly not ascending."""
+    document = dict(MINI_SPACE_DOCUMENT)
+    for name, (lo, hi) in SMALL_SIZE_AXES.items():
+        values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=6, unique=True))
+        if draw(st.booleans()):
+            document[name] = {"min": min(values), "max": max(values)}
+        else:
+            document[name] = draw(st.permutations(values))
+    return space_from_mapping(document)
+
+
+UNSORTED_EXAMPLE = space_from_mapping(
+    {
+        **MINI_SPACE_DOCUMENT,
+        "vocab_size": [300, 100, 200],
+        "hidden_size": [64, 8, 32, 16],
+        "intermediate_size": [128, 1, 64],
+        "max_sequence_length": {"min": 1, "max": 128},
+    }
+)
+
+
+@given(
+    space=small_spaces_with_unsorted_sets(),
+    budget_fraction=st.floats(0.0, 1.2),
+    partitions=st.integers(1, 5),
+)
+@example(space=UNSORTED_EXAMPLE, budget_fraction=0.4, partitions=3)
+def test_prune_equals_scan_on_unsorted_discrete_sets(space, budget_fraction, partitions):
+    max_corner = parameter_file_bytes(
+        **{name: space.dimension(name).max_value() for name in SIZE_RELEVANT_DIMENSIONS}
+    )
+    budget_mb = max(1, int(budget_fraction * max_corner)) / MEGABYTE
+    scanned = scan_min_corner_sizes(space, partitions)
+    assert_prune_matches_scan(space, budget_mb, partitions, scanned)
 
 
 @pytest.mark.parametrize("partitions", [1, 3, 7])
@@ -135,6 +276,11 @@ def test_prune_empty_feasible_set(canonical_space):
 
 @pytest.mark.parametrize("name, bad_value", [("num_hidden_layers", 2), ("hidden_size", 32)])
 def test_prune_raises_when_size_model_is_not_monotone(monkeypatch, name, bad_value):
+    """The stub is flat (0 bytes) in every dimension but at bad_value, so the
+    strict-increase check on the probed values names every flat dimension.
+    That check sees only the values bisection probes: a spike at an unprobed
+    interior value goes undetected at run time, and the exhaustive check of
+    the real size model lives in test_size_model_strictly_increasing."""
     # Only bad_value exceeds the budget, so the feasible values are no prefix.
     def non_monotone_bytes(**dims):
         return 10 * MEGABYTE if dims[name] == bad_value else 0
@@ -142,6 +288,29 @@ def test_prune_raises_when_size_model_is_not_monotone(monkeypatch, name, bad_val
     monkeypatch.setattr(pruning, "parameter_file_bytes", non_monotone_bytes)
     with pytest.raises(RuntimeError, match=name):
         prune(space_from_mapping(MINI_SPACE_DOCUMENT), SizeConstraint(3.0))
+
+
+@pytest.mark.parametrize("name", SIZE_RELEVANT_DIMENSIONS)
+def test_prune_raises_when_size_model_decreases(monkeypatch, canonical_space, name):
+    def decreasing_in_name(**dims):
+        return sum(v for d, v in dims.items() if d != name) - dims[name]
+
+    monkeypatch.setattr(pruning, "parameter_file_bytes", decreasing_in_name)
+    with pytest.raises(RuntimeError, match=name) as raised:
+        prune(canonical_space, SizeConstraint(3.0), partitions=13)
+    named = [d for d in SIZE_RELEVANT_DIMENSIONS if d in str(raised.value)]
+    assert named == [name]
+
+
+@pytest.mark.parametrize("name", SIZE_RELEVANT_DIMENSIONS)
+def test_size_model_strictly_increasing(canonical_space, name):
+    """Bisection relies on this and checks it only at the values it probes;
+    here every value of the canonical range is checked at the min corner."""
+    sizes = [
+        min_corner_bytes(canonical_space, name, v)
+        for v in canonical_space.dimension(name).iter_values()
+    ]
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_pruned_space_is_dimension_wise_subset(canonical_space, pruned_space):
