@@ -27,6 +27,7 @@ from cfgtune import (
     tune,
 )
 from cfgtune.cli import derive_seed
+from cfgtune.space import atomic_open
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
           f"front size {len(front)}, final hypervolume {result.records[-1].hypervolume:.4f}")
 
     front_path = args.out_dir / f"front_seed{args.seed}.jsonl"
-    with open(front_path, "w", encoding="utf-8") as handle:
+    with atomic_open(front_path) as handle:
         for member in front:
             handle.write(json.dumps({
                 "config": member.config.as_dict(),
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
                 "predicted_effectiveness": member.objectives.effectiveness,
             }, sort_keys=True) + "\n")
     log_path = args.out_dir / f"runlog_seed{args.seed}.jsonl"
-    with open(log_path, "w", encoding="utf-8") as handle:
+    with atomic_open(log_path) as handle:
         for record in result.records:
             handle.write(json.dumps(record.__dict__, sort_keys=True) + "\n")
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -171,6 +172,15 @@ def _oracle_timeout_s() -> float:
     return value
 
 
+def _kill_process_group(process: subprocess.Popen) -> None:
+    """SIGKILL the evaluator's whole process group, then reap the evaluator."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # every member has already exited
+    process.wait()
+
+
 @dataclass(frozen=True)
 class ExternalProcessOracle:
     """Evaluator behind a subprocess boundary.
@@ -180,7 +190,8 @@ class ExternalProcessOracle:
     with the request path and a response path appended. The evaluator must
     write one {"id", "effectiveness"} object per line, ids matching the
     request exactly; partial responses are an error. Reported values are
-    clamped to [0, 1].
+    clamped to [0, 1]. The evaluator runs in a session of its own; on timeout
+    its whole process group is killed, so no process it started outlives it.
     """
 
     command: tuple[str, ...]
@@ -211,23 +222,30 @@ class ExternalProcessOracle:
                         + "\n"
                     )
             argv = list(self.command) + [request_path, response_path]
+            timeout = _oracle_timeout_s()
             try:
-                completed = subprocess.run(
+                process = subprocess.Popen(
                     argv,
-                    capture_output=True,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
                     text=True,
-                    timeout=_oracle_timeout_s(),
+                    start_new_session=True,
                 )
-            except subprocess.TimeoutExpired as err:
-                raise OracleTimeoutError(
-                    f"evaluator exceeded {_oracle_timeout_s()} s"
-                ) from err
             except OSError as err:
                 raise OracleProcessError(f"cannot run evaluator: {err}") from err
-            if completed.returncode != 0:
+            with process:
+                try:
+                    _, stderr = process.communicate(timeout=timeout)
+                except subprocess.TimeoutExpired as err:
+                    _kill_process_group(process)
+                    raise OracleTimeoutError(f"evaluator exceeded {timeout} s") from err
+                except BaseException:
+                    _kill_process_group(process)
+                    raise
+            if process.returncode != 0:
                 raise OracleProcessError(
-                    f"evaluator exited with status {completed.returncode}: "
-                    f"{completed.stderr.strip()[:500]}"
+                    f"evaluator exited with status {process.returncode}: "
+                    f"{stderr.strip()[:500]}"
                 )
             return self._parse_response(response_path, ids)
 

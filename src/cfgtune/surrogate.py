@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,12 @@ class TrainingSet:
 class SurrogateModel:
     """Fitted effectiveness predictor. ``weights`` has one entry per feature
     plus a trailing intercept; ``covariance`` is the posterior weight
-    covariance used for predictive variance."""
+    covariance used for predictive variance.
+
+    The numpy copies of the scaling, the weights and the covariance are built
+    once per model, on first use, and ``predict_mean`` computes the mean only,
+    with no variance, by the same operations as ``predict``.
+    """
 
     weights: tuple[float, ...]
     alpha: float
@@ -63,30 +69,41 @@ class SurrogateModel:
     def n_features(self) -> int:
         return len(self.feature_min)
 
-    def _scale(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _scaling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(feature minimum, mask of varying features, span with 1 where 0)."""
         lo = np.asarray(self.feature_min, dtype=float)
-        hi = np.asarray(self.feature_max, dtype=float)
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        scaled = (x - lo) / safe
-        return np.where(span > 0, scaled, 0.0)
+        span = np.asarray(self.feature_max, dtype=float) - lo
+        varying = span > 0
+        return lo, varying, np.where(varying, span, 1.0)
 
-    def predict(self, vector) -> tuple[float, float]:
-        """(posterior mean, predictive variance) for one raw feature vector."""
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return np.asarray(self.weights, dtype=float)
+
+    @cached_property
+    def _covariance(self) -> np.ndarray:
+        return np.asarray(self.covariance, dtype=float)
+
+    def _augmented(self, vector) -> np.ndarray:
+        """Min-max scaled raw vector with the trailing constant 1."""
         x = np.asarray(vector, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(
                 f"expected vector of length {self.n_features}, got shape {x.shape}"
             )
-        augmented = np.append(self._scale(x), 1.0)
-        w = np.asarray(self.weights, dtype=float)
-        mean = float(augmented @ w)
-        cov = np.asarray(self.covariance, dtype=float)
-        variance = float(1.0 / self.beta + augmented @ cov @ augmented)
+        lo, varying, safe = self._scaling
+        return np.append(np.where(varying, (x - lo) / safe, 0.0), 1.0)
+
+    def predict(self, vector) -> tuple[float, float]:
+        """(posterior mean, predictive variance) for one raw feature vector."""
+        augmented = self._augmented(vector)
+        mean = float(augmented @ self._weights)
+        variance = float(1.0 / self.beta + augmented @ self._covariance @ augmented)
         return mean, variance
 
     def predict_mean(self, vector) -> float:
-        return self.predict(vector)[0]
+        return float(self._augmented(vector) @ self._weights)
 
     def save(self, path) -> None:
         document = {

@@ -143,6 +143,12 @@ def adaptive_random_init(
     of ``candidate_pool`` uniform samples, maximizing its minimum Euclidean
     distance (over normalized encodings) to the members chosen so far. All
     samples pass through correction, so every member validates.
+
+    A candidate's distances are scanned with a running minimum that stops as
+    soon as it is ``<= best_score``: the candidate's minimum can then only be
+    lower, and only a score ``> best_score`` wins, so the choice is exactly
+    that of the full minimum. Every candidate is still sampled and encoded,
+    so the ``rng`` stream is unchanged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -156,7 +162,14 @@ def adaptive_random_init(
         for _ in range(candidate_pool):
             candidate = space.sample_one(rng)
             encoding = space.encode(candidate, normalize=True)
-            score = min(_normalized_distance(encoding, e) for e in encodings)
+            # The running minimum replaces on ``<`` only, as ``min`` does.
+            score = _normalized_distance(encoding, encodings[0])
+            for index in range(1, len(encodings)):
+                if score <= best_score:
+                    break
+                distance = _normalized_distance(encoding, encodings[index])
+                if distance < score:
+                    score = distance
             if score > best_score:
                 best_config, best_encoding, best_score = candidate, encoding, score
         chosen.append(best_config)

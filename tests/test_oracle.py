@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ time.sleep(30)
 """
 
 
+# Starts a grandchild that touches the marker file (argv[1]) after 1.5 s,
+# then outlives any short timeout itself.
+FORKING_EVALUATOR = """
+import subprocess, sys, time
+marker = {marker!r}
+subprocess.Popen([sys.executable, "-c",
+    "import sys, time; time.sleep(1.5); open(sys.argv[1], 'w').close()", marker])
+time.sleep(30)
+"""
+
+
 def write_evaluator(tmp_path, name, body):
     path = tmp_path / name
     path.write_text(body)
@@ -316,6 +328,21 @@ def test_external_oracle_timeout(tmp_path, pruned_space, monkeypatch):
     oracle = ExternalProcessOracle(command=command)
     with pytest.raises(OracleTimeoutError):
         oracle.evaluate(pruned_space.sample_uniform(1, seed=1)[0])
+
+
+def test_external_oracle_timeout_kills_grandchildren(tmp_path, pruned_space, monkeypatch):
+    monkeypatch.setenv("CFGTUNE_ORACLE_TIMEOUT_S", "0.5")
+    marker = tmp_path / "grandchild-ran"
+    command = write_evaluator(
+        tmp_path, "forking.py", FORKING_EVALUATOR.format(marker=str(marker))
+    )
+    oracle = ExternalProcessOracle(command=command)
+    start = time.monotonic()
+    with pytest.raises(OracleTimeoutError):
+        oracle.evaluate(pruned_space.sample_uniform(1, seed=1)[0])
+    # One second past the grandchild's deadline, it has not touched the marker.
+    time.sleep(max(0.0, start + 2.5 - time.monotonic()))
+    assert not marker.exists()
 
 
 # --- indicator building ---------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,51 @@ def test_r_squared_perfect_and_constant():
     y = [3.0 * i - 2.0 for i in range(8)]
     model = fit(X, y)
     assert r_squared(model, X, y) == pytest.approx(1.0, abs=1e-9)
+
+
+def rebuilt_predict_mean(model, vector):
+    """The mean as computed before the arrays were cached: every array is
+    rebuilt from the model's tuples on each call."""
+    x = np.asarray(vector, dtype=float)
+    lo = np.asarray(model.feature_min, dtype=float)
+    span = np.asarray(model.feature_max, dtype=float) - lo
+    scaled = np.where(span > 0, (x - lo) / np.where(span > 0, span, 1.0), 0.0)
+    return float(np.append(scaled, 1.0) @ np.asarray(model.weights, dtype=float))
+
+
+def prediction_models(tmp_path):
+    rng = np.random.default_rng(31)
+    models = []
+    for d in (1, 4, 13):
+        X, y = random_dataset(rng, n=20, d=d)
+        models.append(fit(X, y))
+        X[:, 0] = 2.5  # a constant feature column: its span is 0
+        models.append(fit(X, y))
+    path = tmp_path / "model.json"
+    models[-1].save(path)
+    models.append(SurrogateModel.load(path))
+    models.append(models[2].with_checksum("def456"))
+    # Fitting gives a constant column a zero weight; a nonzero one shows
+    # whether the column is masked out.
+    models.append(dataclasses.replace(models[-2], weights=tuple(rng.normal(size=14))))
+    return models
+
+
+def test_predict_mean_equals_predict_exactly(tmp_path):
+    rng = np.random.default_rng(8)
+    for model in prediction_models(tmp_path):
+        for _ in range(200):
+            x = rng.uniform(-5, 12, size=model.n_features)
+            if rng.random() < 0.3:
+                x = tuple(float(v) for v in x)  # the tuner passes tuples
+            mean = model.predict_mean(x)
+            assert mean == model.predict(x)[0]
+            assert mean == rebuilt_predict_mean(model, x)
+
+
+def test_predict_mean_rejects_wrong_shape(tmp_path):
+    for model in prediction_models(tmp_path):
+        d = model.n_features
+        for bad in (np.zeros(d + 1), np.zeros((1, d)), np.zeros(0), 1.0):
+            with pytest.raises(ValueError):
+                model.predict_mean(bad)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from cfgtune import (
     Individual,
+    SizeConstraint,
     SyntheticCapacityOracle,
     build_indicator,
     space_from_mapping,
@@ -20,12 +23,14 @@ from cfgtune import (
     crowding_distances,
     dominates,
     hypervolume,
+    prune,
     select_deployment_config,
     tournament_select,
     tune,
     two_point_crossover,
     update_archive,
 )
+from cfgtune.tuner import _normalized_distance
 from conftest import make_config
 
 
@@ -170,7 +175,9 @@ def test_adaptive_init_spreads_more_than_uniform(pruned_space):
     assert wins >= 80
 
 
-def test_adaptive_init_degenerate_single_point_space(mini_space):
+@pytest.fixture(scope="module")
+def point_space(mini_space):
+    """A space with one configuration, so every distance is 0."""
     doc = mini_space.to_document()
     doc.update(
         tokenizer=["Word"],
@@ -180,10 +187,47 @@ def test_adaptive_init_degenerate_single_point_space(mini_space):
         intermediate_size=[64],
         num_attention_heads={"min": 1, "max": 1},
     )
-    point_space = space_from_mapping(doc)
+    return space_from_mapping(doc)
+
+
+def test_adaptive_init_degenerate_single_point_space(point_space):
     population = adaptive_random_init(point_space, 5, seed=0)
     assert len(set(population)) == 1
     assert min_pairwise_distance(point_space, population) == 0.0
+
+
+def full_minimum_init(space, n, rng, candidate_pool=10):
+    """The initializer as first written: every candidate's minimum distance
+    to the chosen members is computed in full."""
+    chosen = [space.sample_one(rng)]
+    encodings = [space.encode(chosen[0], normalize=True)]
+    while len(chosen) < n:
+        best_config, best_encoding, best_score = None, None, -1.0
+        for _ in range(candidate_pool):
+            candidate = space.sample_one(rng)
+            encoding = space.encode(candidate, normalize=True)
+            score = min(_normalized_distance(encoding, e) for e in encodings)
+            if score > best_score:
+                best_config, best_encoding, best_score = candidate, encoding, score
+        chosen.append(best_config)
+        encodings.append(best_encoding)
+    return chosen
+
+
+@pytest.mark.parametrize("candidate_pool", [1, 10])
+@pytest.mark.parametrize("n", [1, 2, 20, 200])
+def test_adaptive_init_equals_full_minimum(
+    pruned_space, mini_space, point_space, n, candidate_pool
+):
+    # The early exit picks exactly the members the full minimum picks and
+    # leaves the rng where the full minimum leaves it.
+    seeds = range({1: 40, 2: 40, 20: 10, 200: 1}[n])
+    for space in (pruned_space, mini_space, point_space):
+        for seed in seeds:
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            population = adaptive_random_init(space, n, rng, candidate_pool)
+            assert population == full_minimum_init(space, n, reference_rng, candidate_pool)
+            assert rng.getstate() == reference_rng.getstate()
 
 
 def test_space_document_round_trip_checksum(mini_space):
@@ -490,6 +534,40 @@ def test_tune_accepts_plain_callable(mini_space):
         TunerParams(population_size=8, generations=3, seed=0),
     )
     assert all(m.objectives.neg_effectiveness == -0.5 for m in result.archive)
+
+
+# sha256 of the front (configuration JSON plus the repr of the objectives, in
+# archive order) and the repr of every GenerationRecord of a pop 40 x 30 run
+# on listing3, scored by the pure-Python oracle so no BLAS build can move
+# them. They were computed with the full-minimum initializer. They change
+# only with an intended change of the search's behaviour; regenerate them
+# then by printing ``tune_digest`` of the runs below.
+GOLDEN_TUNE_DIGESTS = {
+    3.0: "15e52cb95e7a79d5404a37da94b79f444d547768645607dbf2b6e358e4148dd0",
+    64.0: "03603a02379a7d1e4e5f3a38f5f029de8d171dbc5a2130e8c0fde2bf7bdb499c",
+}
+
+
+def tune_digest(result):
+    digest = hashlib.sha256()
+    for member in result.archive:
+        digest.update(json.dumps(member.config.as_dict(), sort_keys=True).encode())
+        digest.update(repr(tuple(member.objectives)).encode())
+    for record in result.records:
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("budget_mb", sorted(GOLDEN_TUNE_DIGESTS))
+def test_tune_reproduces_golden_fronts(canonical_space, budget_mb):
+    pruned = prune(canonical_space, SizeConstraint(budget_mb))
+    result = tune(
+        pruned,
+        SyntheticCapacityOracle(reference_space=pruned),
+        TunerParams(population_size=40, generations=30, seed=7),
+        size_budget_mb=budget_mb,
+    )
+    assert tune_digest(result) == GOLDEN_TUNE_DIGESTS[budget_mb]
 
 
 def test_tuner_params_validation():
