@@ -1,33 +1,18 @@
-"""Run the full tuning pipeline against one seed and print a summary.
+"""Run the full tuning pipeline for one master seed through the CLI's stages.
 
-Prune the configuration space to the size budget, fit the effectiveness
-surrogate from synthetic-oracle samples, run the multi-objective search,
-and write the front plus run artifacts under --out-dir.
+Calls prune, fit, tune and report in order. Each flag maps onto the stage flag
+of the same name (--budget-mb is also report's --target-mb). Artifacts go under
+--out-dir: pruned.json, model_seed<N>.json and front_seed<N>.jsonl, each with
+the companion files its stage writes. Exits with the first failing stage's code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import time
+import shlex
 from pathlib import Path
 
-from cfgtune import (
-    SizeConstraint,
-    SyntheticCapacityOracle,
-    TunerParams,
-    build_indicator,
-    forward_gflops,
-    load_space,
-    model_size_mb,
-    prune,
-    prune_report,
-    r_squared,
-    select_deployment_config,
-    tune,
-)
-from cfgtune.cli import derive_seed
-from cfgtune.space import atomic_open
+from cfgtune import cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,73 +33,23 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-
-    space = load_space(args.space)
-    constraint = SizeConstraint(budget_mb=args.budget_mb)
-    pruned = prune(space, constraint, partitions=13)
-    report = prune_report(space, pruned, constraint, partitions=13)
-    print(f"space: {space.cardinality()} -> {pruned.cardinality()} configurations "
-          f"(ratio {report.cardinality_ratio:.4f})")
-    for entry in report.retention:
-        if entry.kept_count != entry.original_count:
-            print(f"  {entry.name}: {entry.original_count} -> {entry.kept_count} values")
-
-    oracle = SyntheticCapacityOracle(
-        reference_space=pruned,
-        noise_sigma=args.noise_sigma,
-        seed=derive_seed(args.seed, "oracle"),
-    )
-    model, table, _ = build_indicator(
-        pruned, oracle, k=args.samples, seed=derive_seed(args.seed, "fit:sample")
-    )
-    score = r_squared(model, table.vectors, table.targets)
-    print(f"surrogate: alpha={model.alpha:.4g} beta={model.beta:.4g} "
-          f"train R^2={score:.3f} ({len(table)} samples)")
-
-    result = tune(
-        pruned,
-        model,
-        TunerParams(
-            population_size=args.pop,
-            generations=args.generations,
-            seed=derive_seed(args.seed, "tune"),
-        ),
-        size_budget_mb=args.budget_mb,
-    )
-    if not len(result.archive):
-        print(f"search: {result.evaluation_count} evaluations, but no configuration "
-              f"within {args.budget_mb} MB; increase --generations")
-        return 3
-    front = sorted(result.archive, key=lambda ind: ind.objectives.size_mb)
-    print(f"search: {result.evaluation_count} distinct evaluations, "
-          f"front size {len(front)}, final hypervolume {result.records[-1].hypervolume:.4f}")
-
-    front_path = args.out_dir / f"front_seed{args.seed}.jsonl"
-    with atomic_open(front_path) as handle:
-        for member in front:
-            handle.write(json.dumps({
-                "config": member.config.as_dict(),
-                "size_mb": member.objectives.size_mb,
-                "gflops": member.objectives.gflops,
-                "predicted_effectiveness": member.objectives.effectiveness,
-            }, sort_keys=True) + "\n")
-    log_path = args.out_dir / f"runlog_seed{args.seed}.jsonl"
-    with atomic_open(log_path) as handle:
-        for record in result.records:
-            handle.write(json.dumps(record.__dict__, sort_keys=True) + "\n")
-
-    pick = select_deployment_config(result.archive, args.budget_mb)
-    print(f"\n{'size_mb':>10} {'gflops':>10} {'effectiveness':>13}")
-    for member in front:
-        marker = "*" if member is pick else " "
-        print(f"{member.objectives.size_mb:>10.4f} {member.objectives.gflops:>10.4f} "
-              f"{member.objectives.effectiveness:>13.4f} {marker}")
-    print(f"\ndeployment pick (closest to {args.budget_mb} MB): "
-          f"{model_size_mb(pick.config):.4f} MB, {forward_gflops(pick.config):.4f} GFLOPs")
-    print(json.dumps(pick.config.as_dict(), indent=2, sort_keys=True))
-    print(f"\nartifacts: {front_path}, {log_path}")
-    print(f"total wall time: {time.perf_counter() - start:.2f} s")
+    pruned = str(args.out_dir / "pruned.json")
+    model = str(args.out_dir / f"model_seed{args.seed}.json")
+    front = str(args.out_dir / f"front_seed{args.seed}.jsonl")
+    budget, seed = str(args.budget_mb), str(args.seed)
+    stages = [
+        ["prune", "--space", str(args.space), "--budget-mb", budget, "--out", pruned],
+        ["fit", "--space", pruned, "--samples", str(args.samples), "--seed", seed,
+         "--noise-sigma", str(args.noise_sigma), "--out", model],
+        ["tune", "--space", pruned, "--model", model, "--seed", seed, "--pop", str(args.pop),
+         "--generations", str(args.generations), "--budget-mb", budget, "--out", front],
+        ["report", "--front", front, "--target-mb", budget],
+    ]
+    for stage in stages:
+        print(f"$ cfgtune {shlex.join(stage)}", flush=True)
+        code = cli.main(stage)
+        if code:
+            return code
     return 0
 
 

@@ -1,8 +1,10 @@
 """Sweep tuner seeds on one pruned space and report front-quality spread.
 
-Fits the surrogate once, then reruns the evolutionary search under a range
-of seeds to show how front size, hypervolume, and the deployment pick vary
-with search randomness alone.
+Prunes the space and fits the surrogate once with the CLI's prune and fit
+stages (fit at seed 0), writing both beside --out, then reruns the search under
+a range of seeds to show how front size, hypervolume and the deployment pick
+vary with search randomness alone. Every hypervolume is taken against one fixed
+reference: the budget, the pruned max corner's GFLOPs, and zero effectiveness.
 """
 
 from __future__ import annotations
@@ -13,16 +15,17 @@ import statistics
 from pathlib import Path
 
 from cfgtune import (
-    SizeConstraint,
-    SyntheticCapacityOracle,
+    Configuration,
+    SurrogateModel,
     TunerParams,
-    build_indicator,
+    cli,
+    forward_gflops,
+    hypervolume,
     load_space,
-    prune,
     select_deployment_config,
     tune,
 )
-from cfgtune.cli import derive_seed
+from cfgtune.space import atomic_open
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,12 +45,25 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-
-    pruned = prune(load_space(args.space), SizeConstraint(args.budget_mb), partitions=13)
-    oracle = SyntheticCapacityOracle(reference_space=pruned, seed=derive_seed(0, "oracle"))
-    model, _, _ = build_indicator(
-        pruned, oracle, k=args.samples, seed=derive_seed(0, "fit:sample")
+    pruned_path = str(args.out.with_name(args.out.stem + ".pruned.json"))
+    model_path = str(args.out.with_name(args.out.stem + ".model.json"))
+    for stage in (
+        ["prune", "--space", str(args.space), "--budget-mb", str(args.budget_mb),
+         "--out", pruned_path],
+        ["fit", "--space", pruned_path, "--samples", str(args.samples), "--seed", "0",
+         "--out", model_path],
+    ):
+        code = cli.main(stage)
+        if code:
+            return code
+    pruned = load_space(pruned_path)
+    model = SurrogateModel.load(model_path)
+    # FLOPs do not depend on categorical values; take each one's first option.
+    corner = Configuration.from_dict(
+        {d.name: d.options[0] if d.options else d.max_value() for d in pruned.dimensions}
     )
+    reference = (args.budget_mb, forward_gflops(corner), 0.0)
+    print(f"\nhypervolume reference (size MB, GFLOPs, -effectiveness): {reference}")
 
     rows = []
     print(f"{'seed':>4} {'front':>5} {'evals':>6} {'hypervolume':>12} "
@@ -59,7 +75,7 @@ def main(argv=None) -> int:
             TunerParams(
                 population_size=args.pop,
                 generations=args.generations,
-                seed=derive_seed(seed, "tune"),
+                seed=cli.derive_seed(seed, "tune"),
             ),
             size_budget_mb=args.budget_mb,
         )
@@ -73,7 +89,7 @@ def main(argv=None) -> int:
             "seed": seed,
             "front_size": len(result.archive),
             "evaluations": result.evaluation_count,
-            "hypervolume": result.records[-1].hypervolume,
+            "hypervolume": hypervolume(result.archive.objective_vectors(), reference),
             "pick_size_mb": pick_size,
             "pick_effectiveness": pick_eff,
         }
@@ -82,7 +98,7 @@ def main(argv=None) -> int:
               f"{row['hypervolume']:>12.4f} {row['pick_size_mb']:>12.4f} "
               f"{row['pick_effectiveness']:>8.4f}")
 
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with atomic_open(args.out) as handle:
         for row in rows:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 

@@ -43,7 +43,7 @@ from .space import (
     load_space,
     save_space,
 )
-from .surrogate import SurrogateModel
+from .surrogate import SurrogateModel, r_squared
 from .tuner import (
     Individual,
     ObjectiveVector,
@@ -166,7 +166,8 @@ def cmd_fit(args) -> int:
     print(f"audit table ({len(table)} rows) written to {table_path}")
     print(
         f"alpha={model.alpha:.6g} beta={model.beta:.6g} "
-        f"iterations={model.n_iterations} converged={model.converged}"
+        f"iterations={model.n_iterations} converged={model.converged} "
+        f"train R^2={r_squared(model, table.vectors, table.targets):.3f}"
     )
     return EXIT_OK
 

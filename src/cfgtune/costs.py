@@ -61,7 +61,7 @@ def classifier_bytes(hidden_size: int) -> int:
 
 @dataclass(frozen=True)
 class SizeBreakdown:
-    """Exact byte counts per model part; MB views divide by 2**20 at the edge."""
+    """Exact byte counts per model part; the total's MB view divides by 2**20."""
 
     embedding_bytes: int
     transformer_bytes: int
@@ -70,18 +70,6 @@ class SizeBreakdown:
     @property
     def total_bytes(self) -> int:
         return self.embedding_bytes + self.transformer_bytes + self.classifier_bytes
-
-    @property
-    def embedding_mb(self) -> float:
-        return self.embedding_bytes / MEGABYTE
-
-    @property
-    def transformer_mb(self) -> float:
-        return self.transformer_bytes / MEGABYTE
-
-    @property
-    def classifier_mb(self) -> float:
-        return self.classifier_bytes / MEGABYTE
 
     @property
     def total_mb(self) -> float:
@@ -148,31 +136,3 @@ def co2_emissions_kg(
     if energy_kwh < 0 or carbon_intensity < 0:
         raise ValueError("energy and carbon intensity must be non-negative")
     return energy_kwh * carbon_intensity
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """All analytic costs of one configuration, plus optional emissions."""
-
-    size: SizeBreakdown
-    gflops: float
-    energy_kwh: float | None = None
-    co2_kg: float | None = None
-
-
-def cost_report(
-    config: Configuration,
-    runtime_hours: float | None = None,
-    average_power_kw: float | None = None,
-    carbon_intensity: float = DEFAULT_CARBON_INTENSITY,
-) -> CostReport:
-    energy = co2 = None
-    if runtime_hours is not None and average_power_kw is not None:
-        energy = training_energy_kwh(runtime_hours, average_power_kw)
-        co2 = co2_emissions_kg(energy, carbon_intensity)
-    return CostReport(
-        size=model_size_breakdown(config),
-        gflops=forward_gflops(config),
-        energy_kwh=energy,
-        co2_kg=co2,
-    )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import CANONICAL_DIMENSIONS, Configuration, ConfigurationSpace
+from .space import Configuration, ConfigurationSpace
 from .surrogate import SurrogateModel, TrainingSet, fit
 
 
@@ -110,7 +110,6 @@ class SyntheticCapacityOracle:
     noise_sigma: float = 0.0
     seed: int = 0
 
-    kind = "synthetic"
     base = 0.55
     span = 0.40
 
@@ -196,8 +195,6 @@ class ExternalProcessOracle:
 
     command: tuple[str, ...]
     space_checksum: str | None = None
-
-    kind = "external"
 
     def evaluate(self, config: Configuration) -> float:
         return self.evaluate_many([config])[0]
@@ -286,11 +283,6 @@ class ExternalProcessOracle:
                 partial=reported,
             )
         return [reported[i] for i in ids]
-
-
-def evaluate(oracle, config: Configuration) -> float:
-    """Score one configuration with either oracle kind."""
-    return oracle.evaluate(config)
 
 
 def build_indicator(

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes
 from .space import (
-    CANONICAL_DIMENSIONS,
     DISCRETE_NUMERIC_SET,
     INTEGER_RANGE,
     ConfigurationSpace,
@@ -57,13 +56,6 @@ def min_corner_bytes(space: ConfigurationSpace, dim_name: str, value) -> int:
         intermediate_size=corner["intermediate_size"],
         max_sequence_length=corner["max_sequence_length"],
     )
-
-
-def is_feasible_value(space: ConfigurationSpace, dim_name: str, value, constraint: SizeConstraint) -> bool:
-    """True iff some configuration with dim=value fits the budget."""
-    if dim_name not in CANONICAL_DIMENSIONS:
-        raise KeyError(f"unknown dimension {dim_name!r}")
-    return constraint.admits(min_corner_bytes(space, dim_name, value))
 
 
 def _largest_integer_dimension(space: ConfigurationSpace) -> Dimension:

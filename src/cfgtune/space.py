@@ -152,17 +152,6 @@ class Dimension:
             return float(self.options.index(value))
         return float(value)
 
-    def from_component(self, component: float):
-        if self.kind == CATEGORICAL:
-            index = int(round(component))
-            if not 0 <= index < len(self.options):
-                raise ValueError(f"{self.name}: option index {component} out of range")
-            return self.options[index]
-        if self.kind == INTEGER_RANGE:
-            return int(round(component))
-        # discrete set: snap to the nearest stored value so members round-trip
-        return min(self.values, key=lambda v: abs(float(v) - component))
-
     def normalize(self, value) -> float:
         """Affine map onto [0, 1]; single-valued dimensions map to 0."""
         if self.kind == CATEGORICAL:
@@ -172,16 +161,6 @@ class Dimension:
         if hi <= lo:
             return 0.0
         return (self.to_component(value) - lo) / (hi - lo)
-
-    def denormalize(self, unit: float):
-        if self.kind == CATEGORICAL:
-            if len(self.options) == 1:
-                return self.options[0]
-            return self.from_component(unit * (len(self.options) - 1))
-        lo, hi = float(self.min_value()), float(self.max_value())
-        if hi <= lo:
-            return self.from_component(lo)
-        return self.from_component(lo + unit * (hi - lo))
 
     def to_entry(self):
         """Entry in the JSON document form."""
@@ -293,20 +272,6 @@ class ConfigurationSpace:
         if normalize:
             return tuple(dim.normalize(config.value(dim.name)) for dim in self.dimensions)
         return tuple(dim.to_component(config.value(dim.name)) for dim in self.dimensions)
-
-    def decode(self, vector, normalized: bool = False) -> Configuration:
-        components = list(vector)
-        if len(components) != len(self.dimensions):
-            raise ValueError(
-                f"expected {len(self.dimensions)} components, got {len(components)}"
-            )
-        values = {}
-        for dim, component in zip(self.dimensions, components):
-            if normalized:
-                values[dim.name] = dim.denormalize(component)
-            else:
-                values[dim.name] = dim.from_component(component)
-        return Configuration.from_dict(values)
 
     def sample_uniform(self, n: int, seed: int) -> list[Configuration]:
         """n valid configurations, each dimension drawn independently and

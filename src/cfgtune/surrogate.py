@@ -9,7 +9,6 @@ callers pass raw encoded configuration vectors to both fit and predict.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,9 +138,6 @@ class SurrogateModel:
             space_checksum=document.get("space_checksum"),
         )
 
-    def with_checksum(self, checksum: str | None) -> "SurrogateModel":
-        return dataclasses.replace(self, space_checksum=checksum)
-
 
 def _posterior(
     design: np.ndarray, targets: np.ndarray, alpha: float, beta: float
@@ -235,10 +231,6 @@ def fit(
         converged=converged,
         space_checksum=space_checksum,
     )
-
-
-def fit_training_set(data: TrainingSet, **kwargs) -> SurrogateModel:
-    return fit(data.vectors, data.targets, **kwargs)
 
 
 def r_squared(model: SurrogateModel, vectors, targets) -> float:

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from cfgtune import Configuration, SurrogateModel, load_space
+from cfgtune import Configuration, SurrogateModel, load_space, r_squared
 from cfgtune.cli import (
     EXIT_CONSTRAINT,
     EXIT_INTERNAL,
@@ -181,6 +181,19 @@ def test_fit_writes_model_and_table(pipeline):
     for row in table:
         assert set(row) == {"config", "effectiveness"}
         assert 0.0 <= row["effectiveness"] <= 1.0
+
+
+def test_fit_prints_training_r_squared(tmp_path, space_file, capsys):
+    out = tmp_path / "m.json"
+    assert main(
+        ["fit", "--space", str(space_file), "--samples", "12", "--seed", "7", "--out", str(out)]
+    ) == EXIT_OK
+    space = load_space(space_file)
+    rows = [json.loads(line) for line in (tmp_path / "m.table.jsonl").read_text().splitlines()]
+    vectors = [space.encode(Configuration.from_dict(row["config"])) for row in rows]
+    targets = [row["effectiveness"] for row in rows]
+    expected = r_squared(SurrogateModel.load(out), vectors, targets)
+    assert f"train R^2={expected:.3f}" in capsys.readouterr().out
 
 
 def test_fit_same_seed_byte_identical(tmp_path, space_file):

@@ -7,7 +7,6 @@ from cfgtune import (
     MEGABYTE,
     SIZE_RELEVANT_DIMENSIONS,
     co2_emissions_kg,
-    cost_report,
     forward_gflops,
     forward_pass_flops,
     model_size_breakdown,
@@ -44,9 +43,6 @@ def test_breakdown_parts_sum_exactly():
         + breakdown.transformer_bytes
         + breakdown.classifier_bytes
         == breakdown.total_bytes
-    )
-    assert breakdown.total_mb == (
-        breakdown.embedding_mb + breakdown.transformer_mb + breakdown.classifier_mb
     )
 
 
@@ -115,12 +111,3 @@ def test_negative_workload_rejected():
         training_energy_kwh(-1.0, 0.4)
     with pytest.raises(ValueError):
         co2_emissions_kg(-0.1)
-
-
-def test_cost_report_with_and_without_workload():
-    bare = cost_report(make_config())
-    assert bare.energy_kwh is None and bare.co2_kg is None
-    full = cost_report(make_config(), runtime_hours=0.8, average_power_kw=0.4)
-    assert full.energy_kwh == pytest.approx(0.32)
-    assert full.co2_kg == pytest.approx(0.14)
-    assert full.size.total_bytes == 497_396_738

@@ -19,7 +19,6 @@ from cfgtune import (
     kd_loss,
     r_squared,
 )
-from cfgtune.oracle import evaluate
 from conftest import make_config
 
 
@@ -176,12 +175,6 @@ def test_synthetic_oracle_prefers_earlier_tokenizers(pruned_space):
     ]
     assert values == sorted(values, reverse=True)
     assert values[0] - values[-1] == pytest.approx(0.04, abs=1e-12)
-
-
-def test_evaluate_helper_dispatches(pruned_space):
-    oracle = SyntheticCapacityOracle(reference_space=pruned_space)
-    config = pruned_space.sample_uniform(1, seed=2)[0]
-    assert evaluate(oracle, config) == oracle.evaluate(config)
 
 
 # --- external oracle ------------------------------------------------------

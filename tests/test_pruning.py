@@ -10,7 +10,6 @@ from cfgtune import (
     MEGABYTE,
     SIZE_RELEVANT_DIMENSIONS,
     SizeConstraint,
-    is_feasible_value,
     min_corner_bytes,
     parameter_file_bytes,
     partition,
@@ -320,25 +319,6 @@ def test_pruned_space_is_dimension_wise_subset(canonical_space, pruned_space):
 
 def test_prune_is_idempotent(canonical_space, pruned_space):
     assert prune(pruned_space, SizeConstraint(3.0), partitions=5) == pruned_space
-
-
-def test_is_feasible_value_examples(canonical_space):
-    c3 = SizeConstraint(3.0)
-    assert is_feasible_value(canonical_space, "vocab_size", 1000, c3)
-    assert not is_feasible_value(canonical_space, "vocab_size", 50265, c3)
-    assert not is_feasible_value(canonical_space, "hidden_size", 768, c3)
-    tiny = SizeConstraint(0.00001)
-    assert not is_feasible_value(canonical_space, "vocab_size", 1000, tiny)
-    with pytest.raises(KeyError):
-        is_feasible_value(canonical_space, "unknown", 1, c3)
-
-
-def test_is_feasible_value_size_irrelevant_dimension(canonical_space):
-    # feasibility of a non-size dimension reduces to the global minimum corner
-    assert is_feasible_value(canonical_space, "batch_size", 64, SizeConstraint(3.0))
-    assert not is_feasible_value(
-        canonical_space, "batch_size", 64, SizeConstraint(0.00001)
-    )
 
 
 def test_min_corner_bytes_anchor(canonical_space):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cfgtune import SurrogateModel, TrainingSet, fit, fit_training_set, r_squared
+from cfgtune import SurrogateModel, TrainingSet, fit, r_squared
 
 
 def closed_form_ridge(X, y, alpha, beta):
@@ -148,7 +148,7 @@ def test_training_set_validation_and_fit():
     with pytest.raises(ValueError):
         TrainingSet(vectors=((1.0,), (1.0, 2.0)), targets=(0.1, 0.2))
     data = TrainingSet(vectors=((0.0,), (1.0,), (2.0,)), targets=(0.0, 0.5, 1.0))
-    model = fit_training_set(data)
+    model = fit(data.vectors, data.targets)
     assert model.predict_mean((1.0,)) == pytest.approx(0.5, abs=1e-4)
 
 
@@ -180,7 +180,7 @@ def prediction_models(tmp_path):
     path = tmp_path / "model.json"
     models[-1].save(path)
     models.append(SurrogateModel.load(path))
-    models.append(models[2].with_checksum("def456"))
+    models.append(dataclasses.replace(models[2], space_checksum="def456"))
     # Fitting gives a constant column a zero weight; a nonzero one shows
     # whether the column is masked out.
     models.append(dataclasses.replace(models[-2], weights=tuple(rng.normal(size=14))))
