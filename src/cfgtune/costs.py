@@ -103,7 +103,13 @@ def model_size_breakdown(config: Configuration) -> SizeBreakdown:
 
 
 def model_size_mb(config: Configuration) -> float:
-    return model_size_breakdown(config).total_mb
+    return parameter_file_bytes(
+        config.vocab_size,
+        config.num_hidden_layers,
+        config.hidden_size,
+        config.intermediate_size,
+        config.max_sequence_length,
+    ) / MEGABYTE
 
 
 def forward_pass_flops(config: Configuration) -> int:

@@ -6,15 +6,23 @@ sequence length, embedding type, and two training knobs). Spaces are loaded
 from JSON documents, configurations are validated against them, and every
 configuration can be encoded to a 13-component numeric vector for distance
 computations and regression.
+
+Inside the search a configuration is a *genome*: a 13-tuple holding, per
+dimension, the index of its value in the dimension's ``domain``. Sampling,
+repair and encoding work on genomes; a :class:`Configuration` is built from
+one by :meth:`ConfigurationSpace.configuration` only where its values are
+needed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -40,6 +48,25 @@ CATEGORICAL_DIMENSIONS = frozenset(
     {"tokenizer", "hidden_act", "position_embedding_type"}
 )
 
+# Dimensions that count something, so every value is a positive integer.
+INTEGER_DIMENSIONS = frozenset(
+    {
+        "vocab_size",
+        "num_hidden_layers",
+        "hidden_size",
+        "intermediate_size",
+        "num_attention_heads",
+        "max_sequence_length",
+        "batch_size",
+    }
+)
+
+# Genome positions of the two dimensions tied by divisibility.
+_HIDDEN = CANONICAL_DIMENSIONS.index("hidden_size")
+_HEADS = CANONICAL_DIMENSIONS.index("num_attention_heads")
+
+Genome = tuple[int, ...]
+
 INTEGER_RANGE = "integer_range"
 DISCRETE_NUMERIC_SET = "discrete_numeric_set"
 CATEGORICAL = "categorical"
@@ -61,7 +88,12 @@ class UnsatisfiableSpaceError(ValueError):
 class Dimension:
     """One tunable setting: an inclusive integer range, a fixed set of numbers,
     or a list of named options. Option/value order is fixed and defines the
-    encoding index of each entry."""
+    index of each entry.
+
+    ``domain[i]`` is the value at index i; for an integer range it is a
+    ``range``, so no table grows with the range. ``lo`` and ``hi`` bound the
+    encoding component: the value itself, or the option index for a
+    categorical dimension."""
 
     name: str
     kind: str
@@ -78,6 +110,7 @@ class Dimension:
                     f"bound {self.upper}",
                     dimension=self.name,
                 )
+            domain, lo, hi = range(self.lower, self.upper + 1), self.lower, self.upper
         elif self.kind == DISCRETE_NUMERIC_SET:
             if not self.values:
                 raise SpaceFormatError(
@@ -87,6 +120,7 @@ class Dimension:
                 raise SpaceFormatError(
                     f"{self.name}: duplicate values", dimension=self.name
                 )
+            domain, lo, hi = self.values, min(self.values), max(self.values)
         elif self.kind == CATEGORICAL:
             if not self.options:
                 raise SpaceFormatError(
@@ -96,18 +130,18 @@ class Dimension:
                 raise SpaceFormatError(
                     f"{self.name}: duplicate options", dimension=self.name
                 )
+            domain, lo, hi = self.options, 0, len(self.options) - 1
         else:
             raise SpaceFormatError(
                 f"{self.name}: unknown dimension kind {self.kind!r}",
                 dimension=self.name,
             )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "lo", float(lo))
+        object.__setattr__(self, "hi", float(hi))
 
     def size(self) -> int:
-        if self.kind == INTEGER_RANGE:
-            return self.upper - self.lower + 1
-        if self.kind == DISCRETE_NUMERIC_SET:
-            return len(self.values)
-        return len(self.options)
+        return len(self.domain)
 
     def contains(self, value) -> bool:
         if self.kind == INTEGER_RANGE:
@@ -119,11 +153,15 @@ class Dimension:
         return value in self.options
 
     def iter_values(self):
+        """The values in index order."""
+        return self.domain
+
+    def index(self, value) -> int:
+        if not self.contains(value):
+            raise ValueError(f"{self.name}: value {value!r} not in dimension")
         if self.kind == INTEGER_RANGE:
-            return range(self.lower, self.upper + 1)
-        if self.kind == DISCRETE_NUMERIC_SET:
-            return iter(self.values)
-        return iter(self.options)
+            return value - self.lower
+        return self.domain.index(value)
 
     def min_value(self):
         if self.kind == INTEGER_RANGE:
@@ -138,29 +176,6 @@ class Dimension:
         if self.kind == DISCRETE_NUMERIC_SET:
             return max(self.values)
         raise TypeError(f"{self.name} is categorical; it has no numeric maximum")
-
-    def sample(self, rng: random.Random):
-        if self.kind == INTEGER_RANGE:
-            return rng.randint(self.lower, self.upper)
-        if self.kind == DISCRETE_NUMERIC_SET:
-            return rng.choice(self.values)
-        return rng.choice(self.options)
-
-    def to_component(self, value) -> float:
-        """Raw numeric encoding: categorical entries map to their option index."""
-        if self.kind == CATEGORICAL:
-            return float(self.options.index(value))
-        return float(value)
-
-    def normalize(self, value) -> float:
-        """Affine map onto [0, 1]; single-valued dimensions map to 0."""
-        if self.kind == CATEGORICAL:
-            lo, hi = 0.0, float(len(self.options) - 1)
-        else:
-            lo, hi = float(self.min_value()), float(self.max_value())
-        if hi <= lo:
-            return 0.0
-        return (self.to_component(value) - lo) / (hi - lo)
 
     def to_entry(self):
         """Entry in the JSON document form."""
@@ -229,6 +244,31 @@ class ConfigurationSpace:
                 f"order; got {names}"
             )
 
+    # Built on first use, so spaces that are only pruned never pay for them.
+    @functools.cached_property
+    def _codec(self) -> tuple:
+        """Per dimension: the sequence whose index-th entry is the raw
+        encoding component, its lower bound, and its span (None for a
+        single-valued dimension, which encodes to 0)."""
+        return tuple(
+            (
+                range(dim.size()) if dim.kind == CATEGORICAL else dim.domain,
+                dim.lo,
+                dim.hi - dim.lo if dim.hi > dim.lo else None,
+            )
+            for dim in self.dimensions
+        )
+
+    @functools.cached_property
+    def _domains(self) -> tuple:
+        return tuple(dim.domain for dim in self.dimensions)
+
+    @functools.cached_property
+    def _head_divisors(self) -> dict[int, tuple[int, ...]]:
+        """hidden_size value -> in-range head indices dividing it; see
+        :func:`correct`."""
+        return {}
+
     def dimension(self, name: str) -> Dimension:
         for dim in self.dimensions:
             if dim.name == name:
@@ -260,6 +300,13 @@ class ConfigurationSpace:
             )
         return ValidationResult(valid=not violations, violations=tuple(violations))
 
+    def genome(self, config: Configuration) -> Genome:
+        """The index of each value of ``config`` in its dimension."""
+        return tuple(dim.index(config.value(dim.name)) for dim in self.dimensions)
+
+    def configuration(self, genome: Genome) -> Configuration:
+        return Configuration(*map(operator.getitem, self._domains, genome))
+
     def encode(self, config: Configuration, normalize: bool = False) -> tuple[float, ...]:
         """13-component numeric vector; categorical values become option indices.
 
@@ -269,23 +316,30 @@ class ConfigurationSpace:
         result = self.validate(config)
         if not result:
             raise ValueError(f"cannot encode invalid configuration: {result.violations}")
+        return self.encode_genome(self.genome(config), normalize)
+
+    def encode_genome(self, genome: Genome, normalize: bool = False) -> tuple[float, ...]:
+        """:meth:`encode` of the genome's configuration, without validating."""
         if normalize:
-            return tuple(dim.normalize(config.value(dim.name)) for dim in self.dimensions)
-        return tuple(dim.to_component(config.value(dim.name)) for dim in self.dimensions)
+            return tuple([
+                (float(components[i]) - lo) / span if span else 0.0
+                for (components, lo, span), i in zip(self._codec, genome)
+            ])
+        return tuple([float(components[i]) for (components, _, _), i in zip(self._codec, genome)])
+
+    def sample_genome(self, rng: random.Random) -> Genome:
+        """One index per dimension, each drawn uniformly in canonical order,
+        then repaired by :func:`correct`."""
+        randrange = rng.randrange
+        return correct(tuple([randrange(len(domain)) for domain in self._domains]), self, rng)
 
     def sample_uniform(self, n: int, seed: int) -> list[Configuration]:
-        """n valid configurations, each dimension drawn independently and
-        uniformly, then repaired by :func:`correct`. Deterministic per seed."""
+        """n valid configurations from :meth:`sample_genome`. Deterministic
+        per seed."""
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = random.Random(seed)
-        return [self.sample_one(rng) for _ in range(n)]
-
-    def sample_one(self, rng: random.Random) -> Configuration:
-        raw = Configuration.from_dict(
-            {dim.name: dim.sample(rng) for dim in self.dimensions}
-        )
-        return correct(raw, self, rng)
+        return [self.configuration(self.sample_genome(rng)) for _ in range(n)]
 
     def to_document(self) -> dict:
         return {dim.name: dim.to_entry() for dim in self.dimensions}
@@ -293,6 +347,10 @@ class ConfigurationSpace:
     def checksum(self) -> str:
         canonical = json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _dimension_from_entry(name: str, entry) -> Dimension:
@@ -312,9 +370,13 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
                 dimension=name,
             )
         lower, upper = entry["min"], entry["max"]
-        if not isinstance(lower, int) or not isinstance(upper, int):
+        if not _is_int(lower) or not _is_int(upper):
             raise SpaceFormatError(
                 f"{name}: range bounds must be integers", dimension=name
+            )
+        if name in INTEGER_DIMENSIONS and lower < 1:
+            raise SpaceFormatError(
+                f"{name}: values must be positive integers", dimension=name
             )
         return Dimension(name=name, kind=INTEGER_RANGE, lower=lower, upper=upper)
     if isinstance(entry, list):
@@ -323,6 +385,10 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
         ):
             raise SpaceFormatError(
                 f"{name}: expected a non-empty array of numbers", dimension=name
+            )
+        if name in INTEGER_DIMENSIONS and not all(_is_int(x) and x >= 1 for x in entry):
+            raise SpaceFormatError(
+                f"{name}: values must be positive integers", dimension=name
             )
         return Dimension(name=name, kind=DISCRETE_NUMERIC_SET, values=tuple(entry))
     raise SpaceFormatError(
@@ -398,66 +464,55 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def correct(config: Configuration, space: ConfigurationSpace, rng: random.Random) -> Configuration:
-    """Repair a configuration so it satisfies :meth:`ConfigurationSpace.validate`.
+def _heads_dividing(space: ConfigurationSpace, hidden: int) -> tuple[int, ...]:
+    """Indices of the in-range head counts that divide ``hidden``, in
+    :func:`_divisors` order; cached per hidden size on first use."""
+    indices = space._head_divisors.get(hidden)
+    if indices is None:
+        heads_dim = space.dimensions[_HEADS]
+        indices = tuple(heads_dim.index(d) for d in _divisors(hidden) if heads_dim.contains(d))
+        space._head_divisors[hidden] = indices
+    return indices
 
-    Out-of-dimension values are resampled uniformly from their dimension. If
-    hidden_size is not divisible by the head count, the head count is redrawn
-    uniformly from the in-range divisors of hidden_size; when no divisor is in
-    range, hidden_size itself is redrawn as a multiple of an in-range head
-    count. Already-valid configurations are returned unchanged.
+
+def correct(genome: Genome, space: ConfigurationSpace, rng: random.Random) -> Genome:
+    """Repair a genome so its configuration satisfies
+    :meth:`ConfigurationSpace.validate`.
+
+    If hidden_size is not divisible by the head count, the head count is
+    redrawn uniformly from the in-range divisors of hidden_size; when no
+    divisor is in range, hidden_size itself is first redrawn as a multiple of
+    a uniformly drawn in-range head count that has a multiple in range. A
+    genome that needs no repair is returned as the same object.
     """
-    changes = {}
-    for dim in space.dimensions:
-        if not dim.contains(config.value(dim.name)):
-            changes[dim.name] = dim.sample(rng)
-    if changes:
-        config = config.replace(**changes)
-
-    heads_dim = space.dimension("num_attention_heads")
-    hidden_dim = space.dimension("hidden_size")
-    heads = config.num_attention_heads
-    hidden = config.hidden_size
-    if isinstance(heads, int) and heads >= 1 and hidden % heads == 0:
-        return config
-
-    for _ in range(100):
-        candidates = [d for d in _divisors(hidden) if heads_dim.contains(d)]
-        if candidates:
-            return config.replace(hidden_size=hidden, num_attention_heads=rng.choice(candidates))
-        # No in-range divisor: draw a head count, then a multiple of it, so the
-        # repaired pair is valid by construction.
-        head_choices = [
-            h for h in heads_dim.iter_values()
-            if isinstance(h, int) and h >= 1 and _has_multiple_in(hidden_dim, h)
-        ]
+    hidden_dim = space.dimensions[_HIDDEN]
+    hidden = hidden_dim.domain[genome[_HIDDEN]]
+    if hidden % space.dimensions[_HEADS].domain[genome[_HEADS]] == 0:
+        return genome
+    divisors = _heads_dividing(space, hidden)
+    if not divisors:
+        heads = space.dimensions[_HEADS].domain
+        head_choices = [i for i, h in enumerate(heads) if _has_multiple_in(hidden_dim, h)]
         if not head_choices:
             raise UnsatisfiableSpaceError(
                 "no hidden_size in range is divisible by any in-range head count"
             )
-        head = rng.choice(head_choices)
-        hidden = _sample_multiple(hidden_dim, head, rng)
-
-    candidates = [d for d in _divisors(config.hidden_size) if heads_dim.contains(d)]
-    if candidates:
-        return config.replace(num_attention_heads=max(candidates))
-    if heads_dim.contains(1):
-        return config.replace(num_attention_heads=1)
-    raise UnsatisfiableSpaceError(
-        "no hidden_size in range is divisible by any in-range head count"
-    )
+        hidden_index = _sample_multiple(hidden_dim, heads[rng.choice(head_choices)], rng)
+        genome = genome[:_HIDDEN] + (hidden_index,) + genome[_HIDDEN + 1:]
+        divisors = _heads_dividing(space, hidden_dim.domain[hidden_index])
+    return genome[:_HEADS] + (rng.choice(divisors),) + genome[_HEADS + 1:]
 
 
 def _has_multiple_in(dim: Dimension, factor: int) -> bool:
     if dim.kind == INTEGER_RANGE:
         return (dim.lower + factor - 1) // factor * factor <= dim.upper
-    return any(isinstance(v, int) and v % factor == 0 for v in dim.values)
+    return any(v % factor == 0 for v in dim.values)
 
 
 def _sample_multiple(dim: Dimension, factor: int, rng: random.Random) -> int:
+    """Index of a uniformly drawn multiple of ``factor`` in the dimension."""
     if dim.kind == INTEGER_RANGE:
         first = (dim.lower + factor - 1) // factor
         last = dim.upper // factor
-        return factor * rng.randint(first, last)
-    multiples = [v for v in dim.values if isinstance(v, int) and v % factor == 0]
-    return rng.choice(multiples)
+        return factor * rng.randint(first, last) - dim.lower
+    return rng.choice([i for i, v in enumerate(dim.values) if v % factor == 0])

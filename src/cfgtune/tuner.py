@@ -6,18 +6,26 @@ two-point crossover over the canonical dimension order, per-dimension
 boundary random mutation, divisibility correction, binary tournament
 selection from parents plus offspring, and an elitist archive of all
 non-dominated evaluated configurations. Deterministic for a fixed seed.
+
+The search runs on genomes (see :mod:`cfgtune.space`): tuples of value
+indices, so crossover is tuple slicing, mutation is an index draw, and the
+memo is keyed by small int tuples. A :class:`Configuration` is built only to
+score a new genome (the cost models, and an oracle or callable indicator; a
+surrogate reads the genome's encoding) and for archive candidates within
+the budget. :attr:`TuneResult.evaluations` decodes the memo on first access.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .costs import forward_gflops, model_size_mb
-from .space import Configuration, ConfigurationSpace, correct
+from .space import Configuration, ConfigurationSpace, Genome, correct
 
 
 class ObjectiveVector(NamedTuple):
@@ -35,6 +43,13 @@ class ObjectiveVector(NamedTuple):
 @dataclass(frozen=True)
 class Individual:
     config: Configuration
+    objectives: ObjectiveVector
+
+
+class _Member(NamedTuple):
+    """A population member inside :func:`tune`."""
+
+    genome: Genome
     objectives: ObjectiveVector
 
 
@@ -128,7 +143,7 @@ class TunerParams:
 
 
 def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    return math.sqrt(sum([(x - y) ** 2 for x, y in zip(a, b)]))
 
 
 def adaptive_random_init(
@@ -136,8 +151,8 @@ def adaptive_random_init(
     n: int,
     seed: int | random.Random,
     candidate_pool: int = 10,
-) -> list[Configuration]:
-    """Distance-maximizing random population.
+) -> list[Genome]:
+    """Distance-maximizing random population of genomes.
 
     The first member is a plain uniform sample; each later member is the best
     of ``candidate_pool`` uniform samples, maximizing its minimum Euclidean
@@ -153,15 +168,15 @@ def adaptive_random_init(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    chosen = [space.sample_one(rng)]
-    encodings = [space.encode(chosen[0], normalize=True)]
+    chosen = [space.sample_genome(rng)]
+    encodings = [space.encode_genome(chosen[0], normalize=True)]
     while len(chosen) < n:
-        best_config = None
+        best_genome = None
         best_encoding = None
         best_score = -1.0
         for _ in range(candidate_pool):
-            candidate = space.sample_one(rng)
-            encoding = space.encode(candidate, normalize=True)
+            candidate = space.sample_genome(rng)
+            encoding = space.encode_genome(candidate, normalize=True)
             # The running minimum replaces on ``<`` only, as ``min`` does.
             score = _normalized_distance(encoding, encodings[0])
             for index in range(1, len(encodings)):
@@ -171,50 +186,44 @@ def adaptive_random_init(
                 if distance < score:
                     score = distance
             if score > best_score:
-                best_config, best_encoding, best_score = candidate, encoding, score
-        chosen.append(best_config)
+                best_genome, best_encoding, best_score = candidate, encoding, score
+        chosen.append(best_genome)
         encodings.append(best_encoding)
     return chosen
 
 
-def crossover_at(
-    p1: Configuration, p2: Configuration, x1: int, x2: int
-) -> tuple[Configuration, Configuration]:
+def crossover_at(g1: Genome, g2: Genome, x1: int, x2: int) -> tuple[Genome, Genome]:
     """Swap the canonical-order segment [x1, x2) between the parents."""
     if not 0 <= x1 < x2 <= 13:
         raise ValueError("cut points must satisfy 0 <= x1 < x2 <= 13")
-    d1, d2 = p1.as_dict(), p2.as_dict()
-    names = list(d1)
-    c1, c2 = dict(d1), dict(d2)
-    for name in names[x1:x2]:
-        c1[name], c2[name] = d2[name], d1[name]
-    return Configuration.from_dict(c1), Configuration.from_dict(c2)
+    return g1[:x1] + g2[x1:x2] + g1[x2:], g2[:x1] + g1[x1:x2] + g2[x2:]
 
 
-def two_point_crossover(
-    p1: Configuration, p2: Configuration, rng: random.Random
-) -> tuple[Configuration, Configuration]:
+def two_point_crossover(g1: Genome, g2: Genome, rng: random.Random) -> tuple[Genome, Genome]:
     """Children swap a random middle segment; cut points 0 <= x1 < x2 <= 13.
     Children are returned uncorrected; the caller corrects after mutation."""
     x1, x2 = sorted(rng.sample(range(14), 2))
-    return crossover_at(p1, p2, x1, x2)
+    return crossover_at(g1, g2, x1, x2)
 
 
 def boundary_random_mutation(
-    config: Configuration,
+    genome: Genome,
     space: ConfigurationSpace,
     rate: float,
     rng: random.Random,
-) -> Configuration:
-    """Independently resample each dimension with probability ``rate`` from
-    its (pruned) range. Uncorrected; the caller corrects afterwards."""
+) -> Genome:
+    """Independently redraw each dimension's index with probability ``rate``,
+    uniformly over its (pruned) range. Uncorrected; the caller corrects
+    afterwards. Returns the same object when no dimension is redrawn."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    changes = {}
-    for dim in space.dimensions:
+    mutated = None
+    for position, dim in enumerate(space.dimensions):
         if rng.random() < rate:
-            changes[dim.name] = dim.sample(rng)
-    return config.replace(**changes) if changes else config
+            if mutated is None:
+                mutated = list(genome)
+            mutated[position] = rng.randrange(dim.size())
+    return genome if mutated is None else tuple(mutated)
 
 
 def crowding_distances(objectives: list[ObjectiveVector]) -> list[float]:
@@ -242,16 +251,17 @@ def crowding_distances(objectives: list[ObjectiveVector]) -> list[float]:
 
 
 def tournament_select(
-    pool: list[Individual],
+    pool: list,
     count: int,
     tournament_size: int,
     rng: random.Random,
     crowding: list[float] | None = None,
-) -> list[Individual]:
+) -> list:
     """``count`` winners of independent tournaments drawn without replacement
-    from the pool. Within a tournament, dominated entrants lose; mutually
-    non-dominated entrants tie-break by larger pool-level crowding distance,
-    then uniformly at random."""
+    from the pool, whose entries (individuals, or the population members of
+    :func:`tune`) carry ``objectives``. Within a tournament, dominated
+    entrants lose; mutually non-dominated entrants tie-break by larger
+    pool-level crowding distance, then uniformly at random."""
     if not pool:
         raise ValueError("selection pool must be non-empty")
     if crowding is None:
@@ -331,23 +341,34 @@ class GenerationRecord:
 class TuneResult:
     archive: ParetoArchive
     records: list[GenerationRecord]
-    evaluations: dict[Configuration, ObjectiveVector]
     reference_point: tuple[float, float, float]
     params: TunerParams
+    space: ConfigurationSpace
+    genome_evaluations: dict[Genome, ObjectiveVector]
+
+    @functools.cached_property
+    def evaluations(self) -> dict[Configuration, ObjectiveVector]:
+        """Every distinct evaluated configuration in evaluation order,
+        decoded from ``genome_evaluations`` on first access."""
+        configuration = self.space.configuration
+        return {configuration(g): v for g, v in self.genome_evaluations.items()}
 
     @property
     def evaluation_count(self) -> int:
-        return len(self.evaluations)
+        return len(self.genome_evaluations)
 
 
-def _effectiveness_callable(indicator, space: ConfigurationSpace) -> Callable[[Configuration], float]:
-    """Accepts a fitted surrogate, an oracle, or a plain callable."""
+def _effectiveness_callable(
+    indicator, space: ConfigurationSpace
+) -> Callable[[Genome, Configuration], float]:
+    """Accepts a fitted surrogate (which reads the genome's encoding), an
+    oracle, or a plain callable (which read the configuration)."""
     if hasattr(indicator, "predict_mean"):
-        return lambda config: float(indicator.predict_mean(space.encode(config)))
+        return lambda genome, config: indicator.predict_mean(space.encode_genome(genome))
     if hasattr(indicator, "evaluate"):
-        return indicator.evaluate
+        return lambda genome, config: indicator.evaluate(config)
     if callable(indicator):
-        return indicator
+        return lambda genome, config: indicator(config)
     raise TypeError(
         "indicator must be a fitted surrogate, an oracle, or a callable"
     )
@@ -369,12 +390,13 @@ def tune(
     """
     effectiveness_of = _effectiveness_callable(indicator, space)
     rng = random.Random(params.seed)
-    memo: dict[Configuration, ObjectiveVector] = {}
+    memo: dict[Genome, ObjectiveVector] = {}
 
-    def evaluate(config: Configuration) -> Individual:
-        cached = memo.get(config)
+    def evaluate(genome: Genome) -> _Member:
+        cached = memo.get(genome)
         if cached is None:
-            effectiveness = float(effectiveness_of(config))
+            config = space.configuration(genome)
+            effectiveness = float(effectiveness_of(genome, config))
             cached = ObjectiveVector(
                 size_mb=model_size_mb(config),
                 gflops=forward_gflops(config),
@@ -383,43 +405,47 @@ def tune(
             # The raw effectiveness is checked: the clamp maps NaN to 0.0.
             if not all(math.isfinite(v) for v in (cached.size_mb, cached.gflops, effectiveness)):
                 raise RuntimeError(f"non-finite objectives for {config}")
-            memo[config] = cached
-        return Individual(config=config, objectives=cached)
+            memo[genome] = cached
+        return _Member(genome, cached)
 
-    def admissible(individual: Individual) -> bool:
-        return size_budget_mb is None or individual.objectives.size_mb <= size_budget_mb
+    def archive_candidates(members: list[_Member]) -> list[Individual]:
+        return [
+            Individual(space.configuration(m.genome), m.objectives)
+            for m in members
+            if size_budget_mb is None or m.objectives.size_mb <= size_budget_mb
+        ]
 
     archive = ParetoArchive()
     snapshots: list[list[ObjectiveVector]] = []
 
     population = [
-        evaluate(config)
-        for config in adaptive_random_init(space, params.population_size, rng)
+        evaluate(genome)
+        for genome in adaptive_random_init(space, params.population_size, rng)
     ]
-    update_archive(archive, [ind for ind in population if admissible(ind)])
+    update_archive(archive, archive_candidates(population))
     snapshots.append(archive.objective_vectors())
 
     for _ in range(params.generations):
         order = list(range(len(population)))
         rng.shuffle(order)
-        children: list[Configuration] = []
+        children: list[Genome] = []
         for pair_start in range(0, len(order) - 1, 2):
-            p1 = population[order[pair_start]].config
-            p2 = population[order[pair_start + 1]].config
+            g1 = population[order[pair_start]].genome
+            g2 = population[order[pair_start + 1]].genome
             if rng.random() < params.crossover_rate:
-                c1, c2 = two_point_crossover(p1, p2, rng)
+                c1, c2 = two_point_crossover(g1, g2, rng)
             else:
-                c1, c2 = p1, p2
+                c1, c2 = g1, g2
             children.extend((c1, c2))
         if len(order) % 2 == 1:
-            children.append(population[order[-1]].config)
+            children.append(population[order[-1]].genome)
 
         offspring = []
         for child in children:
             mutated = boundary_random_mutation(child, space, params.mutation_rate, rng)
             offspring.append(evaluate(correct(mutated, space, rng)))
 
-        update_archive(archive, [ind for ind in offspring if admissible(ind)])
+        update_archive(archive, archive_candidates(offspring))
         snapshots.append(archive.objective_vectors())
 
         pool = population + offspring
@@ -454,9 +480,10 @@ def tune(
     return TuneResult(
         archive=archive,
         records=records,
-        evaluations=memo,
         reference_point=reference,
         params=params,
+        space=space,
+        genome_evaluations=memo,
     )
 
 

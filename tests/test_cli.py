@@ -145,6 +145,25 @@ def test_prune_wrong_shape_exits_parse(tmp_path):
     ) == EXIT_PARSE
 
 
+def test_fit_float_integer_dimension_exits_parse(tmp_path, capsys):
+    # A float hidden size used to load and then fail inside the divisor search.
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(dict(MINI_SPACE_DOCUMENT, hidden_size=[100.0, 128.0], num_attention_heads=[3, 8]))
+    )
+    assert main(
+        [
+            "fit",
+            "--space", str(bad),
+            "--oracle", "synthetic",
+            "--samples", "4",
+            "--out", str(tmp_path / "model.json"),
+        ]
+    ) == EXIT_PARSE
+    assert "hidden_size" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_prune_missing_file_exits_internal(tmp_path):
     # unreadable inputs are I/O failures, not parse errors
     assert main(

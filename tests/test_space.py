@@ -1,5 +1,4 @@
 import json
-import math
 import random
 
 import pytest
@@ -19,6 +18,7 @@ from cfgtune import (
     save_space,
     space_from_mapping,
 )
+from cfgtune.space import INTEGER_DIMENSIONS
 from conftest import CANONICAL_SPACE_FILE, MINI_SPACE_DOCUMENT, make_config
 
 
@@ -83,6 +83,27 @@ def test_malformed_entries_rejected(name, entry):
     assert err.value.dimension == name
 
 
+@pytest.mark.parametrize("name", sorted(INTEGER_DIMENSIONS))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"min": 0, "max": 8},  # below 1
+        {"min": True, "max": 8},  # bool bound
+        [16.0, 32],  # float member
+        [100.0, 128.0],
+        [0, 16],  # member below 1
+        [-4, 16],
+        [True, 16],  # bool member
+    ],
+)
+def test_integer_dimensions_accept_only_positive_integers(name, entry):
+    doc = dict(MINI_SPACE_DOCUMENT)
+    doc[name] = entry
+    with pytest.raises(SpaceFormatError, match=name) as err:
+        space_from_mapping(doc)
+    assert err.value.dimension == name
+
+
 def test_parse_space_rejects_invalid_json():
     with pytest.raises(SpaceFormatError):
         parse_space("{not json")
@@ -128,8 +149,8 @@ def test_encode_normalized_components_in_unit_interval(canonical_space):
 
 
 def test_single_valued_dimension_normalizes_to_zero(mini_space):
-    dim = mini_space.dimension("max_sequence_length")
-    assert dim.normalize(256) == 0.0
+    position = CANONICAL_DIMENSIONS.index("max_sequence_length")
+    assert mini_space.encode(_mini_member(), normalize=True)[position] == 0.0
 
 
 def test_sample_uniform_is_seed_deterministic(canonical_space):
@@ -160,12 +181,17 @@ def test_save_load_round_trip(tmp_path, canonical_space):
     assert load_space(path) == canonical_space
 
 
+def corrected(config, space, rng):
+    """``correct`` applied to the configuration's genome, decoded."""
+    return space.configuration(correct(space.genome(config), space, rng))
+
+
 def test_correct_resamples_heads_from_divisors(canonical_space):
     # hidden 96 with 5 heads: repaired head count must divide 96 and stay in range
     allowed = {1, 2, 3, 4, 6, 8, 12}
     seen = set()
     for seed in range(200):
-        fixed = correct(
+        fixed = corrected(
             make_config(hidden_size=96, num_attention_heads=5),
             canonical_space,
             random.Random(seed),
@@ -178,17 +204,23 @@ def test_correct_resamples_heads_from_divisors(canonical_space):
 
 
 def test_correct_keeps_valid_configs_unchanged(canonical_space):
+    genome = canonical_space.genome(make_config())
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert correct(genome, canonical_space, rng) is genome
+    assert rng.getstate() == state
+
+
+def test_genome_round_trip_and_out_of_dimension_values(canonical_space):
     config = make_config()
-    assert correct(config, canonical_space, random.Random(0)) == config
-
-
-def test_correct_resamples_out_of_range_values(canonical_space):
-    fixed = correct(
-        make_config(vocab_size=999999, hidden_dropout_prob=0.77),
-        canonical_space,
-        random.Random(3),
-    )
-    assert canonical_space.validate(fixed)
+    genome = canonical_space.genome(config)
+    assert genome[CANONICAL_DIMENSIONS.index("vocab_size")] == 50265 - 1000
+    assert canonical_space.configuration(genome) == config
+    # A genome holds only in-dimension indices.
+    with pytest.raises(ValueError, match="vocab_size"):
+        canonical_space.genome(make_config(vocab_size=999999))
+    with pytest.raises(ValueError, match="hidden_dropout_prob"):
+        canonical_space.genome(make_config(hidden_dropout_prob=0.77))
 
 
 def _mini_member(**overrides) -> Configuration:
@@ -220,7 +252,7 @@ def test_correct_resamples_heads_when_divisor_exists():
     space = space_from_mapping(doc)
     bad = _mini_member(hidden_size=18, num_attention_heads=4)
     for seed in range(50):
-        fixed = correct(bad, space, random.Random(seed))
+        fixed = corrected(bad, space, random.Random(seed))
         assert space.validate(fixed)
         assert fixed.hidden_size == 18
         assert fixed.num_attention_heads in {2, 3}
@@ -236,7 +268,7 @@ def test_correct_falls_back_to_multiple_of_head_count():
     space = space_from_mapping(doc)
     bad = _mini_member(hidden_size=17, num_attention_heads=3)
     for seed in range(50):
-        fixed = correct(bad, space, random.Random(seed))
+        fixed = corrected(bad, space, random.Random(seed))
         assert space.validate(fixed)
         assert fixed.hidden_size == 18
         assert fixed.num_attention_heads in {2, 3}
@@ -252,13 +284,13 @@ def test_correct_unsatisfiable_space_raises():
     space = space_from_mapping(doc)
     bad = _mini_member(hidden_size=17, num_attention_heads=2)
     with pytest.raises(UnsatisfiableSpaceError):
-        correct(bad, space, random.Random(0))
+        corrected(bad, space, random.Random(0))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_corrected_samples_always_validate(seed, mini_space):
     rng = random.Random(seed)
-    config = mini_space.sample_one(rng)
+    config = mini_space.configuration(mini_space.sample_genome(rng))
     assert mini_space.validate(config)
 
 
@@ -285,4 +317,5 @@ def test_categorical_numeric_helpers_raise():
     dim = Dimension(name="tokenizer", kind="categorical", options=("a", "b"))
     with pytest.raises(TypeError):
         dim.min_value()
-    assert math.isclose(dim.normalize("b"), 1.0)
+    # Categorical entries encode as their option index.
+    assert (dim.lo, dim.hi, dim.index("b")) == (0.0, 1.0, 1)

@@ -141,17 +141,22 @@ def test_archive_members_mutually_non_dominated_invariant():
 # --- initialization --------------------------------------------------------
 
 
+def genomes(space, n, seed):
+    """The genomes of ``space.sample_uniform(n, seed)``."""
+    return [space.genome(c) for c in space.sample_uniform(n, seed)]
+
+
 def test_adaptive_init_single_sample(pruned_space):
     population = adaptive_random_init(pruned_space, 1, seed=3)
     assert len(population) == 1
-    assert pruned_space.validate(population[0])
+    assert pruned_space.validate(pruned_space.configuration(population[0]))
 
 
 def test_adaptive_init_deterministic_and_valid(pruned_space):
     a = adaptive_random_init(pruned_space, 20, seed=11)
     b = adaptive_random_init(pruned_space, 20, seed=11)
     assert a == b
-    assert all(pruned_space.validate(c) for c in a)
+    assert all(pruned_space.validate(pruned_space.configuration(g)) for g in a)
 
 
 def min_pairwise_distance(space, configs):
@@ -166,7 +171,10 @@ def test_adaptive_init_spreads_more_than_uniform(pruned_space):
     # the min-pairwise-distance comparison in a large majority of trials
     wins = 0
     for seed in range(100):
-        adaptive = adaptive_random_init(pruned_space, 20, seed=seed)
+        adaptive = [
+            pruned_space.configuration(g)
+            for g in adaptive_random_init(pruned_space, 20, seed=seed)
+        ]
         uniform = pruned_space.sample_uniform(20, seed=seed)
         if min_pairwise_distance(pruned_space, adaptive) >= min_pairwise_distance(
             pruned_space, uniform
@@ -193,19 +201,20 @@ def point_space(mini_space):
 def test_adaptive_init_degenerate_single_point_space(point_space):
     population = adaptive_random_init(point_space, 5, seed=0)
     assert len(set(population)) == 1
-    assert min_pairwise_distance(point_space, population) == 0.0
+    configs = [point_space.configuration(g) for g in population]
+    assert min_pairwise_distance(point_space, configs) == 0.0
 
 
 def full_minimum_init(space, n, rng, candidate_pool=10):
     """The initializer as first written: every candidate's minimum distance
     to the chosen members is computed in full."""
-    chosen = [space.sample_one(rng)]
-    encodings = [space.encode(chosen[0], normalize=True)]
+    chosen = [space.sample_genome(rng)]
+    encodings = [space.encode_genome(chosen[0], normalize=True)]
     while len(chosen) < n:
         best_config, best_encoding, best_score = None, None, -1.0
         for _ in range(candidate_pool):
-            candidate = space.sample_one(rng)
-            encoding = space.encode(candidate, normalize=True)
+            candidate = space.sample_genome(rng)
+            encoding = space.encode_genome(candidate, normalize=True)
             score = min(_normalized_distance(encoding, e) for e in encodings)
             if score > best_score:
                 best_config, best_encoding, best_score = candidate, encoding, score
@@ -238,22 +247,22 @@ def test_space_document_round_trip_checksum(mini_space):
 
 
 def test_crossover_full_swap_returns_swapped_parents(pruned_space):
-    p1, p2 = pruned_space.sample_uniform(2, seed=21)
+    p1, p2 = genomes(pruned_space, 2, seed=21)
     c1, c2 = crossover_at(p1, p2, 0, 13)
     assert (c1, c2) == (p2, p1)
 
 
 def test_crossover_single_dimension_swap(pruned_space):
-    p1, p2 = pruned_space.sample_uniform(2, seed=22)
+    p1, p2 = genomes(pruned_space, 2, seed=22)
     c1, c2 = crossover_at(p1, p2, 1, 2)
-    assert c1.vocab_size == p2.vocab_size
-    assert c2.vocab_size == p1.vocab_size
-    assert c1.tokenizer == p1.tokenizer
-    assert c1.num_hidden_layers == p1.num_hidden_layers
+    assert c1[1] == p2[1]  # vocab_size
+    assert c2[1] == p1[1]
+    assert c1[0] == p1[0]  # tokenizer
+    assert c1[2:] == p1[2:]
 
 
 def test_crossover_rejects_bad_cut_points(pruned_space):
-    p1, p2 = pruned_space.sample_uniform(2, seed=23)
+    p1, p2 = genomes(pruned_space, 2, seed=23)
     for x1, x2 in ((3, 3), (5, 2), (-1, 4), (0, 14)):
         with pytest.raises(ValueError):
             crossover_at(p1, p2, x1, x2)
@@ -262,54 +271,57 @@ def test_crossover_rejects_bad_cut_points(pruned_space):
 def test_crossover_children_take_values_from_parents(pruned_space):
     rng = random.Random(7)
     for _ in range(1000):
-        p1, p2 = pruned_space.sample_uniform(2, seed=rng.randrange(10**9))
+        p1, p2 = genomes(pruned_space, 2, seed=rng.randrange(10**9))
         c1, c2 = two_point_crossover(p1, p2, rng)
-        for dim in pruned_space.dimensions:
-            options = {p1.value(dim.name), p2.value(dim.name)}
-            assert c1.value(dim.name) in options
-            assert c2.value(dim.name) in options
+        assert len(c1) == len(c2) == 13
+        for position in range(13):
+            options = {p1[position], p2[position]}
+            assert c1[position] in options
+            assert c2[position] in options
 
 
 def test_crossover_is_deterministic_under_seeded_rng(pruned_space):
-    p1, p2 = pruned_space.sample_uniform(2, seed=24)
+    p1, p2 = genomes(pruned_space, 2, seed=24)
     a = two_point_crossover(p1, p2, random.Random(5))
     b = two_point_crossover(p1, p2, random.Random(5))
     assert a == b
 
 
 def test_mutation_rate_zero_is_identity(pruned_space):
-    config = pruned_space.sample_uniform(1, seed=30)[0]
-    assert boundary_random_mutation(config, pruned_space, 0.0, random.Random(1)) == config
+    genome = genomes(pruned_space, 1, seed=30)[0]
+    assert boundary_random_mutation(genome, pruned_space, 0.0, random.Random(1)) is genome
 
 
 def test_mutation_rate_one_draws_in_range(pruned_space):
-    config = pruned_space.sample_uniform(1, seed=31)[0]
-    mutated = boundary_random_mutation(config, pruned_space, 1.0, random.Random(2))
+    genome = genomes(pruned_space, 1, seed=31)[0]
+    mutated = pruned_space.configuration(
+        boundary_random_mutation(genome, pruned_space, 1.0, random.Random(2))
+    )
     for dim in pruned_space.dimensions:
         assert dim.contains(mutated.value(dim.name))
 
 
 def test_mutation_change_frequency(pruned_space):
     rng = random.Random(123)
-    config = pruned_space.sample_uniform(1, seed=32)[0]
+    genome = genomes(pruned_space, 1, seed=32)[0]
     trials = 10_000
-    changed = {dim.name: 0 for dim in pruned_space.dimensions}
+    changed = [0] * 13
     for _ in range(trials):
-        mutated = boundary_random_mutation(config, pruned_space, 0.1, rng)
-        for dim in pruned_space.dimensions:
-            if mutated.value(dim.name) != config.value(dim.name):
-                changed[dim.name] += 1
-    for dim in pruned_space.dimensions:
+        mutated = boundary_random_mutation(genome, pruned_space, 0.1, rng)
+        for position in range(13):
+            if mutated[position] != genome[position]:
+                changed[position] += 1
+    for position, dim in enumerate(pruned_space.dimensions):
         # a resample hits the original value with probability 1/size
         correction = 1.0 - 1.0 / dim.size()
-        frequency = changed[dim.name] / trials
+        frequency = changed[position] / trials
         assert 0.07 * correction <= frequency <= 0.13 * correction, dim.name
 
 
 def test_mutation_rejects_bad_rate(pruned_space):
-    config = pruned_space.sample_uniform(1, seed=33)[0]
+    genome = genomes(pruned_space, 1, seed=33)[0]
     with pytest.raises(ValueError):
-        boundary_random_mutation(config, pruned_space, 1.5, random.Random(0))
+        boundary_random_mutation(genome, pruned_space, 1.5, random.Random(0))
 
 
 # --- selection ---------------------------------------------------------------
@@ -477,8 +489,8 @@ def test_tune_zero_generations_archives_initial_front(mini_space, mini_oracle):
     params = TunerParams(population_size=12, generations=0, seed=5)
     result = tune(mini_space, mini_oracle, params)
     initial_points = [
-        result.evaluations[c]
-        for c in adaptive_random_init(mini_space, 12, seed=5)
+        result.genome_evaluations[g]
+        for g in adaptive_random_init(mini_space, 12, seed=5)
     ]
     expected = brute_force_front([tuple(p) for p in initial_points])
     assert {tuple(v) for v in result.archive.objective_vectors()} == expected
@@ -568,6 +580,23 @@ def test_tune_reproduces_golden_fronts(canonical_space, budget_mb):
         size_budget_mb=budget_mb,
     )
     assert tune_digest(result) == GOLDEN_TUNE_DIGESTS[budget_mb]
+
+
+# The same digest of a tune-wide-sized run (64 MB, pop 100 x 200), whose
+# archive grows to 279 members; the runs above stay far smaller.
+GOLDEN_LARGE_ARCHIVE_DIGEST = "4f8bcaed8e723e4fed86004f463183ce3afd34bdf16f3a5c6711bc997d3e3508"
+
+
+def test_tune_reproduces_golden_large_archive(canonical_space):
+    pruned = prune(canonical_space, SizeConstraint(64.0))
+    result = tune(
+        pruned,
+        SyntheticCapacityOracle(reference_space=pruned),
+        TunerParams(population_size=100, generations=200, seed=7),
+        size_budget_mb=64.0,
+    )
+    assert len(result.archive) == 279
+    assert tune_digest(result) == GOLDEN_LARGE_ARCHIVE_DIGEST
 
 
 def test_tuner_params_validation():
