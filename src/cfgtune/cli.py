@@ -59,6 +59,10 @@ EXIT_CONSTRAINT = 3
 EXIT_ORACLE = 4
 EXIT_INTERNAL = 5
 
+# Subspaces `prune` splits the space into. The pruned space does not depend on
+# it; it is recorded in the prune report.
+PRUNE_PARTITIONS = 13
+
 
 class ChecksumMismatchError(ValueError):
     """Surrogate model was fitted on a different space than the one given."""
@@ -121,9 +125,9 @@ def _front_sort_key(record: dict):
 def cmd_prune(args) -> int:
     space = load_space(args.space)
     constraint = SizeConstraint(budget_mb=args.budget_mb)
-    pruned = prune(space, constraint, partitions=args.partitions)
+    pruned = prune(space, constraint, partitions=PRUNE_PARTITIONS)
     save_space(pruned, args.out)
-    report = prune_report(space, pruned, constraint, args.partitions)
+    report = prune_report(space, pruned, constraint, PRUNE_PARTITIONS)
     report_path = _derived_path(args.out, ".report.json")
     with atomic_open(report_path) as handle:
         json.dump(report.as_dict(), handle, indent=2)
@@ -274,6 +278,8 @@ def _load_front(path: str) -> list[dict]:
 
 
 def cmd_report(args) -> int:
+    if not args.target_mb > 0:
+        raise ValueError(f"--target-mb must be positive, got {args.target_mb}")
     records = _load_front(args.front)
     if not records:
         raise EmptyFrontError(f"front file {args.front} has no solutions")
@@ -335,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune = commands.add_parser("prune", help="drop values that cannot fit the size budget")
     p_prune.add_argument("--space", required=True, help="space JSON file")
     p_prune.add_argument("--budget-mb", type=float, default=3.0)
-    p_prune.add_argument(
-        "--partitions", type=int, default=13, help="subspaces to prune; the result does not depend on it"
-    )
     p_prune.add_argument("--out", required=True, help="pruned space JSON file")
     p_prune.set_defaults(handler=cmd_prune)
 

@@ -9,6 +9,12 @@ space, scores the samples, and fits the regression surrogate on the results.
 The temperature-scaled distillation loss is included as a pure function so
 the soft-target objective that a real student-training evaluator would
 minimize is executable and testable here.
+
+numpy is imported inside ``_log_softmax`` and ``kd_loss``, the only functions
+here that use it, so that ``import cfgtune`` and the stages that neither fit
+nor search (``prune``, ``report``) start without it. Every name here is still
+bound at import, with no module ``__getattr__``: perfbench's tracer wraps the
+``fit`` imported here by reading it from this module's dict.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
-
-import numpy as np
 
 from .space import Configuration, ConfigurationSpace
 from .surrogate import SurrogateModel, TrainingSet, fit
@@ -71,6 +75,8 @@ class DistillationBatch:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -83,6 +89,8 @@ def kd_loss(batch: DistillationBatch) -> float:
     constant shift); the minimum value is T^2 times the entropy of the
     softened teacher distribution.
     """
+    import numpy as np
+
     p = np.asarray(batch.teacher_logits, dtype=float) / batch.temperature
     q = np.asarray(batch.student_logits, dtype=float) / batch.temperature
     teacher_probs = np.exp(_log_softmax(p))

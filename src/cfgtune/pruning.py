@@ -34,8 +34,8 @@ class SizeConstraint:
     budget_mb: float = 3.0
 
     def __post_init__(self):
-        if self.budget_mb <= 0:
-            raise ValueError("budget_mb must be positive")
+        if not self.budget_mb > 0:  # NaN fails every comparison
+            raise ValueError(f"budget_mb must be positive, got {self.budget_mb}")
 
     def admits(self, size_bytes: int) -> bool:
         # Exact-byte comparison; scaling by 2**20 is lossless in binary floats.

@@ -5,6 +5,14 @@ the weight precision ``alpha`` and noise precision ``beta``). The intercept
 is an appended constant-1 column excluded from the alpha penalty. Features
 are min-max scaled with the fit-time statistics stored on the model, so
 callers pass raw encoded configuration vectors to both fit and predict.
+
+numpy is imported inside the functions that use it, not at module level.
+``import cfgtune`` loads this module, and the ``prune`` and ``report`` stages,
+which never fit or predict, would otherwise spend more than half of their
+start-up importing numpy. Every name here is still bound at import, with no
+module ``__getattr__``: perfbench's tracer wraps ``fit`` and
+``SurrogateModel.predict_mean`` by reading them from the module and class
+dicts.
 """
 
 from __future__ import annotations
@@ -12,8 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .space import atomic_open
 
@@ -71,6 +77,8 @@ class SurrogateModel:
     @cached_property
     def _scaling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(feature minimum, mask of varying features, span with 1 where 0)."""
+        import numpy as np
+
         lo = np.asarray(self.feature_min, dtype=float)
         span = np.asarray(self.feature_max, dtype=float) - lo
         varying = span > 0
@@ -78,14 +86,20 @@ class SurrogateModel:
 
     @cached_property
     def _weights(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.weights, dtype=float)
 
     @cached_property
     def _covariance(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.covariance, dtype=float)
 
     def _augmented(self, vector) -> np.ndarray:
         """Min-max scaled raw vector with the trailing constant 1."""
+        import numpy as np
+
         x = np.asarray(vector, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(
@@ -144,6 +158,8 @@ def _posterior(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the weight posterior. The penalty matrix is
     alpha on every feature coordinate and zero on the intercept."""
+    import numpy as np
+
     d = design.shape[1]
     penalty = np.full(d, alpha)
     penalty[-1] = 0.0
@@ -173,6 +189,8 @@ def fit(
     amount below ``tol``. With ``update_hyperparameters=False`` the single
     solve at (alpha_init, beta_init) is the exact closed-form ridge solution.
     """
+    import numpy as np
+
     X = np.asarray(vectors, dtype=float)
     y = np.asarray(targets, dtype=float)
     if X.ndim != 2:
@@ -235,6 +253,8 @@ def fit(
 
 def r_squared(model: SurrogateModel, vectors, targets) -> float:
     """Coefficient of determination of the posterior-mean predictions."""
+    import numpy as np
+
     y = np.asarray(targets, dtype=float)
     predictions = np.array([model.predict_mean(v) for v in vectors])
     residual = float(np.sum((y - predictions) ** 2))

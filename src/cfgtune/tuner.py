@@ -386,8 +386,11 @@ def tune(
     surrogate, oracle, or callable). When ``size_budget_mb`` is given, only
     individuals within the budget may enter the archive, so every front
     member honors the size constraint even where single-dimension pruning
-    cannot exclude a combination.
+    cannot exclude a combination. A budget that is not positive (NaN
+    included) raises ``ValueError`` before any evaluation.
     """
+    if size_budget_mb is not None and not size_budget_mb > 0:
+        raise ValueError(f"size_budget_mb must be positive, got {size_budget_mb}")
     effectiveness_of = _effectiveness_callable(indicator, space)
     rng = random.Random(params.seed)
     memo: dict[Genome, ObjectiveVector] = {}

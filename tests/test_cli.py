@@ -35,7 +35,6 @@ def pipeline(tmp_path, space_file):
             "prune",
             "--space", str(space_file),
             "--budget-mb", "3.0",
-            "--partitions", "3",
             "--out", str(pruned),
         ]
     ) == EXIT_OK
@@ -184,6 +183,27 @@ def test_prune_impossible_budget_exits_constraint(tmp_path, space_file):
             "--out", str(tmp_path / "out.json"),
         ]
     ) == EXIT_CONSTRAINT
+
+
+@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+def test_prune_non_positive_budget_exits_parse(tmp_path, space_file, capsys, budget):
+    out = tmp_path / "out.json"
+    assert main(
+        ["prune", "--space", str(space_file), "--budget-mb", budget, "--out", str(out)]
+    ) == EXIT_PARSE
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prune_partitions_flag_is_gone(tmp_path, space_file):
+    # The pruned space does not depend on the partition count; the library's
+    # ``prune(..., partitions=n)`` keeps the parameter.
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            ["prune", "--space", str(space_file), "--partitions", "3",
+             "--out", str(tmp_path / "out.json")]
+        )
+    assert excinfo.value.code == 2
 
 
 # --- fit ---------------------------------------------------------------------
@@ -377,6 +397,14 @@ def test_tune_impossible_budget_exits_constraint(pipeline):
     assert code == EXIT_CONSTRAINT
 
 
+@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+def test_tune_non_positive_budget_exits_parse(pipeline, capsys, budget):
+    code, out = run_tune(pipeline, "front.jsonl", budget=budget)
+    assert code == EXIT_PARSE
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tune_nan_effectiveness_exits_internal(pipeline, monkeypatch):
     # Clamping would score NaN as 0.0; a non-finite prediction is a fault.
     monkeypatch.setattr(SurrogateModel, "predict_mean", lambda self, x: math.nan)
@@ -423,6 +451,16 @@ def test_report_without_power_flags_skips_emissions(pipeline, capsys):
     capsys.readouterr()
     assert main(["report", "--front", str(front)]) == EXIT_OK
     assert "kWh" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["nan", "0", "-1"])
+def test_report_non_positive_target_exits_parse(pipeline, capsys, target):
+    _, front = run_tune(pipeline, "front.jsonl")
+    capsys.readouterr()
+    assert main(["report", "--front", str(front), "--target-mb", target]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "must be positive" in captured.err
+    assert captured.out == ""
 
 
 def test_report_empty_front_exits_constraint(tmp_path):

@@ -1,0 +1,116 @@
+"""numpy is loaded only by the stages that use it.
+
+``import cfgtune``, ``prune`` and ``report`` never import numpy, so they run
+where it is not installed; ``fit`` and ``tune`` import it on first use. Each
+check runs in a fresh interpreter, since this test process has numpy loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cfgtune
+from cfgtune.cli import EXIT_OK, main
+from conftest import CANONICAL_SPACE_FILE
+
+SRC = Path(cfgtune.__file__).resolve().parent.parent
+SEARCH = ["--pop", "8", "--generations", "5"]
+
+# Runs the CLI stages given as JSON in argv[1] in order. After the import and
+# after each stage it records the exit code and whether numpy is loaded, and
+# prints those records as the last line of stdout.
+STAGE_RUNNER = """
+import json, sys
+if sys.argv[2] == "block":
+    sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+import cfgtune.cli
+records = [["import", None, "numpy" in sys.modules]]
+for stage in json.loads(sys.argv[1]):
+    records.append([stage[0], cfgtune.cli.main(stage), "numpy" in sys.modules])
+print(json.dumps(records))
+"""
+
+
+def run_fresh(stages, block_numpy=False):
+    """(stage records, the stages' own stdout) from a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STAGE_RUNNER, json.dumps(stages), "block" if block_numpy else "-"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *output, last = proc.stdout.splitlines(keepends=True)
+    return json.loads(last), "".join(output)
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A pruned space, model and front written by the stages in this process."""
+    tmp = tmp_path_factory.mktemp("in-process")
+    paths = {name: tmp / name for name in ("pruned.json", "model.json", "front.jsonl")}
+    for stage in fit_and_tune_stages(paths):
+        assert main(stage) == EXIT_OK
+    return paths
+
+
+def prune_stage(out):
+    return ["prune", "--space", str(CANONICAL_SPACE_FILE), "--budget-mb", "3.0", "--out", str(out)]
+
+
+def fit_and_tune_stages(paths):
+    pruned, model = str(paths["pruned.json"]), str(paths["model.json"])
+    return [
+        prune_stage(pruned),
+        ["fit", "--space", pruned, "--samples", "20", "--seed", "3", "--out", model],
+        ["tune", "--space", pruned, "--model", model, "--seed", "3", *SEARCH,
+         "--budget-mb", "3.0", "--out", str(paths["front.jsonl"])],
+    ]
+
+
+def report_stage(front):
+    return ["report", "--front", str(front), "--target-mb", "3.0",
+            "--runtime-hours", "0.8", "--power-kw", "0.4"]
+
+
+def test_import_prune_and_report_leave_numpy_unloaded(tmp_path, artifacts):
+    records, _ = run_fresh([prune_stage(tmp_path / "pruned.json"), report_stage(artifacts["front.jsonl"])])
+    assert records == [["import", None, False], ["prune", EXIT_OK, False], ["report", EXIT_OK, False]]
+
+
+def test_prune_and_report_with_numpy_blocked_match_an_unblocked_run(tmp_path, artifacts):
+    outputs = {}
+    for mode in ("block", "free"):
+        out_dir = tmp_path / mode
+        out_dir.mkdir()
+        records, stdout = run_fresh(
+            [prune_stage(out_dir / "pruned.json"), report_stage(artifacts["front.jsonl"])],
+            block_numpy=mode == "block",
+        )
+        assert [code for _, code, _ in records[1:]] == [EXIT_OK, EXIT_OK]
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert sorted(files) == ["pruned.json", "pruned.report.json"]
+        outputs[mode] = (files, stdout.replace(str(out_dir), "<out>"))
+    assert outputs["block"] == outputs["free"]
+    assert outputs["block"][0]["pruned.json"] == artifacts["pruned.json"].read_bytes()
+    assert "deployment pick (closest to 3.0 MB)" in outputs["block"][1]
+
+
+def test_fit_and_tune_load_numpy_on_use(tmp_path, artifacts):
+    paths = {name: tmp_path / name for name in artifacts}
+    records, _ = run_fresh(fit_and_tune_stages(paths))
+    assert records == [
+        ["import", None, False],
+        ["prune", EXIT_OK, False],
+        ["fit", EXIT_OK, True],
+        ["tune", EXIT_OK, True],
+    ]
+    for name, path in artifacts.items():
+        assert paths[name].read_bytes() == path.read_bytes(), name

@@ -366,6 +366,8 @@ def test_size_constraint_validation():
         SizeConstraint(0.0)
     with pytest.raises(ValueError):
         SizeConstraint(-1.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        SizeConstraint(float("nan"))
     with pytest.raises(ValueError):
         prune(space_from_mapping(MINI_SPACE_DOCUMENT), SizeConstraint(1.0), partitions=0)
 

@@ -533,6 +533,15 @@ def test_tune_budget_gates_archive(pruned_space):
     assert all(m.objectives.size_mb <= 3.0 for m in result.archive)
 
 
+@pytest.mark.parametrize("budget_mb", [math.nan, 0.0, -1.0])
+def test_tune_rejects_non_positive_budget_before_evaluating(mini_space, budget_mb):
+    def indicator(config):
+        raise AssertionError("evaluated despite an invalid budget")
+
+    with pytest.raises(ValueError, match="must be positive"):
+        tune(mini_space, indicator, TunerParams(seed=4), size_budget_mb=budget_mb)
+
+
 def test_tune_effectiveness_stays_in_unit_range(mini_space, mini_oracle):
     result = tune(mini_space, mini_oracle, TunerParams(seed=4))
     for point in result.evaluations.values():
