@@ -6,9 +6,9 @@ ridge surrogate of effectiveness from a handful of scored samples, and runs
 a multi-objective evolutionary search returning the Pareto front over
 (model size, forward GFLOPs, predicted effectiveness).
 
-Importing the package, pruning and reporting do not import numpy; fitting
-and predicting with the surrogate import it on first use. Every name below
-is bound eagerly.
+Importing the package, pruning, tuning and reporting do not import numpy;
+fitting the surrogate, and its predictive variance, import it on first use.
+Every name below is bound eagerly.
 """
 
 __version__ = "0.1.0"

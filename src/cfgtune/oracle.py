@@ -11,8 +11,8 @@ the soft-target objective that a real student-training evaluator would
 minimize is executable and testable here.
 
 numpy is imported inside ``_log_softmax`` and ``kd_loss``, the only functions
-here that use it, so that ``import cfgtune`` and the stages that neither fit
-nor search (``prune``, ``report``) start without it. Every name here is still
+here that use it, so that ``import cfgtune`` and the stages that do not fit
+(``prune``, ``tune``, ``report``) start without it. Every name here is still
 bound at import, with no module ``__getattr__``: perfbench's tracer wraps the
 ``fit`` imported here by reading it from this module's dict.
 """

@@ -6,13 +6,22 @@ is an appended constant-1 column excluded from the alpha penalty. Features
 are min-max scaled with the fit-time statistics stored on the model, so
 callers pass raw encoded configuration vectors to both fit and predict.
 
-numpy is imported inside the functions that use it, not at module level.
-``import cfgtune`` loads this module, and the ``prune`` and ``report`` stages,
-which never fit or predict, would otherwise spend more than half of their
-start-up importing numpy. Every name here is still bound at import, with no
-module ``__getattr__``: perfbench's tracer wraps ``fit`` and
-``SurrogateModel.predict_mean`` by reading them from the module and class
-dicts.
+The posterior mean is computed in pure Python, in one fixed order: starting
+from ``0.0``, ``acc += scaled_i * w_i`` over the features left to right (a
+multiply rounded, then an add rounded), then the intercept's ``1.0 * w``.
+These are the operations of numpy's scaling followed by OpenBLAS's plain
+``ddot`` loop, as its Haswell and Zen kernels run it. A BLAS dot product is
+not portable: OpenBLAS's SkylakeX kernel fuses each multiply-add and rounds
+once, so the same ``model.json`` and seed would give different fronts on
+different CPUs. The pure-Python sum gives the same bits everywhere, and it
+spares ``tune`` the numpy import.
+
+numpy is imported inside the functions that use it, not at module level:
+``fit``, ``r_squared`` and the predictive variance of ``predict``. ``import
+cfgtune``, ``prune``, ``tune`` and ``report`` never load it. Every name here is
+still bound at import, with no module ``__getattr__``: perfbench's tracer
+wraps ``fit`` and ``SurrogateModel.predict_mean`` by reading them from the
+module and class dicts.
 """
 
 from __future__ import annotations
@@ -54,9 +63,11 @@ class SurrogateModel:
     plus a trailing intercept; ``covariance`` is the posterior weight
     covariance used for predictive variance.
 
-    The numpy copies of the scaling, the weights and the covariance are built
-    once per model, on first use, and ``predict_mean`` computes the mean only,
-    with no variance, by the same operations as ``predict``.
+    The scaling and the weights as Python floats, and the numpy covariance
+    used for the variance, are built once per model, on first use. One method
+    scales a vector for both the mean and the variance. ``predict_mean``
+    computes the mean only, with no variance; ``predict`` takes its mean from
+    it.
     """
 
     weights: tuple[float, ...]
@@ -75,20 +86,18 @@ class SurrogateModel:
         return len(self.feature_min)
 
     @cached_property
-    def _scaling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(feature minimum, mask of varying features, span with 1 where 0)."""
-        import numpy as np
-
-        lo = np.asarray(self.feature_min, dtype=float)
-        span = np.asarray(self.feature_max, dtype=float) - lo
-        varying = span > 0
-        return lo, varying, np.where(varying, span, 1.0)
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.weights, dtype=float)
+    def _coefficients(
+        self,
+    ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """(feature minimums, spans, weights) as Python floats. The span of a
+        feature that does not vary is 0.0, and the feature scales to 0.0."""
+        lows = tuple(float(lo) for lo in self.feature_min)
+        spans = (float(hi) - lo for hi, lo in zip(self.feature_max, lows))
+        return (
+            lows,
+            tuple(span if span > 0 else 0.0 for span in spans),
+            tuple(float(w) for w in self.weights),
+        )
 
     @cached_property
     def _covariance(self) -> np.ndarray:
@@ -96,27 +105,37 @@ class SurrogateModel:
 
         return np.asarray(self.covariance, dtype=float)
 
-    def _augmented(self, vector) -> np.ndarray:
-        """Min-max scaled raw vector with the trailing constant 1."""
-        import numpy as np
-
-        x = np.asarray(vector, dtype=float)
-        if x.shape != (self.n_features,):
+    def _scaled(self, vector) -> list[float]:
+        """The min-max scaled raw vector. Each element is taken as a Python
+        float first, so a float32 vector is scaled in float64 as well."""
+        if getattr(vector, "ndim", 1) != 1:
+            raise ValueError(f"expected a flat vector of length {self.n_features}")
+        lows, spans, _ = self._coefficients
+        try:
+            return [
+                (float(x) - lo) / span if span else 0.0
+                for x, lo, span in zip(vector, lows, spans, strict=True)
+            ]
+        except (TypeError, ValueError):
             raise ValueError(
-                f"expected vector of length {self.n_features}, got shape {x.shape}"
-            )
-        lo, varying, safe = self._scaling
-        return np.append(np.where(varying, (x - lo) / safe, 0.0), 1.0)
+                f"expected a flat vector of length {self.n_features}"
+            ) from None
 
     def predict(self, vector) -> tuple[float, float]:
         """(posterior mean, predictive variance) for one raw feature vector."""
-        augmented = self._augmented(vector)
-        mean = float(augmented @ self._weights)
+        import numpy as np
+
+        augmented = np.array(self._scaled(vector) + [1.0])
         variance = float(1.0 / self.beta + augmented @ self._covariance @ augmented)
-        return mean, variance
+        return self.predict_mean(vector), variance
 
     def predict_mean(self, vector) -> float:
-        return float(self._augmented(vector) @ self._weights)
+        """The posterior mean, summed left to right from 0.0 (module docstring)."""
+        weights = self._coefficients[2]
+        acc = 0.0
+        for scaled, w in zip(self._scaled(vector), weights):
+            acc += scaled * w
+        return acc + weights[-1]  # 1.0 * intercept is the intercept
 
     def save(self, path) -> None:
         document = {

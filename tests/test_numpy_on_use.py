@@ -1,8 +1,9 @@
-"""numpy is loaded only by the stages that use it.
+"""numpy is loaded only by the stage that uses it.
 
-``import cfgtune``, ``prune`` and ``report`` never import numpy, so they run
-where it is not installed; ``fit`` and ``tune`` import it on first use. Each
-check runs in a fresh interpreter, since this test process has numpy loaded.
+``import cfgtune``, ``prune``, ``tune`` and ``report`` never import numpy, so
+they run where it is not installed; ``fit`` imports it on first use, and
+without it exits 5 naming the missing dependency. Each check runs in a fresh
+interpreter, since this test process has numpy loaded.
 """
 
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cfgtune
-from cfgtune.cli import EXIT_OK, main
+from cfgtune.cli import EXIT_INTERNAL, EXIT_OK, main
 from conftest import CANONICAL_SPACE_FILE
 
 SRC = Path(cfgtune.__file__).resolve().parent.parent
@@ -36,7 +37,7 @@ print(json.dumps(records))
 
 
 def run_fresh(stages, block_numpy=False):
-    """(stage records, the stages' own stdout) from a fresh interpreter."""
+    """(stage records, the stages' own stdout, stderr) from a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -48,7 +49,7 @@ def run_fresh(stages, block_numpy=False):
     )
     assert proc.returncode == 0, proc.stderr
     *output, last = proc.stdout.splitlines(keepends=True)
-    return json.loads(last), "".join(output)
+    return json.loads(last), "".join(output), proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ def report_stage(front):
 
 
 def test_import_prune_and_report_leave_numpy_unloaded(tmp_path, artifacts):
-    records, _ = run_fresh([prune_stage(tmp_path / "pruned.json"), report_stage(artifacts["front.jsonl"])])
+    records, _, _ = run_fresh([prune_stage(tmp_path / "pruned.json"), report_stage(artifacts["front.jsonl"])])
     assert records == [["import", None, False], ["prune", EXIT_OK, False], ["report", EXIT_OK, False]]
 
 
@@ -90,7 +91,7 @@ def test_prune_and_report_with_numpy_blocked_match_an_unblocked_run(tmp_path, ar
     for mode in ("block", "free"):
         out_dir = tmp_path / mode
         out_dir.mkdir()
-        records, stdout = run_fresh(
+        records, stdout, _ = run_fresh(
             [prune_stage(out_dir / "pruned.json"), report_stage(artifacts["front.jsonl"])],
             block_numpy=mode == "block",
         )
@@ -104,13 +105,40 @@ def test_prune_and_report_with_numpy_blocked_match_an_unblocked_run(tmp_path, ar
 
 
 def test_fit_and_tune_load_numpy_on_use(tmp_path, artifacts):
+    """``fit`` loads numpy; ``tune``, in a process of its own, never does."""
     paths = {name: tmp_path / name for name in artifacts}
-    records, _ = run_fresh(fit_and_tune_stages(paths))
-    assert records == [
-        ["import", None, False],
-        ["prune", EXIT_OK, False],
-        ["fit", EXIT_OK, True],
-        ["tune", EXIT_OK, True],
-    ]
+    *prune_and_fit, tune_stage = fit_and_tune_stages(paths)
+    records, _, _ = run_fresh(prune_and_fit)
+    assert records == [["import", None, False], ["prune", EXIT_OK, False], ["fit", EXIT_OK, True]]
+    records, _, _ = run_fresh([tune_stage])
+    assert records == [["import", None, False], ["tune", EXIT_OK, False]]
     for name, path in artifacts.items():
         assert paths[name].read_bytes() == path.read_bytes(), name
+
+
+def test_tune_with_numpy_blocked_matches_an_unblocked_run(tmp_path, artifacts):
+    tune_stage = fit_and_tune_stages(artifacts)[2]
+    outputs = {}
+    for mode in ("block", "free"):
+        out_dir = tmp_path / mode
+        out_dir.mkdir()
+        front = out_dir / "front.jsonl"
+        stage = tune_stage[: tune_stage.index("--out") + 1] + [str(front)]
+        records, stdout, _ = run_fresh([stage], block_numpy=mode == "block")
+        assert records[1][:2] == ["tune", EXIT_OK]
+        runlog = out_dir / "front.runlog.jsonl"
+        outputs[mode] = (front.read_bytes(), runlog.read_bytes(), stdout.replace(str(out_dir), "<out>"))
+    assert outputs["block"] == outputs["free"]
+    assert outputs["block"][0] == artifacts["front.jsonl"].read_bytes()
+
+
+def test_fit_with_numpy_blocked_names_the_missing_dependency(tmp_path, artifacts):
+    model = tmp_path / "model.json"
+    stage = ["fit", "--space", str(artifacts["pruned.json"]), "--samples", "20", "--seed", "3",
+             "--out", str(model)]
+    records, stdout, stderr = run_fresh([stage], block_numpy=True)
+    assert records[1][:2] == ["fit", EXIT_INTERNAL]
+    assert "`fit` needs numpy" in stderr
+    assert "internal error" not in stderr
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []  # neither model.json nor its table

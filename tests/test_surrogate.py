@@ -1,8 +1,15 @@
 import dataclasses
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfgtune
 from cfgtune import SurrogateModel, TrainingSet, fit, r_squared
 
 
@@ -160,13 +167,25 @@ def test_r_squared_perfect_and_constant():
 
 
 def rebuilt_predict_mean(model, vector):
-    """The mean as computed before the arrays were cached: every array is
-    rebuilt from the model's tuples on each call."""
+    """The mean computed with numpy: every array rebuilt from the model's
+    tuples, then a BLAS dot product."""
     x = np.asarray(vector, dtype=float)
     lo = np.asarray(model.feature_min, dtype=float)
     span = np.asarray(model.feature_max, dtype=float) - lo
     scaled = np.where(span > 0, (x - lo) / np.where(span > 0, span, 1.0), 0.0)
     return float(np.append(scaled, 1.0) @ np.asarray(model.weights, dtype=float))
+
+
+def left_to_right_mean(model, vector):
+    """The mean as a plain loop in float64: each product rounded, then added
+    to a sum that starts at 0.0, with the intercept (times 1.0) last."""
+    total = 0.0
+    for x, lo, hi, w in zip(vector, model.feature_min, model.feature_max, model.weights):
+        x = float(x)
+        span = hi - lo
+        scaled = (x - lo) / span if span > 0 else 0.0
+        total += scaled * w
+    return float(total + 1.0 * model.weights[-1])
 
 
 def prediction_models(tmp_path):
@@ -187,16 +206,109 @@ def prediction_models(tmp_path):
     return models
 
 
-def test_predict_mean_equals_predict_exactly(tmp_path):
+def prediction_cases(tmp_path):
+    """(model, raw vector) pairs over every prediction model."""
     rng = np.random.default_rng(8)
+    cases = []
     for model in prediction_models(tmp_path):
         for _ in range(200):
             x = rng.uniform(-5, 12, size=model.n_features)
-            if rng.random() < 0.3:
+            kind = rng.random()
+            if kind < 0.3:
                 x = tuple(float(v) for v in x)  # the tuner passes tuples
-            mean = model.predict_mean(x)
-            assert mean == model.predict(x)[0]
-            assert mean == rebuilt_predict_mean(model, x)
+            elif kind > 0.9:
+                x = x.astype(np.float32)
+            cases.append((model, x))
+    return cases
+
+
+def test_predict_mean_equals_predict_exactly(tmp_path):
+    float32_cases = 0
+    for model, x in prediction_cases(tmp_path):
+        mean = model.predict_mean(x)
+        assert mean == model.predict(x)[0]
+        assert mean == left_to_right_mean(model, x)
+        if getattr(x, "dtype", None) == np.float32:
+            # A float32 vector is scaled and summed in float64, as the same
+            # values in a float64 array are.
+            float32_cases += 1
+            wide = x.astype(float)
+            assert mean == model.predict_mean(wide)
+            assert model.predict(x) == model.predict(wide)
+    assert float32_cases > 100
+
+
+def haswell_kernel_selectable():
+    """Whether OPENBLAS_CORETYPE=Haswell runs OpenBLAS's Haswell kernel here:
+    numpy's BLAS must be an OpenBLAS that picks its kernels at run time, on an
+    x86-64 CPU with AVX2 and FMA. Elsewhere Haswell is not a valid core type
+    (an aarch64 OpenBLAS would fall back to a kernel of its own), or its
+    instructions would not run."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # numpy before 2.0
+        try:
+            from numpy.core._multiarray_umath import __cpu_features__ as cpu
+        except ImportError:
+            return False
+    if not (cpu.get("AVX2") and cpu.get("FMA3")):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+# Reads (feature_min, feature_max, weights, vector) cases as JSON on stdin and
+# prints the numpy rebuild of each mean; JSON floats round-trip exactly.
+REBUILD_RUNNER = """
+import json, sys, types
+from test_surrogate import rebuilt_predict_mean
+cases = json.load(sys.stdin)
+print(json.dumps([
+    rebuilt_predict_mean(types.SimpleNamespace(feature_min=lo, feature_max=hi, weights=w), x)
+    for lo, hi, w, x in cases
+]))
+"""
+
+
+@pytest.mark.skipif(
+    not haswell_kernel_selectable(),
+    reason="OPENBLAS_CORETYPE=Haswell selects the Haswell kernel only in a "
+    "DYNAMIC_ARCH OpenBLAS on an x86-64 CPU with AVX2 and FMA",
+)
+def test_predict_mean_equals_numpy_with_the_plain_blas_kernel(tmp_path):
+    """OpenBLAS's Haswell kernel runs ``ddot`` as a multiply, then an add; the
+    pure-Python mean must give the very same bits. (The SkylakeX kernel fuses
+    the two, so the mean does not use BLAS.)"""
+    cases = prediction_cases(tmp_path)
+    payload = [
+        [list(m.feature_min), list(m.feature_max), list(m.weights), [float(v) for v in x]]
+        for m, x in cases
+    ]
+    src = Path(cfgtune.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parent), str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", REBUILD_RUNNER],
+        input=json.dumps(payload),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rebuilt = json.loads(proc.stdout)
+    assert len(rebuilt) == len(cases)
+    for (model, x), expected in zip(cases, rebuilt):
+        assert model.predict_mean(x) == expected
 
 
 def test_predict_mean_rejects_wrong_shape(tmp_path):
