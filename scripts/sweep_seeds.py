@@ -3,8 +3,9 @@
 Prunes the space and fits the surrogate once with the CLI's prune and fit
 stages (fit at seed 0), writing both beside --out, then reruns the search under
 a range of seeds to show how front size, hypervolume and the deployment pick
-vary with search randomness alone. Every hypervolume is taken against one fixed
-reference: the budget, the pruned max corner's GFLOPs, and zero effectiveness.
+vary with search randomness alone. Every hypervolume is the run's last run-log
+value, taken against the fixed ``reference_point`` of the pruned space and the
+budget: the budget, the pruned max corner's GFLOPs, and zero effectiveness.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ import statistics
 from pathlib import Path
 
 from cfgtune import (
-    Configuration,
     SurrogateModel,
     TunerParams,
     cli,
-    forward_gflops,
-    hypervolume,
     load_space,
+    reference_point,
     select_deployment_config,
     tune,
 )
@@ -58,11 +57,7 @@ def main(argv=None) -> int:
             return code
     pruned = load_space(pruned_path)
     model = SurrogateModel.load(model_path)
-    # FLOPs do not depend on categorical values; take each one's first option.
-    corner = Configuration.from_dict(
-        {d.name: d.options[0] if d.options else d.max_value() for d in pruned.dimensions}
-    )
-    reference = (args.budget_mb, forward_gflops(corner), 0.0)
+    reference = reference_point(pruned, args.budget_mb)
     print(f"\nhypervolume reference (size MB, GFLOPs, -effectiveness): {reference}")
 
     rows = []
@@ -89,7 +84,7 @@ def main(argv=None) -> int:
             "seed": seed,
             "front_size": len(result.archive),
             "evaluations": result.evaluation_count,
-            "hypervolume": hypervolume(result.archive.objective_vectors(), reference),
+            "hypervolume": result.records[-1].hypervolume,
             "pick_size_mb": pick_size,
             "pick_effectiveness": pick_eff,
         }

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse/usage, 3 constraint or empty result,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -24,8 +25,6 @@ from . import __version__
 from .costs import (
     DEFAULT_CARBON_INTENSITY,
     co2_emissions_kg,
-    forward_gflops,
-    model_size_mb,
     training_energy_kwh,
 )
 from .oracle import (
@@ -104,12 +103,12 @@ def _make_oracle(selector: str, space, seed: int, noise_sigma: float):
     )
 
 
-def _front_record(config: Configuration, predicted_effectiveness: float) -> dict:
+def _front_record(member: Individual) -> dict:
     return {
-        "config": config.as_dict(),
-        "size_mb": model_size_mb(config),
-        "gflops": forward_gflops(config),
-        "predicted_effectiveness": predicted_effectiveness,
+        "config": member.config.as_dict(),
+        "size_mb": member.objectives.size_mb,
+        "gflops": member.objectives.gflops,
+        "predicted_effectiveness": member.objectives.effectiveness,
     }
 
 
@@ -198,13 +197,7 @@ def cmd_tune(args) -> int:
             f"no archived configuration fits {args.budget_mb} MB"
         )
 
-    records = sorted(
-        (
-            _front_record(ind.config, ind.objectives.effectiveness)
-            for ind in members
-        ),
-        key=_front_sort_key,
-    )
+    records = sorted(map(_front_record, members), key=_front_sort_key)
     with atomic_open(args.out) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -212,20 +205,7 @@ def cmd_tune(args) -> int:
     log_path = _derived_path(args.out, ".runlog.jsonl")
     with atomic_open(log_path) as handle:
         for rec in result.records:
-            handle.write(
-                json.dumps(
-                    {
-                        "generation": rec.generation,
-                        "archive_size": rec.archive_size,
-                        "hypervolume": rec.hypervolume,
-                        "best_size_mb": rec.best_size_mb,
-                        "best_gflops": rec.best_gflops,
-                        "best_effectiveness": rec.best_effectiveness,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
 
     manifest_path = _derived_path(args.out, ".manifest.json")
     manifest = {
@@ -233,14 +213,8 @@ def cmd_tune(args) -> int:
         "space_checksum": space.checksum(),
         "size_budget_mb": args.budget_mb,
         "surrogate_file": str(args.model),
-        "tuner_params": {
-            "population_size": params.population_size,
-            "generations": params.generations,
-            "crossover_rate": params.crossover_rate,
-            "mutation_rate": params.mutation_rate,
-            "tournament_size": params.tournament_size,
-            "seed": params.seed,
-        },
+        "tuner_params": dataclasses.asdict(params),
+        "hypervolume_reference": list(result.reference_point),
         "master_seed": args.seed,
         "evaluations": result.evaluation_count,
         "front_size": len(records),

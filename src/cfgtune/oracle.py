@@ -298,8 +298,6 @@ def build_indicator(
     oracle,
     k: int,
     seed: int,
-    max_iter: int = 300,
-    tol: float = 1e-6,
 ) -> tuple[SurrogateModel, TrainingSet, list[Configuration]]:
     """Sample k configurations, score them, fit the surrogate.
 
@@ -327,11 +325,5 @@ def build_indicator(
     if any(not 0.0 <= t <= 1.0 for t in targets):
         raise OracleResponseError("oracle returned effectiveness outside [0, 1]")
     table = TrainingSet(vectors=vectors, targets=targets)
-    model = fit(
-        vectors,
-        targets,
-        max_iter=max_iter,
-        tol=tol,
-        space_checksum=space.checksum(),
-    )
+    model = fit(vectors, targets, space_checksum=space.checksum())
     return model, table, configs

@@ -251,11 +251,7 @@ def crowding_distances(objectives: list[ObjectiveVector]) -> list[float]:
 
 
 def tournament_select(
-    pool: list,
-    count: int,
-    tournament_size: int,
-    rng: random.Random,
-    crowding: list[float] | None = None,
+    pool: list, count: int, tournament_size: int, rng: random.Random
 ) -> list:
     """``count`` winners of independent tournaments drawn without replacement
     from the pool, whose entries (individuals, or the population members of
@@ -264,8 +260,7 @@ def tournament_select(
     pool-level crowding distance, then uniformly at random."""
     if not pool:
         raise ValueError("selection pool must be non-empty")
-    if crowding is None:
-        crowding = crowding_distances([ind.objectives for ind in pool])
+    crowding = crowding_distances([ind.objectives for ind in pool])
     k = min(tournament_size, len(pool))
     winners = []
     for _ in range(count):
@@ -285,9 +280,25 @@ def tournament_select(
     return winners
 
 
+def reference_point(
+    space: ConfigurationSpace, size_budget_mb: float | None = None
+) -> tuple[float, float, float]:
+    """Fixed hypervolume reference for runs on ``space``: the size budget
+    (without one, the max corner's size), the max corner's GFLOPs, and zero
+    effectiveness. The max corner takes each numeric dimension's largest
+    value and each categorical dimension's first option; size and FLOPs grow
+    with every numeric dimension, so it bounds every configuration."""
+    corner = Configuration.from_dict(
+        {d.name: d.options[0] if d.options else d.max_value() for d in space.dimensions}
+    )
+    size = model_size_mb(corner) if size_budget_mb is None else size_budget_mb
+    return (size, forward_gflops(corner), 0.0)
+
+
 def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, float]) -> float:
     """Volume dominated by the point set within the reference box
-    (3 objectives, minimization).
+    (3 objectives, minimization); points outside the box count for nothing.
+    :func:`reference_point` gives the box :func:`tune` records against.
 
     A dimension sweep: points inside the box are inserted in ascending third
     coordinate into one 2-d staircase (x strictly ascending, y strictly
@@ -342,7 +353,6 @@ class TuneResult:
     archive: ParetoArchive
     records: list[GenerationRecord]
     reference_point: tuple[float, float, float]
-    params: TunerParams
     space: ConfigurationSpace
     genome_evaluations: dict[Genome, ObjectiveVector]
 
@@ -388,9 +398,15 @@ def tune(
     member honors the size constraint even where single-dimension pruning
     cannot exclude a combination. A budget that is not positive (NaN
     included) raises ``ValueError`` before any evaluation.
+
+    Each :class:`GenerationRecord` follows one archive update (the initial
+    population's, then each generation's). Its hypervolume is taken against
+    :func:`reference_point`, so the series never decreases and compares
+    across seeds and runs.
     """
     if size_budget_mb is not None and not size_budget_mb > 0:
         raise ValueError(f"size_budget_mb must be positive, got {size_budget_mb}")
+    reference = reference_point(space, size_budget_mb)
     effectiveness_of = _effectiveness_callable(indicator, space)
     rng = random.Random(params.seed)
     memo: dict[Genome, ObjectiveVector] = {}
@@ -419,14 +435,27 @@ def tune(
         ]
 
     archive = ParetoArchive()
-    snapshots: list[list[ObjectiveVector]] = []
+    records: list[GenerationRecord] = []
+
+    def record_generation() -> None:
+        snapshot = archive.objective_vectors()
+        records.append(
+            GenerationRecord(
+                generation=len(records),
+                archive_size=len(snapshot),
+                hypervolume=hypervolume(snapshot, reference),
+                best_size_mb=min((p[0] for p in snapshot), default=math.nan),
+                best_gflops=min((p[1] for p in snapshot), default=math.nan),
+                best_effectiveness=max((-p[2] for p in snapshot), default=math.nan),
+            )
+        )
 
     population = [
         evaluate(genome)
         for genome in adaptive_random_init(space, params.population_size, rng)
     ]
     update_archive(archive, archive_candidates(population))
-    snapshots.append(archive.objective_vectors())
+    record_generation()
 
     for _ in range(params.generations):
         order = list(range(len(population)))
@@ -449,42 +478,17 @@ def tune(
             offspring.append(evaluate(correct(mutated, space, rng)))
 
         update_archive(archive, archive_candidates(offspring))
-        snapshots.append(archive.objective_vectors())
+        record_generation()
 
         pool = population + offspring
         population = tournament_select(
             pool, params.population_size, params.tournament_size, rng
         )
 
-    # Telemetry: hypervolume uses one run-wide reference (the per-objective
-    # maxima over every evaluation), so the per-generation series is
-    # comparable and non-decreasing.
-    all_points = list(memo.values())
-    reference = (
-        max(p[0] for p in all_points),
-        max(p[1] for p in all_points),
-        max(p[2] for p in all_points),
-    )
-    records = []
-    for generation, snapshot in enumerate(snapshots):
-        best_size = min((p[0] for p in snapshot), default=math.nan)
-        best_gflops = min((p[1] for p in snapshot), default=math.nan)
-        best_eff = max((-p[2] for p in snapshot), default=math.nan)
-        records.append(
-            GenerationRecord(
-                generation=generation,
-                archive_size=len(snapshot),
-                hypervolume=hypervolume(snapshot, reference),
-                best_size_mb=best_size,
-                best_gflops=best_gflops,
-                best_effectiveness=best_eff,
-            )
-        )
     return TuneResult(
         archive=archive,
         records=records,
         reference_point=reference,
-        params=params,
         space=space,
         genome_evaluations=memo,
     )

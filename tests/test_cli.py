@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from cfgtune import Configuration, SurrogateModel, load_space, r_squared
+from cfgtune import Configuration, SurrogateModel, load_space, r_squared, reference_point
 from cfgtune.cli import (
     EXIT_CONSTRAINT,
     EXIT_INTERNAL,
@@ -363,6 +363,7 @@ def test_tune_outputs_and_budget(pipeline):
     assert manifest["master_seed"] == 7
     assert manifest["front_size"] == len(records)
     assert manifest["tuner_params"]["seed"] == derive_seed(7, "tune")
+    assert manifest["hypervolume_reference"] == list(reference_point(space, 3.0))
 
 
 def test_tune_same_seed_byte_identical_front(pipeline):

@@ -24,6 +24,7 @@ from cfgtune import (
     dominates,
     hypervolume,
     prune,
+    reference_point,
     select_deployment_config,
     tournament_select,
     tune,
@@ -557,23 +558,37 @@ def test_tune_accepts_plain_callable(mini_space):
     assert all(m.objectives.neg_effectiveness == -0.5 for m in result.archive)
 
 
-# sha256 of the front (configuration JSON plus the repr of the objectives, in
-# archive order) and the repr of every GenerationRecord of a pop 40 x 30 run
-# on listing3, scored by the pure-Python oracle so no BLAS build can move
-# them. They were computed with the full-minimum initializer. They change
-# only with an intended change of the search's behaviour; regenerate them
-# then by printing ``tune_digest`` of the runs below.
+# sha256 digests of pop 40 x 30 runs on listing3, scored by the pure-Python
+# oracle so no BLAS build can move them: first the front (configuration JSON
+# plus the repr of the objectives, in archive order), then the repr of every
+# GenerationRecord, whose hypervolume is taken against ``reference_point``.
+# The front digests were computed with the full-minimum initializer; kept
+# apart from the records, they stay pinned when only the telemetry changes.
+# A digest changes only with an intended change of the search or its
+# telemetry; regenerate it then by printing ``front_digest`` or
+# ``records_digest`` of the runs below.
 GOLDEN_TUNE_DIGESTS = {
-    3.0: "15e52cb95e7a79d5404a37da94b79f444d547768645607dbf2b6e358e4148dd0",
-    64.0: "03603a02379a7d1e4e5f3a38f5f029de8d171dbc5a2130e8c0fde2bf7bdb499c",
+    3.0: (
+        "a6cd917d0a14ca0ad1f1dfdd4c946b696a04c0a98cc852fc0ad02e909cd0774d",
+        "14466a3f3a5e917d4f6d992f2be620126c7d07ddf915dc083bfc285c477e9ed9",
+    ),
+    64.0: (
+        "16841a85d90a434b0af183ef8d678bb6a57ddbf902fb41a2293351f9946d443a",
+        "c5144950ff32d0fc5276429a02a1891a936237c21d630950bab864101d5a08bd",
+    ),
 }
 
 
-def tune_digest(result):
+def front_digest(result):
     digest = hashlib.sha256()
     for member in result.archive:
         digest.update(json.dumps(member.config.as_dict(), sort_keys=True).encode())
         digest.update(repr(tuple(member.objectives)).encode())
+    return digest.hexdigest()
+
+
+def records_digest(result):
+    digest = hashlib.sha256()
     for record in result.records:
         digest.update(repr(record).encode())
     return digest.hexdigest()
@@ -588,12 +603,15 @@ def test_tune_reproduces_golden_fronts(canonical_space, budget_mb):
         TunerParams(population_size=40, generations=30, seed=7),
         size_budget_mb=budget_mb,
     )
-    assert tune_digest(result) == GOLDEN_TUNE_DIGESTS[budget_mb]
+    assert (front_digest(result), records_digest(result)) == GOLDEN_TUNE_DIGESTS[budget_mb]
 
 
-# The same digest of a tune-wide-sized run (64 MB, pop 100 x 200), whose
+# The same digests of a tune-wide-sized run (64 MB, pop 100 x 200), whose
 # archive grows to 279 members; the runs above stay far smaller.
-GOLDEN_LARGE_ARCHIVE_DIGEST = "4f8bcaed8e723e4fed86004f463183ce3afd34bdf16f3a5c6711bc997d3e3508"
+GOLDEN_LARGE_ARCHIVE_DIGESTS = (
+    "9a3e6a2f0853569638617508406eab5686f1b686630ec4942a22723aa93c519e",
+    "8cf7e20c637503f08b4c8f7b56c231dae8be1fadbcce13501cc1acceff45c862",
+)
 
 
 def test_tune_reproduces_golden_large_archive(canonical_space):
@@ -605,7 +623,65 @@ def test_tune_reproduces_golden_large_archive(canonical_space):
         size_budget_mb=64.0,
     )
     assert len(result.archive) == 279
-    assert tune_digest(result) == GOLDEN_LARGE_ARCHIVE_DIGEST
+    assert (front_digest(result), records_digest(result)) == GOLDEN_LARGE_ARCHIVE_DIGESTS
+
+
+# --- the fixed hypervolume reference -----------------------------------------
+
+
+def test_reference_point_of_the_pruned_quickstart_space(pruned_space):
+    assert reference_point(pruned_space, 3.0) == (3.0, 30.495875652, 0.0)
+
+
+def test_reference_point_bounds_the_whole_mini_space(mini_space, mini_ground_truth):
+    vectors, _ = mini_ground_truth
+    reference = reference_point(mini_space)
+    assert all(all(v <= r for v, r in zip(vector, reference)) for vector in vectors)
+    # The corner itself is a configuration of the space, so the bound is tight.
+    assert max(v[0] for v in vectors) == reference[0]
+    assert max(v[1] for v in vectors) == reference[1]
+
+
+@pytest.mark.parametrize(
+    ("space_name", "prune_mb", "budget_mb"),
+    [("listing3", 3.0, 3.0), ("listing3", 64.0, 64.0), ("listing3", 3.0, None), ("mini", None, None)],
+)
+def test_reference_point_bounds_every_evaluation(
+    canonical_space, mini_space, space_name, prune_mb, budget_mb
+):
+    space = mini_space if space_name == "mini" else canonical_space
+    if prune_mb is not None:
+        space = prune(space, SizeConstraint(prune_mb))
+    result = tune(
+        space,
+        SyntheticCapacityOracle(reference_space=space),
+        TunerParams(population_size=20, generations=10, seed=2),
+        size_budget_mb=budget_mb,
+    )
+    reference = reference_point(space, budget_mb)
+    assert result.reference_point == reference
+    assert len(result.archive) > 0
+    for member in result.archive:
+        assert all(v <= r for v, r in zip(member.objectives, reference))
+    for point in result.genome_evaluations.values():
+        assert point.gflops <= reference[1]
+        assert point.neg_effectiveness <= reference[2]
+        if budget_mb is None:
+            assert point.size_mb <= reference[0]
+
+
+@pytest.mark.parametrize("budget_mb", [3.0, None])
+def test_last_record_is_the_archive_hypervolume(pruned_space, budget_mb):
+    result = tune(
+        pruned_space,
+        SyntheticCapacityOracle(reference_space=pruned_space),
+        TunerParams(population_size=20, generations=10, seed=3),
+        size_budget_mb=budget_mb,
+    )
+    assert result.records[-1].hypervolume == hypervolume(
+        result.archive.objective_vectors(), reference_point(pruned_space, budget_mb)
+    )
+    assert result.records[-1].hypervolume > 0.0
 
 
 def test_tuner_params_validation():
