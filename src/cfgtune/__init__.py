@@ -42,7 +42,6 @@ from .pruning import (
     PruneReport,
     SizeConstraint,
     min_corner_bytes,
-    partition,
     prune,
     prune_report,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "model_size_mb",
     "parameter_file_bytes",
     "parse_space",
-    "partition",
     "prune",
     "prune_report",
     "r_squared",

@@ -58,10 +58,6 @@ EXIT_CONSTRAINT = 3
 EXIT_ORACLE = 4
 EXIT_INTERNAL = 5
 
-# Subspaces `prune` splits the space into. The pruned space does not depend on
-# it; it is recorded in the prune report.
-PRUNE_PARTITIONS = 13
-
 
 class ChecksumMismatchError(ValueError):
     """Surrogate model was fitted on a different space than the one given."""
@@ -124,9 +120,9 @@ def _front_sort_key(record: dict):
 def cmd_prune(args) -> int:
     space = load_space(args.space)
     constraint = SizeConstraint(budget_mb=args.budget_mb)
-    pruned = prune(space, constraint, partitions=PRUNE_PARTITIONS)
+    pruned = prune(space, constraint)
     save_space(pruned, args.out)
-    report = prune_report(space, pruned, constraint, PRUNE_PARTITIONS)
+    report = prune_report(space, pruned, constraint)
     report_path = _derived_path(args.out, ".report.json")
     with atomic_open(report_path) as handle:
         json.dump(report.as_dict(), handle, indent=2)

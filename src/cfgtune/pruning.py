@@ -7,9 +7,7 @@ corner of the remaining dimensions and the survivors are the values up to a
 cutoff, found by bisection: O(log range) closed-form evaluations per
 dimension, no solver needed. The sizes at the probed values must strictly
 increase with the value, else ``RuntimeError``; values between probes are not
-evaluated. The space may be split along its largest integer dimension into
-disjoint subspaces whose cutoffs merge by maximum; the result is independent
-of the partition count.
+evaluated. Each dimension is bisected once, on the whole space.
 """
 
 from __future__ import annotations
@@ -58,42 +56,18 @@ def min_corner_bytes(space: ConfigurationSpace, dim_name: str, value) -> int:
     )
 
 
-def _largest_integer_dimension(space: ConfigurationSpace) -> Dimension:
-    candidates = [d for d in space.dimensions if d.kind == INTEGER_RANGE]
-    if not candidates:
-        raise ValueError("space has no integer-range dimension to partition along")
-    return max(candidates, key=lambda d: d.size())
-
-
-def partition(space: ConfigurationSpace, n: int) -> list[ConfigurationSpace]:
-    """n disjoint subspaces covering the space, split along the largest
-    integer dimension into contiguous chunks; fewer when n exceeds it."""
-    if n < 1:
-        raise ValueError("partition count must be >= 1")
-    split_dim = _largest_integer_dimension(space)
-    total = split_dim.size()
-    n = min(n, total)
-    subspaces = []
-    for k in range(n):
-        lo = split_dim.lower + k * total // n
-        hi = split_dim.lower + (k + 1) * total // n - 1
-        chunk = Dimension(name=split_dim.name, kind=INTEGER_RANGE, lower=lo, upper=hi)
-        subspaces.append(space.replace_dimension(chunk))
-    return subspaces
-
-
-def _cutoff(subspace: ConfigurationSpace, name: str, constraint: SizeConstraint):
+def _cutoff(space: ConfigurationSpace, name: str, constraint: SizeConstraint):
     """(cutoff, monotone): the largest value of the dimension whose min-corner
     size fits (None if none does), by bisection over the ascending values with
     both ends always probed; monotone is whether the sizes at the probed
     values strictly increase with the value, as the bisection assumes."""
-    dim = subspace.dimension(name)
+    dim = space.dimension(name)
     values = dim.iter_values() if dim.kind == INTEGER_RANGE else sorted(dim.values)
     sizes: dict[int, int] = {}
 
     def fits(index: int) -> bool:
         if index not in sizes:
-            sizes[index] = min_corner_bytes(subspace, name, values[index])
+            sizes[index] = min_corner_bytes(space, name, values[index])
         return constraint.admits(sizes[index])
 
     lo, hi = 0, len(values) - 1
@@ -119,15 +93,18 @@ def prune(
     space: ConfigurationSpace, constraint: SizeConstraint, partitions: int = 1
 ) -> ConfigurationSpace:
     """Drop every size-relevant value that cannot appear in any configuration
-    within budget. Non-size dimensions pass through unchanged. Deterministic
-    and independent of the partition count."""
-    subspaces = partition(space, partitions)
+    within budget. Non-size dimensions pass through unchanged. Deterministic.
+
+    ``partitions`` must be >= 1 and has no other effect: each dimension is
+    bisected once on the whole space. The keyword stays because the
+    acceptance tests and the benchmark runner pass it."""
+    if partitions < 1:
+        raise ValueError("partition count must be >= 1")
     cutoffs, not_monotone = {}, []
     for name in SIZE_RELEVANT_DIMENSIONS:
-        results = [_cutoff(subspace, name, constraint) for subspace in subspaces]
-        if not all(monotone for _, monotone in results):
+        cutoffs[name], monotone = _cutoff(space, name, constraint)
+        if not monotone:
             not_monotone.append(name)
-        cutoffs[name] = max((c for c, _ in results if c is not None), default=None)
     if not_monotone:
         raise RuntimeError(f"size model not strictly increasing in {', '.join(not_monotone)}")
     if None in cutoffs.values():
@@ -159,7 +136,6 @@ class DimensionRetention:
 @dataclass(frozen=True)
 class PruneReport:
     budget_mb: float
-    partitions: int
     original_cardinality: int
     pruned_cardinality: int
     retention: tuple[DimensionRetention, ...]
@@ -171,7 +147,6 @@ class PruneReport:
     def as_dict(self) -> dict:
         return {
             "budget_mb": self.budget_mb,
-            "partitions": self.partitions,
             "original_cardinality": str(self.original_cardinality),
             "pruned_cardinality": str(self.pruned_cardinality),
             "cardinality_ratio": self.cardinality_ratio,
@@ -199,7 +174,6 @@ def prune_report(
     original: ConfigurationSpace,
     pruned: ConfigurationSpace,
     constraint: SizeConstraint,
-    partitions: int,
 ) -> PruneReport:
     retention = tuple(
         DimensionRetention(
@@ -212,7 +186,6 @@ def prune_report(
     )
     return PruneReport(
         budget_mb=constraint.budget_mb,
-        partitions=partitions,
         original_cardinality=original.cardinality(),
         pruned_cardinality=pruned.cardinality(),
         retention=retention,

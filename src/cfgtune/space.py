@@ -275,10 +275,6 @@ class ConfigurationSpace:
                 return dim
         raise KeyError(f"unknown dimension {name!r}")
 
-    def replace_dimension(self, new_dim: Dimension) -> "ConfigurationSpace":
-        dims = tuple(new_dim if d.name == new_dim.name else d for d in self.dimensions)
-        return ConfigurationSpace(dims)
-
     def cardinality(self) -> int:
         """Exact number of distinct configurations (arbitrary-precision)."""
         product = 1

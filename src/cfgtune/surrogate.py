@@ -36,6 +36,12 @@ from .space import atomic_open
 # degenerate data (perfect fits, constant targets) cannot overflow.
 _PRECISION_FLOOR = 1e-12
 _PRECISION_CEIL = 1e12
+# Evidence maximization: the starting precisions, the round limit and the
+# relative precision shift below which it has converged.
+_ALPHA_INIT = 1.0
+_BETA_INIT = 1.0
+_MAX_ITER = 300
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,6 @@ def _posterior(
 def fit(
     vectors,
     targets,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-    alpha_init: float = 1.0,
-    beta_init: float = 1.0,
     update_hyperparameters: bool = True,
     space_checksum: str | None = None,
 ) -> SurrogateModel:
@@ -205,8 +207,10 @@ def fit(
     weights gamma = sum beta*lam / (alpha + beta*lam) over the eigenvalues of
     the scaled feature Gram matrix: alpha = gamma / |w_features|^2 and
     beta = (n - gamma) / SSE. Stops when both precisions move by a relative
-    amount below ``tol``. With ``update_hyperparameters=False`` the single
-    solve at (alpha_init, beta_init) is the exact closed-form ridge solution.
+    amount below ``_TOL``, or after ``_MAX_ITER`` rounds. With
+    ``update_hyperparameters=False`` the single solve at the starting
+    precisions ``(_ALPHA_INIT, _BETA_INIT)`` is the exact closed-form ridge
+    solution.
     """
     import numpy as np
 
@@ -230,13 +234,13 @@ def fit(
     gram_eigenvalues = np.linalg.eigvalsh(scaled.T @ scaled)
     gram_eigenvalues = np.clip(gram_eigenvalues, 0.0, None)
 
-    alpha, beta = float(alpha_init), float(beta_init)
+    alpha, beta = _ALPHA_INIT, _BETA_INIT
     mean, covariance = _posterior(design, y, alpha, beta)
     iterations = 0
     converged = not update_hyperparameters
 
     if update_hyperparameters:
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _MAX_ITER + 1):
             gamma = float(
                 np.sum(beta * gram_eigenvalues / (alpha + beta * gram_eigenvalues))
             )
@@ -252,7 +256,7 @@ def fit(
             beta_shift = abs(new_beta - beta) / max(abs(beta), _PRECISION_FLOOR)
             alpha, beta = new_alpha, new_beta
             mean, covariance = _posterior(design, y, alpha, beta)
-            if alpha_shift < tol and beta_shift < tol:
+            if alpha_shift < _TOL and beta_shift < _TOL:
                 converged = True
                 break
 

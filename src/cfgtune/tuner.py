@@ -126,7 +126,6 @@ class TunerParams:
     generations: int = 50
     crossover_rate: float = 0.6
     mutation_rate: float = 0.1
-    tournament_size: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -138,8 +137,6 @@ class TunerParams:
             raise ValueError("crossover_rate must be in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
 
 
 def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -481,9 +478,7 @@ def tune(
         record_generation()
 
         pool = population + offspring
-        population = tournament_select(
-            pool, params.population_size, params.tournament_size, rng
-        )
+        population = tournament_select(pool, params.population_size, 2, rng)  # binary tournament
 
     return TuneResult(
         archive=archive,

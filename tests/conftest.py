@@ -84,7 +84,7 @@ def canonical_space():
 
 @pytest.fixture(scope="session")
 def pruned_space(canonical_space):
-    return prune(canonical_space, SizeConstraint(3.0), partitions=13)
+    return prune(canonical_space, SizeConstraint(3.0))
 
 
 @pytest.fixture(scope="session")

@@ -93,6 +93,7 @@ def test_prune_writes_space_and_report(tmp_path, space_file, capsys):
     report = json.loads((tmp_path / "pruned.report.json").read_text())
     assert report["budget_mb"] == 3.0
     assert report["pruned_cardinality"] == str(pruned.cardinality())
+    assert "partitions" not in report
 
 
 @pytest.mark.parametrize("failing_dump", [1, 2])  # 1: the space, 2: its report
@@ -196,8 +197,8 @@ def test_prune_non_positive_budget_exits_parse(tmp_path, space_file, capsys, bud
 
 
 def test_prune_partitions_flag_is_gone(tmp_path, space_file):
-    # The pruned space does not depend on the partition count; the library's
-    # ``prune(..., partitions=n)`` keeps the parameter.
+    # ``prune`` bisects the whole space; the library's ``prune(..., partitions=n)``
+    # keeps the keyword, with no effect.
     with pytest.raises(SystemExit) as excinfo:
         main(
             ["prune", "--space", str(space_file), "--partitions", "3",

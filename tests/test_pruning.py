@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,12 +15,12 @@ from cfgtune import (
     SizeConstraint,
     min_corner_bytes,
     parameter_file_bytes,
-    partition,
     prune,
     prune_report,
     space_from_mapping,
 )
-from cfgtune import pruning
+from cfgtune import load_space, pruning
+from cfgtune.cli import EXIT_OK, main
 from cfgtune.space import INTEGER_RANGE
 from conftest import MINI_SPACE_DOCUMENT
 
@@ -74,26 +77,22 @@ def brute_force_retained_values(space, budget_mb):
     return retained
 
 
-def scan_min_corner_sizes(space, partitions):
-    """The per-value scan that bisection replaced, up to the budget test:
-    per subspace and size-relevant dimension, every value with its min-corner
-    size. Kept apart from the budget so one scan serves many budgets."""
-    return [
-        {
-            name: [(v, min_corner_bytes(sub, name, v)) for v in sub.dimension(name).iter_values()]
-            for name in SIZE_RELEVANT_DIMENSIONS
-        }
-        for sub in partition(space, partitions)
-    ]
+def scan_min_corner_sizes(space):
+    """The per-value scan that bisection replaced, up to the budget test: per
+    size-relevant dimension, every value with its min-corner size on the
+    whole space. Kept apart from the budget so one scan serves many budgets."""
+    return {
+        name: [(v, min_corner_bytes(space, name, v)) for v in space.dimension(name).iter_values()]
+        for name in SIZE_RELEVANT_DIMENSIONS
+    }
 
 
 def scan_prune(space, constraint, scanned):
-    """Reference pruning: a value survives iff it fits in some subspace, the
-    survivors of each dimension merge by set union."""
-    kept = {name: set() for name in SIZE_RELEVANT_DIMENSIONS}
-    for per_dimension in scanned:
-        for name, pairs in per_dimension.items():
-            kept[name].update(v for v, size in pairs if constraint.admits(size))
+    """Reference pruning: a value survives iff its min-corner size fits."""
+    kept = {
+        name: {v for v, size in pairs if constraint.admits(size)}
+        for name, pairs in scanned.items()
+    }
     dims = []
     for dim in space.dimensions:
         values = kept.get(dim.name)
@@ -116,7 +115,7 @@ def scan_prune(space, constraint, scanned):
     return ConfigurationSpace(tuple(dims))
 
 
-def assert_prune_matches_scan(space, budget_mb, partitions, scanned):
+def assert_prune_matches_scan(space, budget_mb, scanned, partitions=1):
     constraint = SizeConstraint(budget_mb)
     try:
         expected = scan_prune(space, constraint, scanned)
@@ -128,19 +127,21 @@ def assert_prune_matches_scan(space, budget_mb, partitions, scanned):
 
 
 @pytest.fixture(scope="module")
-def canonical_scans(canonical_space):
-    return {p: scan_min_corner_sizes(canonical_space, p) for p in (1, 13)}
+def canonical_scan(canonical_space):
+    return scan_min_corner_sizes(canonical_space)
 
 
+# ``partitions`` has no effect on ``prune``; each case checks the kept keyword
+# against the same whole-space scan.
 @pytest.mark.parametrize("partitions", [1, 13])
-def test_prune_equals_scan_over_budget_sweep(canonical_space, canonical_scans, partitions):
+def test_prune_equals_scan_over_budget_sweep(canonical_space, canonical_scan, partitions):
     budgets = [0.01 * 1.5**k for k in range(46)] + [3.0, 64.0, 1e6]  # 0.01 MB .. 1e6 MB
     for budget_mb in budgets:
-        assert_prune_matches_scan(canonical_space, budget_mb, partitions, canonical_scans[partitions])
+        assert_prune_matches_scan(canonical_space, budget_mb, canonical_scan, partitions)
 
 
 @pytest.mark.parametrize("partitions", [1, 13])
-def test_prune_equals_scan_at_boundary_budgets(canonical_space, canonical_scans, partitions):
+def test_prune_equals_scan_at_boundary_budgets(canonical_space, canonical_scan, partitions):
     # Budgets exactly at, one byte under and one byte over the min-corner size
     # of each dimension's ends and of its cutoffs at 0.1, 3 and 64 MB.
     boundary_bytes = set()
@@ -148,15 +149,13 @@ def test_prune_equals_scan_at_boundary_budgets(canonical_space, canonical_scans,
         dim = canonical_space.dimension(name)
         values = {dim.min_value(), dim.max_value()}
         for budget_mb in (0.1, 3.0, 64.0):
-            pruned = scan_prune(canonical_space, SizeConstraint(budget_mb), canonical_scans[1])
+            pruned = scan_prune(canonical_space, SizeConstraint(budget_mb), canonical_scan)
             values.add(pruned.dimension(name).max_value())
         for value in values:
             size = min_corner_bytes(canonical_space, name, value)
             boundary_bytes.update((size - 1, size, size + 1))
     for size in sorted(boundary_bytes):
-        assert_prune_matches_scan(
-            canonical_space, size / MEGABYTE, partitions, canonical_scans[partitions]
-        )
+        assert_prune_matches_scan(canonical_space, size / MEGABYTE, canonical_scan, partitions)
 
 
 # Narrow value ranges, so that every value of a small space can be scanned.
@@ -194,19 +193,14 @@ UNSORTED_EXAMPLE = space_from_mapping(
 )
 
 
-@given(
-    space=small_spaces_with_unsorted_sets(),
-    budget_fraction=st.floats(0.0, 1.2),
-    partitions=st.integers(1, 5),
-)
-@example(space=UNSORTED_EXAMPLE, budget_fraction=0.4, partitions=3)
-def test_prune_equals_scan_on_unsorted_discrete_sets(space, budget_fraction, partitions):
+@given(space=small_spaces_with_unsorted_sets(), budget_fraction=st.floats(0.0, 1.2))
+@example(space=UNSORTED_EXAMPLE, budget_fraction=0.4)
+def test_prune_equals_scan_on_unsorted_discrete_sets(space, budget_fraction):
     max_corner = parameter_file_bytes(
         **{name: space.dimension(name).max_value() for name in SIZE_RELEVANT_DIMENSIONS}
     )
     budget_mb = max(1, int(budget_fraction * max_corner)) / MEGABYTE
-    scanned = scan_min_corner_sizes(space, partitions)
-    assert_prune_matches_scan(space, budget_mb, partitions, scanned)
+    assert_prune_matches_scan(space, budget_mb, scan_min_corner_sizes(space))
 
 
 @pytest.mark.parametrize("partitions", [1, 3, 7])
@@ -224,6 +218,54 @@ def test_prune_equals_brute_force_on_downscaled_space(partitions):
         if pruned.dimension(name).size() < space.dimension(name).size()
     ]
     assert len(cut) >= 2
+
+
+def test_prune_space_without_integer_range(tmp_path):
+    """Every numeric dimension a value array: no integer range to split."""
+    document = {
+        **downscaled_space().to_document(),
+        "num_hidden_layers": [1, 2, 3, 6, 12],
+        "num_attention_heads": [1, 2, 4],
+    }
+    space = space_from_mapping(document)
+    assert all(d.kind != INTEGER_RANGE for d in space.dimensions)
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(document))
+    for budget in (0.1, 0.35, 1.0, 8.0):
+        expected = brute_force_retained_values(space, budget)
+        pruned = prune(space, SizeConstraint(budget))
+        out = tmp_path / f"pruned_{budget}.json"
+        assert main(
+            ["prune", "--space", str(space_file), "--budget-mb", str(budget), "--out", str(out)]
+        ) == EXIT_OK
+        assert load_space(out) == pruned
+        for name in SIZE_RELEVANT_DIMENSIONS:
+            assert list(pruned.dimension(name).iter_values()) == expected[name], (budget, name)
+
+
+@pytest.mark.parametrize("budget_mb, calls", [(3.0, 36), (64.0, 10)])
+@pytest.mark.parametrize("partitions", [1, 13])
+def test_prune_bisects_each_dimension_once(
+    monkeypatch, canonical_space, budget_mb, calls, partitions
+):
+    """At most ceil(log2 n) + 2 min-corner sizes per size dimension of n
+    values: both ends, then the bisection. The keyword changes nothing."""
+    counted = []
+    original = pruning.min_corner_bytes
+
+    def counting(*args):
+        counted.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pruning, "min_corner_bytes", counting)
+    pruned = prune(canonical_space, SizeConstraint(budget_mb), partitions=partitions)
+    bound = sum(
+        math.ceil(math.log2(canonical_space.dimension(name).size())) + 2
+        for name in SIZE_RELEVANT_DIMENSIONS
+    )
+    assert len(counted) == calls <= bound
+    monkeypatch.undo()
+    assert pruned == prune(canonical_space, SizeConstraint(budget_mb))
 
 
 def test_prune_partition_invariance_full_space(canonical_space):
@@ -265,7 +307,7 @@ def test_prune_leaves_non_size_dimensions_untouched(canonical_space, pruned_spac
 
 
 def test_prune_with_huge_budget_is_identity(canonical_space):
-    assert prune(canonical_space, SizeConstraint(1e6), partitions=4) == canonical_space
+    assert prune(canonical_space, SizeConstraint(1e6)) == canonical_space
 
 
 def test_prune_empty_feasible_set(canonical_space):
@@ -296,7 +338,7 @@ def test_prune_raises_when_size_model_decreases(monkeypatch, canonical_space, na
 
     monkeypatch.setattr(pruning, "parameter_file_bytes", decreasing_in_name)
     with pytest.raises(RuntimeError, match=name) as raised:
-        prune(canonical_space, SizeConstraint(3.0), partitions=13)
+        prune(canonical_space, SizeConstraint(3.0))
     named = [d for d in SIZE_RELEVANT_DIMENSIONS if d in str(raised.value)]
     assert named == [name]
 
@@ -318,47 +360,11 @@ def test_pruned_space_is_dimension_wise_subset(canonical_space, pruned_space):
 
 
 def test_prune_is_idempotent(canonical_space, pruned_space):
-    assert prune(pruned_space, SizeConstraint(3.0), partitions=5) == pruned_space
+    assert prune(pruned_space, SizeConstraint(3.0)) == pruned_space
 
 
 def test_min_corner_bytes_anchor(canonical_space):
     assert min_corner_bytes(canonical_space, "vocab_size", 1000) == 87_938
-
-
-def test_partition_covers_and_is_disjoint():
-    # vocab is the widest integer range here, so it is the split dimension
-    doc = dict(MINI_SPACE_DOCUMENT)
-    doc["vocab_size"] = {"min": 1000, "max": 1099}  # 100 values
-    space = space_from_mapping(doc)
-    parts = partition(space, 7)
-    assert len(parts) == 7
-    chunks = [list(p.dimension("vocab_size").iter_values()) for p in parts]
-    flat = [v for chunk in chunks for v in chunk]
-    assert flat == list(range(1000, 1100))  # union = parent, order-contiguous
-    assert len(set(flat)) == len(flat)  # pairwise disjoint
-    for p in parts:  # only the split dimension changes
-        for name in (n for n in MINI_SPACE_DOCUMENT if n != "vocab_size"):
-            assert p.dimension(name) == space.dimension(name)
-
-
-def test_partition_identity_and_oversubscription(canonical_space):
-    assert partition(canonical_space, 1) == [canonical_space]
-    doc = dict(MINI_SPACE_DOCUMENT)
-    doc["vocab_size"] = {"min": 1000, "max": 1009}
-    space = space_from_mapping(doc)
-    parts = partition(space, 50)
-    assert len(parts) == 10  # cannot split 10 values into more than 10 chunks
-    assert all(p.dimension("vocab_size").size() == 1 for p in parts)
-
-
-def test_partition_splits_largest_integer_dimension(canonical_space):
-    parts = partition(canonical_space, 5)
-    assert all(
-        p.dimension("hidden_size") == canonical_space.dimension("hidden_size")
-        for p in parts
-    )
-    sizes = [p.dimension("vocab_size").size() for p in parts]
-    assert sum(sizes) == canonical_space.dimension("vocab_size").size()
 
 
 def test_size_constraint_validation():
@@ -373,12 +379,12 @@ def test_size_constraint_validation():
 
 
 def test_prune_report_contents(canonical_space, pruned_space):
-    report = prune_report(canonical_space, pruned_space, SizeConstraint(3.0), 13)
+    report = prune_report(canonical_space, pruned_space, SizeConstraint(3.0))
     assert report.budget_mb == 3.0
-    assert report.partitions == 13
     assert 0.0 < report.cardinality_ratio < 1.0
     by_name = {r.name: r for r in report.retention}
     assert by_name["vocab_size"].kept_count < by_name["vocab_size"].original_count
     assert by_name["batch_size"].kept_count == 3
     payload = report.as_dict()
     assert payload["pruned_cardinality"] == str(pruned_space.cardinality())
+    assert "partitions" not in payload
