@@ -7,7 +7,7 @@ are line-delimited JSON records plus a JSON manifest sufficient to replay
 the run.
 
 Exit codes: 0 success, 2 parse/usage, 3 constraint or empty result,
-4 oracle failure, 5 internal error or, for ``fit``, numpy missing.
+4 oracle failure, 5 internal error.
 """
 
 from __future__ import annotations
@@ -373,14 +373,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as err:  # noqa: BLE001 - last-resort classification
-        if isinstance(err, ModuleNotFoundError) and err.name == "numpy":
-            print(
-                f"error: `{args.command}` needs numpy, which this Python lacks "
-                "(pip install numpy)",
-                file=sys.stderr,
-            )
-        else:
-            print(f"internal error: {err}", file=sys.stderr)
+        print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -10,11 +10,8 @@ The temperature-scaled distillation loss is included as a pure function so
 the soft-target objective that a real student-training evaluator would
 minimize is executable and testable here.
 
-numpy is imported inside ``_log_softmax`` and ``kd_loss``, the only functions
-here that use it, so that ``import cfgtune`` and the stages that do not fit
-(``prune``, ``tune``, ``report``) start without it. Every name here is still
-bound at import, with no module ``__getattr__``: perfbench's tracer wraps the
-``fit`` imported here by reading it from this module's dict.
+``build_indicator`` calls the ``fit`` bound in this module's dict, so
+perfbench's tracer can wrap it there.
 """
 
 from __future__ import annotations
@@ -74,11 +71,14 @@ class DistillationBatch:
                 raise ValueError("logit vectors need at least 2 classes")
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax(logits, temperature: float) -> list[float]:
+    """log(softmax(logits / temperature)), shifted by the maximum so that exp
+    cannot overflow."""
+    scaled = [float(z) / temperature for z in logits]
+    top = max(scaled)
+    shifted = [z - top for z in scaled]
+    log_total = math.log(math.fsum(math.exp(z) for z in shifted))
+    return [z - log_total for z in shifted]
 
 
 def kd_loss(batch: DistillationBatch) -> float:
@@ -89,13 +89,12 @@ def kd_loss(batch: DistillationBatch) -> float:
     constant shift); the minimum value is T^2 times the entropy of the
     softened teacher distribution.
     """
-    import numpy as np
-
-    p = np.asarray(batch.teacher_logits, dtype=float) / batch.temperature
-    q = np.asarray(batch.student_logits, dtype=float) / batch.temperature
-    teacher_probs = np.exp(_log_softmax(p))
-    per_example = -(teacher_probs * _log_softmax(q)).sum(axis=-1)
-    return float(per_example.mean() * batch.temperature**2)
+    t = batch.temperature
+    per_example = [
+        -math.fsum(math.exp(a) * b for a, b in zip(_log_softmax(p, t), _log_softmax(q, t)))
+        for p, q in zip(batch.teacher_logits, batch.student_logits)
+    ]
+    return math.fsum(per_example) / len(per_example) * t**2
 
 
 def _log_ramp(value: float, lo: float, hi: float) -> float:

@@ -6,29 +6,28 @@ is an appended constant-1 column excluded from the alpha penalty. Features
 are min-max scaled with the fit-time statistics stored on the model, so
 callers pass raw encoded configuration vectors to both fit and predict.
 
-The posterior mean is computed in pure Python, in one fixed order: starting
-from ``0.0``, ``acc += scaled_i * w_i`` over the features left to right (a
-multiply rounded, then an add rounded), then the intercept's ``1.0 * w``.
-These are the operations of numpy's scaling followed by OpenBLAS's plain
-``ddot`` loop, as its Haswell and Zen kernels run it. A BLAS dot product is
-not portable: OpenBLAS's SkylakeX kernel fuses each multiply-add and rounds
-once, so the same ``model.json`` and seed would give different fronts on
-different CPUs. The pure-Python sum gives the same bits everywhere, and it
-spares ``tune`` the numpy import.
+Everything is pure Python in a fixed order, so ``fit`` writes the same
+``model.json``, and ``tune`` finds the same front, on every CPU. (A BLAS does
+not: OpenBLAS's SkylakeX kernel fuses each multiply-add, where its Haswell
+kernel rounds twice.) Sums of more than two terms are ``math.fsum``, which
+rounds once whatever the order of its terms; the builtin ``sum`` is not, since
+Python 3.12 compensates it. The posterior mean, on ``tune``'s hot path, is a
+plain loop instead: from ``0.0``, ``acc += scaled_i * w_i`` over the features
+left to right, then the intercept's ``1.0 * w``, as OpenBLAS's Haswell
+``ddot`` computes it.
 
-numpy is imported inside the functions that use it, not at module level:
-``fit``, ``r_squared`` and the predictive variance of ``predict``. ``import
-cfgtune``, ``prune``, ``tune`` and ``report`` never load it. Every name here is
-still bound at import, with no module ``__getattr__``: perfbench's tracer
-wraps ``fit`` and ``SurrogateModel.predict_mean`` by reading them from the
-module and class dicts.
+Every name here is bound at import: perfbench's tracer wraps ``fit`` and
+``SurrogateModel.predict_mean`` by reading them from the module and class dicts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import fsum
+from operator import mul
 
 from .space import atomic_open
 
@@ -42,6 +41,10 @@ _ALPHA_INIT = 1.0
 _BETA_INIT = 1.0
 _MAX_ITER = 300
 _TOL = 1e-6
+
+
+class ModelFormatError(ValueError):
+    """A model is missing a field, or its arrays do not fit together."""
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,12 @@ class TrainingSet:
 class SurrogateModel:
     """Fitted effectiveness predictor. ``weights`` has one entry per feature
     plus a trailing intercept; ``covariance`` is the posterior weight
-    covariance used for predictive variance.
+    covariance used for predictive variance. Arrays whose shapes do not fit
+    together raise ``ModelFormatError``.
 
-    The scaling and the weights as Python floats, and the numpy covariance
-    used for the variance, are built once per model, on first use. One method
-    scales a vector for both the mean and the variance. ``predict_mean``
-    computes the mean only, with no variance; ``predict`` takes its mean from
-    it.
+    The scaling and the weights as Python floats are built once per model, on
+    first use. ``predict_mean`` computes the mean only; ``predict`` takes its
+    mean from it and adds the variance.
     """
 
     weights: tuple[float, ...]
@@ -86,6 +88,12 @@ class SurrogateModel:
     n_iterations: int
     converged: bool
     space_checksum: str | None = None
+
+    def __post_init__(self):
+        d = len(self.feature_min)
+        sizes = (len(self.weights), len(self.feature_max) + 1, len(self.covariance))
+        if any(size != d + 1 for size in sizes + tuple(map(len, self.covariance))):
+            raise ModelFormatError(f"weights, feature_max or covariance do not fit {d} features")
 
     @property
     def n_features(self) -> int:
@@ -105,12 +113,6 @@ class SurrogateModel:
             tuple(float(w) for w in self.weights),
         )
 
-    @cached_property
-    def _covariance(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.covariance, dtype=float)
-
     def _scaled(self, vector) -> list[float]:
         """The min-max scaled raw vector. Each element is taken as a Python
         float first, so a float32 vector is scaled in float64 as well."""
@@ -129,11 +131,9 @@ class SurrogateModel:
 
     def predict(self, vector) -> tuple[float, float]:
         """(posterior mean, predictive variance) for one raw feature vector."""
-        import numpy as np
-
-        augmented = np.array(self._scaled(vector) + [1.0])
-        variance = float(1.0 / self.beta + augmented @ self._covariance @ augmented)
-        return self.predict_mean(vector), variance
+        augmented = self._scaled(vector) + [1.0]
+        spread = fsum(a * _dot(row, augmented) for a, row in zip(augmented, self.covariance))
+        return self.predict_mean(vector), 1.0 / self.beta + spread
 
     def predict_mean(self, vector) -> float:
         """The posterior mean, summed left to right from 0.0 (module docstring)."""
@@ -144,54 +144,51 @@ class SurrogateModel:
         return acc + weights[-1]  # 1.0 * intercept is the intercept
 
     def save(self, path) -> None:
-        document = {
-            "weights": list(self.weights),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "feature_min": list(self.feature_min),
-            "feature_max": list(self.feature_max),
-            "covariance": [list(row) for row in self.covariance],
-            "n_train": self.n_train,
-            "n_iterations": self.n_iterations,
-            "converged": self.converged,
-            "space_checksum": self.space_checksum,
-        }
         with atomic_open(path) as handle:
-            json.dump(document, handle, indent=2)
+            json.dump(dataclasses.asdict(self), handle, indent=2)
             handle.write("\n")
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        return cls(
-            weights=tuple(document["weights"]),
-            alpha=float(document["alpha"]),
-            beta=float(document["beta"]),
-            feature_min=tuple(document["feature_min"]),
-            feature_max=tuple(document["feature_max"]),
-            covariance=tuple(tuple(row) for row in document["covariance"]),
-            n_train=int(document["n_train"]),
-            n_iterations=int(document["n_iterations"]),
-            converged=bool(document["converged"]),
-            space_checksum=document.get("space_checksum"),
-        )
+        try:
+            return cls(
+                weights=tuple(map(float, document["weights"])),
+                alpha=float(document["alpha"]),
+                beta=float(document["beta"]),
+                feature_min=tuple(map(float, document["feature_min"])),
+                feature_max=tuple(map(float, document["feature_max"])),
+                covariance=tuple(tuple(map(float, row)) for row in document["covariance"]),
+                n_train=int(document["n_train"]),
+                n_iterations=int(document["n_iterations"]),
+                converged=bool(document["converged"]),
+                space_checksum=document.get("space_checksum"),
+            )
+        except KeyError as err:
+            raise ModelFormatError(f"model file {path} has no {err} field") from None
+        except (TypeError, ValueError) as err:
+            raise ModelFormatError(f"malformed model file {path}: {err}") from None
 
 
-def _posterior(
-    design: np.ndarray, targets: np.ndarray, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the weight posterior. The penalty matrix is
-    alpha on every feature coordinate and zero on the intercept."""
-    import numpy as np
+def _inverse(matrix: list[list[float]]) -> list[list[float]]:
+    """The inverse by Gauss-Jordan elimination with partial pivoting."""
+    size = len(matrix)
+    rows = [list(row) + [float(i == j) for j in range(size)] for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = rows[col][col]
+        rows[col] = head = [v / scale for v in rows[col]]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(row, head)]
+    return [row[size:] for row in rows]
 
-    d = design.shape[1]
-    penalty = np.full(d, alpha)
-    penalty[-1] = 0.0
-    precision = np.diag(penalty) + beta * (design.T @ design)
-    covariance = np.linalg.inv(precision)
-    mean = covariance @ (beta * design.T @ targets)
-    return mean, covariance
+
+def _dot(a, b) -> float:
+    return fsum(map(mul, a, b))
 
 
 def fit(
@@ -204,69 +201,80 @@ def fit(
 
     Each round solves the penalized least squares for the current (alpha,
     beta), then re-estimates them from the effective number of well-determined
-    weights gamma = sum beta*lam / (alpha + beta*lam) over the eigenvalues of
-    the scaled feature Gram matrix: alpha = gamma / |w_features|^2 and
-    beta = (n - gamma) / SSE. Stops when both precisions move by a relative
+    weights gamma = d - alpha * tr((alpha*I + beta*G)^-1), where G is the
+    scaled feature Gram matrix and d its width: alpha = gamma / |w_features|^2
+    and beta = (n - gamma) / SSE. Stops when both precisions move by a relative
     amount below ``_TOL``, or after ``_MAX_ITER`` rounds. With
     ``update_hyperparameters=False`` the single solve at the starting
     precisions ``(_ALPHA_INIT, _BETA_INIT)`` is the exact closed-form ridge
-    solution.
+    solution. ``vectors`` and ``targets`` may be numpy arrays.
     """
-    import numpy as np
-
-    X = np.asarray(vectors, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("vectors must form a 2-d array")
-    n, d = X.shape
-    if n < 2:
+    message = "vectors must form a 2-d array, and targets a flat sequence"
+    if getattr(vectors, "ndim", 2) != 2 or getattr(targets, "ndim", 1) != 1:
+        raise ValueError(message)  # numpy would turn a 1-element array into a float
+    try:
+        X = [[float(v) for v in row] for row in vectors]
+        y = [float(t) for t in targets]
+    except TypeError:
+        raise ValueError(message) from None
+    if len(X) < 2:
         raise ValueError("need at least 2 training rows")
-    if y.shape != (n,):
-        raise ValueError("targets must be a flat sequence matching vectors")
+    if len(y) != len(X) or any(len(row) != len(X[0]) for row in X):
+        raise ValueError("vectors must form a 2-d array, and targets one value per row")
+    n, d = len(X), len(X[0])
+    feature_min = [min(column) for column in zip(*X)]
+    feature_max = [max(column) for column in zip(*X)]
+    design = [
+        [(x - lo) / (hi - lo) if hi > lo else 0.0 for x, lo, hi in zip(row, feature_min, feature_max)]
+        + [1.0]
+        for row in X
+    ]
+    columns = list(zip(*design))
+    gram = [[_dot(a, b) for b in columns] for a in columns]
+    moments = [_dot(column, y) for column in columns]
 
-    feature_min = X.min(axis=0)
-    feature_max = X.max(axis=0)
-    span = feature_max - feature_min
-    safe = np.where(span > 0, span, 1.0)
-    scaled = np.where(span > 0, (X - feature_min) / safe, 0.0)
-    design = np.hstack([scaled, np.ones((n, 1))])
+    def inverse_precision(alpha: float, beta: float, size: int) -> list[list[float]]:
+        """The inverse of beta * gram plus alpha on the feature diagonal (the
+        intercept is not penalized), over the first ``size`` coordinates."""
+        return _inverse(
+            [[beta * gram[i][j] + (alpha if i == j < d else 0.0) for j in range(size)]
+             for i in range(size)]
+        )
 
-    gram_eigenvalues = np.linalg.eigvalsh(scaled.T @ scaled)
-    gram_eigenvalues = np.clip(gram_eigenvalues, 0.0, None)
+    def posterior(alpha: float, beta: float) -> tuple[list[float], list[list[float]]]:
+        covariance = inverse_precision(alpha, beta, d + 1)
+        return [beta * _dot(row, moments) for row in covariance], covariance
 
     alpha, beta = _ALPHA_INIT, _BETA_INIT
-    mean, covariance = _posterior(design, y, alpha, beta)
+    mean, covariance = posterior(alpha, beta)
     iterations = 0
     converged = not update_hyperparameters
 
     if update_hyperparameters:
         for iterations in range(1, _MAX_ITER + 1):
-            gamma = float(
-                np.sum(beta * gram_eigenvalues / (alpha + beta * gram_eigenvalues))
-            )
-            feature_norm_sq = float(mean[:-1] @ mean[:-1])
-            new_alpha = gamma / max(feature_norm_sq, _PRECISION_FLOOR)
-            residual = y - design @ mean
-            sse = float(residual @ residual)
+            shrunk = inverse_precision(alpha, beta, d)
+            gamma = d - alpha * fsum(row[i] for i, row in enumerate(shrunk))
+            new_alpha = gamma / max(_dot(mean[:-1], mean[:-1]), _PRECISION_FLOOR)
+            sse = fsum((t - _dot(row, mean)) ** 2 for row, t in zip(design, y))
             new_beta = max(n - gamma, _PRECISION_FLOOR) / max(sse, _PRECISION_FLOOR)
-            new_alpha = float(np.clip(new_alpha, _PRECISION_FLOOR, _PRECISION_CEIL))
-            new_beta = float(np.clip(new_beta, _PRECISION_FLOOR, _PRECISION_CEIL))
+            new_alpha = min(max(new_alpha, _PRECISION_FLOOR), _PRECISION_CEIL)
+            new_beta = min(max(new_beta, _PRECISION_FLOOR), _PRECISION_CEIL)
 
             alpha_shift = abs(new_alpha - alpha) / max(abs(alpha), _PRECISION_FLOOR)
             beta_shift = abs(new_beta - beta) / max(abs(beta), _PRECISION_FLOOR)
             alpha, beta = new_alpha, new_beta
-            mean, covariance = _posterior(design, y, alpha, beta)
+            mean, covariance = posterior(alpha, beta)
             if alpha_shift < _TOL and beta_shift < _TOL:
                 converged = True
                 break
 
     return SurrogateModel(
-        weights=tuple(float(w) for w in mean),
+        weights=tuple(mean),
         alpha=alpha,
         beta=beta,
-        feature_min=tuple(float(v) for v in feature_min),
-        feature_max=tuple(float(v) for v in feature_max),
-        covariance=tuple(tuple(float(c) for c in row) for row in covariance),
+        feature_min=tuple(feature_min),
+        feature_max=tuple(feature_max),
+        covariance=tuple(map(tuple, covariance)),
         n_train=n,
         n_iterations=iterations,
         converged=converged,
@@ -276,12 +284,10 @@ def fit(
 
 def r_squared(model: SurrogateModel, vectors, targets) -> float:
     """Coefficient of determination of the posterior-mean predictions."""
-    import numpy as np
-
-    y = np.asarray(targets, dtype=float)
-    predictions = np.array([model.predict_mean(v) for v in vectors])
-    residual = float(np.sum((y - predictions) ** 2))
-    total = float(np.sum((y - y.mean()) ** 2))
+    y = [float(t) for t in targets]
+    residual = fsum((t - model.predict_mean(v)) ** 2 for v, t in zip(vectors, y, strict=True))
+    mean = fsum(y) / len(y)
+    total = fsum((t - mean) ** 2 for t in y)
     if total == 0.0:
         return 1.0 if residual == 0.0 else 0.0
     return 1.0 - residual / total

@@ -426,6 +426,27 @@ def test_tune_missing_model_exits_internal(pipeline):
     assert code == EXIT_INTERNAL
 
 
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        lambda doc: doc.pop("weights"),
+        lambda doc: doc["weights"].pop(),
+        lambda doc: doc["covariance"].pop(),
+        lambda doc: doc["covariance"][3].pop(),
+        lambda doc: doc["feature_max"].pop(),
+    ],
+    ids=["no-weights", "weights-short", "covariance-rows", "covariance-row-short", "feature-max-short"],
+)
+def test_tune_malformed_model_exits_parse(pipeline, capsys, breakage):
+    document = json.loads(pipeline["model"].read_text())
+    breakage(document)
+    pipeline["model"].write_text(json.dumps(document))
+    code, out = run_tune(pipeline, "front.jsonl")
+    assert code == EXIT_PARSE
+    assert "model file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- report ------------------------------------------------------------------
 
 

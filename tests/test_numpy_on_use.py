@@ -1,9 +1,9 @@
-"""numpy is loaded only by the stage that uses it.
+"""cfgtune runs without numpy.
 
-``import cfgtune``, ``prune``, ``tune`` and ``report`` never import numpy, so
-they run where it is not installed; ``fit`` imports it on first use, and
-without it exits 5 naming the missing dependency. Each check runs in a fresh
-interpreter, since this test process has numpy loaded.
+Every stage is pure Python, so ``import cfgtune`` and no stage loads numpy,
+and a Python without it runs the whole pipeline and writes the same bytes.
+Each check runs in fresh interpreters, since this test process has numpy
+loaded.
 """
 
 import json
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cfgtune
-from cfgtune.cli import EXIT_INTERNAL, EXIT_OK, main
+from cfgtune.cli import EXIT_OK, main
 from conftest import CANONICAL_SPACE_FILE
 
 SRC = Path(cfgtune.__file__).resolve().parent.parent
@@ -29,15 +29,16 @@ import json, sys
 if sys.argv[2] == "block":
     sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
 import cfgtune.cli
-records = [["import", None, "numpy" in sys.modules]]
+loaded = lambda: sys.modules.get("numpy") is not None
+records = [["import", None, loaded()]]
 for stage in json.loads(sys.argv[1]):
-    records.append([stage[0], cfgtune.cli.main(stage), "numpy" in sys.modules])
+    records.append([stage[0], cfgtune.cli.main(stage), loaded()])
 print(json.dumps(records))
 """
 
 
 def run_fresh(stages, block_numpy=False):
-    """(stage records, the stages' own stdout, stderr) from a fresh interpreter."""
+    """(stage records, the stages' own stdout) from a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -49,7 +50,7 @@ def run_fresh(stages, block_numpy=False):
     )
     assert proc.returncode == 0, proc.stderr
     *output, last = proc.stdout.splitlines(keepends=True)
-    return json.loads(last), "".join(output), proc.stderr
+    return json.loads(last), "".join(output)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +83,7 @@ def report_stage(front):
 
 
 def test_import_prune_and_report_leave_numpy_unloaded(tmp_path, artifacts):
-    records, _, _ = run_fresh([prune_stage(tmp_path / "pruned.json"), report_stage(artifacts["front.jsonl"])])
+    records, _ = run_fresh([prune_stage(tmp_path / "pruned.json"), report_stage(artifacts["front.jsonl"])])
     assert records == [["import", None, False], ["prune", EXIT_OK, False], ["report", EXIT_OK, False]]
 
 
@@ -91,7 +92,7 @@ def test_prune_and_report_with_numpy_blocked_match_an_unblocked_run(tmp_path, ar
     for mode in ("block", "free"):
         out_dir = tmp_path / mode
         out_dir.mkdir()
-        records, stdout, _ = run_fresh(
+        records, stdout = run_fresh(
             [prune_stage(out_dir / "pruned.json"), report_stage(artifacts["front.jsonl"])],
             block_numpy=mode == "block",
         )
@@ -105,12 +106,13 @@ def test_prune_and_report_with_numpy_blocked_match_an_unblocked_run(tmp_path, ar
 
 
 def test_fit_and_tune_load_numpy_on_use(tmp_path, artifacts):
-    """``fit`` loads numpy; ``tune``, in a process of its own, never does."""
+    """Neither ``fit`` nor ``tune``, each in a process of its own, loads numpy,
+    and both write the same bytes as the stages run in this process."""
     paths = {name: tmp_path / name for name in artifacts}
     *prune_and_fit, tune_stage = fit_and_tune_stages(paths)
-    records, _, _ = run_fresh(prune_and_fit)
-    assert records == [["import", None, False], ["prune", EXIT_OK, False], ["fit", EXIT_OK, True]]
-    records, _, _ = run_fresh([tune_stage])
+    records, _ = run_fresh(prune_and_fit)
+    assert records == [["import", None, False], ["prune", EXIT_OK, False], ["fit", EXIT_OK, False]]
+    records, _ = run_fresh([tune_stage])
     assert records == [["import", None, False], ["tune", EXIT_OK, False]]
     for name, path in artifacts.items():
         assert paths[name].read_bytes() == path.read_bytes(), name
@@ -124,7 +126,7 @@ def test_tune_with_numpy_blocked_matches_an_unblocked_run(tmp_path, artifacts):
         out_dir.mkdir()
         front = out_dir / "front.jsonl"
         stage = tune_stage[: tune_stage.index("--out") + 1] + [str(front)]
-        records, stdout, _ = run_fresh([stage], block_numpy=mode == "block")
+        records, stdout = run_fresh([stage], block_numpy=mode == "block")
         assert records[1][:2] == ["tune", EXIT_OK]
         runlog = out_dir / "front.runlog.jsonl"
         outputs[mode] = (front.read_bytes(), runlog.read_bytes(), stdout.replace(str(out_dir), "<out>"))
@@ -132,13 +134,36 @@ def test_tune_with_numpy_blocked_matches_an_unblocked_run(tmp_path, artifacts):
     assert outputs["block"][0] == artifacts["front.jsonl"].read_bytes()
 
 
-def test_fit_with_numpy_blocked_names_the_missing_dependency(tmp_path, artifacts):
-    model = tmp_path / "model.json"
-    stage = ["fit", "--space", str(artifacts["pruned.json"]), "--samples", "20", "--seed", "3",
-             "--out", str(model)]
-    records, stdout, stderr = run_fresh([stage], block_numpy=True)
-    assert records[1][:2] == ["fit", EXIT_INTERNAL]
-    assert "`fit` needs numpy" in stderr
-    assert "internal error" not in stderr
-    assert stdout == ""
-    assert list(tmp_path.iterdir()) == []  # neither model.json nor its table
+def pipeline_stages(out_dir):
+    pruned, model, front = (str(out_dir / name) for name in ("pruned.json", "model.json", "front.jsonl"))
+    return [
+        ["prune", "--space", str(CANONICAL_SPACE_FILE), "--budget-mb", "3.0", "--out", pruned],
+        ["fit", "--space", pruned, "--samples", "20", "--seed", "11", "--out", model],
+        ["tune", "--space", pruned, "--model", model, "--seed", "11", "--pop", "8",
+         "--generations", "5", "--budget-mb", "3.0", "--out", front],
+        ["report", "--front", front, "--target-mb", "3.0", "--runtime-hours", "0.8",
+         "--power-kw", "0.4"],
+    ]
+
+
+def test_pipeline_with_numpy_blocked_matches_an_unblocked_run(tmp_path):
+    """All four stages exit 0 and never load numpy, and every artifact but
+    the manifest, which holds a timestamp, is byte-identical with numpy
+    blocked and without."""
+    outputs = {}
+    for mode in ("block", "free"):
+        out_dir = tmp_path / mode
+        out_dir.mkdir()
+        records, stdout = run_fresh(pipeline_stages(out_dir), block_numpy=mode == "block")
+        assert records == [["import", None, False]] + [
+            [stage, EXIT_OK, False] for stage in ("prune", "fit", "tune", "report")
+        ]
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert sorted(files) == [
+            "front.jsonl", "front.manifest.json", "front.runlog.jsonl", "model.json",
+            "model.table.jsonl", "pruned.json", "pruned.report.json",
+        ]
+        del files["front.manifest.json"]
+        outputs[mode] = (files, stdout.replace(str(out_dir), "<out>"))
+    assert outputs["block"] == outputs["free"]
+    assert "deployment pick (closest to 3.0 MB)" in outputs["block"][1]

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import cfgtune
-from cfgtune import SurrogateModel, TrainingSet, fit, r_squared
+from cfgtune import SurrogateModel, SyntheticCapacityOracle, TrainingSet, build_indicator, fit, r_squared
+from cfgtune.cli import derive_seed, main
+from conftest import CANONICAL_SPACE_FILE
 
 
 def closed_form_ridge(X, y, alpha, beta):
@@ -35,6 +37,42 @@ def closed_form_ridge(X, y, alpha, beta):
     return weights
 
 
+def numpy_fit(vectors, targets):
+    """The evidence maximization as numpy and LAPACK run it, kept as the
+    reference for the pure-Python fit: (weights, alpha, beta, rounds,
+    converged). gamma comes from the eigenvalues of the scaled feature Gram
+    matrix, and each round inverts the full posterior precision."""
+    X = np.asarray(vectors, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    n, d = X.shape
+    span = X.max(axis=0) - X.min(axis=0)
+    scaled = np.where(span > 0, (X - X.min(axis=0)) / np.where(span > 0, span, 1.0), 0.0)
+    design = np.hstack([scaled, np.ones((n, 1))])
+    eigenvalues = np.clip(np.linalg.eigvalsh(scaled.T @ scaled), 0.0, None)
+
+    def posterior_mean(alpha, beta):
+        penalty = np.full(d + 1, alpha)
+        penalty[-1] = 0.0
+        covariance = np.linalg.inv(np.diag(penalty) + beta * (design.T @ design))
+        return covariance @ (beta * design.T @ y)
+
+    alpha, beta = 1.0, 1.0
+    mean = posterior_mean(alpha, beta)
+    for rounds in range(1, 301):
+        gamma = float(np.sum(beta * eigenvalues / (alpha + beta * eigenvalues)))
+        new_alpha = gamma / max(float(mean[:-1] @ mean[:-1]), 1e-12)
+        residual = y - design @ mean
+        new_beta = max(n - gamma, 1e-12) / max(float(residual @ residual), 1e-12)
+        new_alpha = float(np.clip(new_alpha, 1e-12, 1e12))
+        new_beta = float(np.clip(new_beta, 1e-12, 1e12))
+        shifts = (abs(new_alpha - alpha) / alpha, abs(new_beta - beta) / beta)
+        alpha, beta = new_alpha, new_beta
+        mean = posterior_mean(alpha, beta)
+        if max(shifts) < 1e-6:
+            return mean, alpha, beta, rounds, True
+    return mean, alpha, beta, rounds, False
+
+
 def random_dataset(rng, n=None, d=None):
     n = n or rng.integers(5, 30)
     d = d or rng.integers(1, 6)
@@ -51,6 +89,22 @@ def test_frozen_fit_matches_closed_form_ridge():
         model = fit(X, y, update_hyperparameters=False)
         expected = closed_form_ridge(X, y, alpha=1.0, beta=1.0)
         assert np.max(np.abs(np.array(model.weights) - expected)) < 1e-8
+
+
+def test_fit_matches_the_numpy_fit_at_quickstart_size(pruned_space):
+    """20 oracle samples of the pruned listing3 at 3 MB, drawn as ``cfgtune
+    fit --seed s`` draws them, for fit seeds 0-29: the same weights, alpha and
+    beta within 1e-9 relative, after as many rounds."""
+    worst = 0.0
+    for seed in range(30):
+        oracle = SyntheticCapacityOracle(reference_space=pruned_space, seed=derive_seed(seed, "oracle"))
+        model, table, _ = build_indicator(pruned_space, oracle, k=20, seed=derive_seed(seed, "fit:sample"))
+        weights, alpha, beta, rounds, converged = numpy_fit(table.vectors, table.targets)
+        assert (model.n_iterations, model.converged) == (rounds, converged), seed
+        got = np.array(model.weights + (model.alpha, model.beta))
+        expected = np.append(weights, [alpha, beta])
+        worst = max(worst, float(np.max(np.abs(got - expected) / np.abs(expected))))
+    assert worst < 1e-9
 
 
 def test_noise_free_line_recovered():
@@ -238,12 +292,16 @@ def test_predict_mean_equals_predict_exactly(tmp_path):
     assert float32_cases > 100
 
 
-def haswell_kernel_selectable():
-    """Whether OPENBLAS_CORETYPE=Haswell runs OpenBLAS's Haswell kernel here:
-    numpy's BLAS must be an OpenBLAS that picks its kernels at run time, on an
-    x86-64 CPU with AVX2 and FMA. Elsewhere Haswell is not a valid core type
-    (an aarch64 OpenBLAS would fall back to a kernel of its own), or its
-    instructions would not run."""
+HASWELL_FEATURES = ("AVX2", "FMA3")
+SKYLAKEX_FEATURES = HASWELL_FEATURES + ("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL")
+
+
+def openblas_kernel_selectable(features):
+    """Whether an OPENBLAS_CORETYPE whose kernels need the given CPU features
+    runs those kernels here: numpy's BLAS must be an OpenBLAS that picks its
+    kernels at run time, on an x86-64 CPU with those features. Elsewhere the
+    x86 core types are not valid (an aarch64 OpenBLAS would fall back to a
+    kernel of its own), or their instructions would not run."""
     if platform.machine() not in ("x86_64", "AMD64"):
         return False
     try:
@@ -253,7 +311,7 @@ def haswell_kernel_selectable():
             from numpy.core._multiarray_umath import __cpu_features__ as cpu
         except ImportError:
             return False
-    if not (cpu.get("AVX2") and cpu.get("FMA3")):
+    if not all(cpu.get(feature) for feature in features):
         return False
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -262,6 +320,17 @@ def haswell_kernel_selectable():
     return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
         "openblas configuration", ""
     )
+
+
+def fresh_env(**overrides):
+    """The environment of a fresh interpreter that imports this checkout's
+    cfgtune and this directory's test modules."""
+    src = Path(cfgtune.__file__).resolve().parent.parent
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parent), str(src), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 # Reads (feature_min, feature_max, weights, vector) cases as JSON on stdin and
@@ -278,7 +347,7 @@ print(json.dumps([
 
 
 @pytest.mark.skipif(
-    not haswell_kernel_selectable(),
+    not openblas_kernel_selectable(HASWELL_FEATURES),
     reason="OPENBLAS_CORETYPE=Haswell selects the Haswell kernel only in a "
     "DYNAMIC_ARCH OpenBLAS on an x86-64 CPU with AVX2 and FMA",
 )
@@ -291,11 +360,7 @@ def test_predict_mean_equals_numpy_with_the_plain_blas_kernel(tmp_path):
         [list(m.feature_min), list(m.feature_max), list(m.weights), [float(v) for v in x]]
         for m, x in cases
     ]
-    src = Path(cfgtune.__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).parent), str(src), env.get("PYTHONPATH")])
-    )
+    env = fresh_env(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", REBUILD_RUNNER],
         input=json.dumps(payload),
@@ -309,6 +374,36 @@ def test_predict_mean_equals_numpy_with_the_plain_blas_kernel(tmp_path):
     assert len(rebuilt) == len(cases)
     for (model, x), expected in zip(cases, rebuilt):
         assert model.predict_mean(x) == expected
+
+
+@pytest.mark.skipif(
+    not openblas_kernel_selectable(SKYLAKEX_FEATURES),
+    reason="OPENBLAS_CORETYPE=SkylakeX selects the SkylakeX kernel only in a "
+    "DYNAMIC_ARCH OpenBLAS on an x86-64 CPU with AVX-512",
+)
+def test_fit_writes_the_same_model_under_every_blas_kernel(tmp_path):
+    """The quickstart ``fit`` in fresh processes under OpenBLAS's Haswell and
+    SkylakeX kernels, which round a multiply-add differently: the same
+    ``model.json`` and audit table, byte for byte."""
+    pruned = tmp_path / "pruned.json"
+    assert main(
+        ["prune", "--space", str(CANONICAL_SPACE_FILE), "--budget-mb", "3.0", "--out", str(pruned)]
+    ) == 0
+    outputs = {}
+    for core in ("Haswell", "SkylakeX"):
+        model = tmp_path / f"model_{core}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfgtune", "fit", "--space", str(pruned),
+             "--samples", "20", "--seed", "11", "--out", str(model)],
+            capture_output=True,
+            text=True,
+            env=fresh_env(OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1"),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = model.with_name(model.stem + ".table.jsonl")
+        outputs[core] = (model.read_bytes(), table.read_bytes())
+    assert outputs["Haswell"] == outputs["SkylakeX"]
 
 
 def test_predict_mean_rejects_wrong_shape(tmp_path):
