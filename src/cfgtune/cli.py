@@ -17,6 +17,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -50,6 +51,7 @@ from .tuner import (
     TunerParams,
     select_deployment_config,
     tune,
+    update_archive,
 )
 
 EXIT_OK = 0
@@ -108,13 +110,10 @@ def _front_record(member: Individual) -> dict:
     }
 
 
-def _front_sort_key(record: dict):
-    return (
-        record["size_mb"],
-        record["gflops"],
-        -record["predicted_effectiveness"],
-        json.dumps(record["config"], sort_keys=True),
-    )
+def _front_sort_key(member: Individual):
+    """Size, GFLOPs, then higher effectiveness first; the configuration's
+    JSON breaks ties."""
+    return (*member.objectives, json.dumps(member.config.as_dict(), sort_keys=True))
 
 
 def cmd_prune(args) -> int:
@@ -125,22 +124,20 @@ def cmd_prune(args) -> int:
     report = prune_report(space, pruned, constraint)
     report_path = _derived_path(args.out, ".report.json")
     with atomic_open(report_path) as handle:
-        json.dump(report.as_dict(), handle, indent=2)
+        json.dump(report, handle, indent=2)
         handle.write("\n")
     print(f"pruned space written to {args.out}")
-    for entry in report.retention:
+    for entry in report["dimensions"]:
         print(
-            f"  {entry.name}: kept {entry.kept_count}/{entry.original_count} "
-            f"-> {entry.retained}"
+            f"  {entry['name']}: kept {entry['kept_count']}/{entry['original_count']} "
+            f"-> {entry['retained']}"
         )
-    print(f"cardinality ratio: {report.cardinality_ratio:.4f}")
+    print(f"cardinality ratio: {report['cardinality_ratio']:.4f}")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     space = load_space(args.space)
-    if args.samples < 2:
-        raise SpaceFormatError("--samples must be >= 2")
     if args.samples < 5:
         print(
             f"warning: {args.samples} samples is a degenerate training set",
@@ -193,7 +190,7 @@ def cmd_tune(args) -> int:
             f"no archived configuration fits {args.budget_mb} MB"
         )
 
-    records = sorted(map(_front_record, members), key=_front_sort_key)
+    records = [_front_record(m) for m in sorted(members, key=_front_sort_key)]
     with atomic_open(args.out) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -226,8 +223,17 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def _load_front(path: str) -> list[dict]:
-    records = []
+def _objective(record: dict, key: str) -> float:
+    value = record[key]
+    # bool is an int subclass; NaN and infinity are not JSON numbers.
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _load_front(path: str) -> list[Individual]:
+    """The members of a front file, one per non-blank line, in file order."""
+    front = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -235,52 +241,45 @@ def _load_front(path: str) -> list[dict]:
                 continue
             try:
                 record = json.loads(line)
-                Configuration.from_dict(record["config"])
-                float(record["size_mb"])
-                float(record["gflops"])
-                float(record["predicted_effectiveness"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+                member = Individual(
+                    config=Configuration.from_dict(record["config"]),
+                    objectives=ObjectiveVector(
+                        size_mb=_objective(record, "size_mb"),
+                        gflops=_objective(record, "gflops"),
+                        neg_effectiveness=-_objective(record, "predicted_effectiveness"),
+                    ),
+                )
+            # OverflowError: an integer too large for a float.
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise SpaceFormatError(
                     f"malformed front record on line {line_number}: {err}"
                 ) from err
-            records.append(record)
-    return records
+            front.append(member)
+    return front
 
 
 def cmd_report(args) -> int:
     if not args.target_mb > 0:
         raise ValueError(f"--target-mb must be positive, got {args.target_mb}")
-    records = _load_front(args.front)
-    if not records:
+    front = _load_front(args.front)
+    if not front:
         raise EmptyFrontError(f"front file {args.front} has no solutions")
-    records.sort(key=_front_sort_key)
-    archive = ParetoArchive()
-    for record in records:
-        archive.insert(
-            Individual(
-                config=Configuration.from_dict(record["config"]),
-                objectives=ObjectiveVector(
-                    size_mb=record["size_mb"],
-                    gflops=record["gflops"],
-                    neg_effectiveness=-record["predicted_effectiveness"],
-                ),
-            )
-        )
-    pick = select_deployment_config(archive, args.target_mb)
+    front.sort(key=_front_sort_key)
+    pick = select_deployment_config(update_archive(ParetoArchive(), front), args.target_mb)
 
     print(f"{'':2} {'size_mb':>10} {'gflops':>10} {'effectiveness':>13}  configuration")
-    for record in records:
-        config = record["config"]
-        marker = "*" if config == pick.config.as_dict() else " "
+    for member in front:
+        config, objectives = member.config, member.objectives
+        marker = "*" if member is pick else " "
         summary = (
-            f"v={config['vocab_size']} l={config['num_hidden_layers']} "
-            f"h={config['hidden_size']} i={config['intermediate_size']} "
-            f"heads={config['num_attention_heads']} s={config['max_sequence_length']} "
-            f"tok={config['tokenizer']}"
+            f"v={config.vocab_size} l={config.num_hidden_layers} "
+            f"h={config.hidden_size} i={config.intermediate_size} "
+            f"heads={config.num_attention_heads} s={config.max_sequence_length} "
+            f"tok={config.tokenizer}"
         )
         print(
-            f"{marker:2} {record['size_mb']:>10.4f} {record['gflops']:>10.4f} "
-            f"{record['predicted_effectiveness']:>13.4f}  {summary}"
+            f"{marker:2} {objectives.size_mb:>10.4f} {objectives.gflops:>10.4f} "
+            f"{objectives.effectiveness:>13.4f}  {summary}"
         )
     print()
     print(f"deployment pick (closest to {args.target_mb} MB):")

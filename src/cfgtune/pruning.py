@@ -125,43 +125,6 @@ def prune(
     return ConfigurationSpace(tuple(new_dims))
 
 
-@dataclass(frozen=True)
-class DimensionRetention:
-    name: str
-    original_count: int
-    kept_count: int
-    retained: str
-
-
-@dataclass(frozen=True)
-class PruneReport:
-    budget_mb: float
-    original_cardinality: int
-    pruned_cardinality: int
-    retention: tuple[DimensionRetention, ...]
-
-    @property
-    def cardinality_ratio(self) -> float:
-        return self.pruned_cardinality / self.original_cardinality
-
-    def as_dict(self) -> dict:
-        return {
-            "budget_mb": self.budget_mb,
-            "original_cardinality": str(self.original_cardinality),
-            "pruned_cardinality": str(self.pruned_cardinality),
-            "cardinality_ratio": self.cardinality_ratio,
-            "dimensions": [
-                {
-                    "name": r.name,
-                    "original_count": r.original_count,
-                    "kept_count": r.kept_count,
-                    "retained": r.retained,
-                }
-                for r in self.retention
-            ],
-        }
-
-
 def _describe(dim: Dimension) -> str:
     if dim.kind == INTEGER_RANGE:
         return f"[{dim.lower}, {dim.upper}]"
@@ -174,19 +137,24 @@ def prune_report(
     original: ConfigurationSpace,
     pruned: ConfigurationSpace,
     constraint: SizeConstraint,
-) -> PruneReport:
-    retention = tuple(
-        DimensionRetention(
-            name=old.name,
-            original_count=old.size(),
-            kept_count=new.size(),
-            retained=_describe(new),
-        )
-        for old, new in zip(original.dimensions, pruned.dimensions)
-    )
-    return PruneReport(
-        budget_mb=constraint.budget_mb,
-        original_cardinality=original.cardinality(),
-        pruned_cardinality=pruned.cardinality(),
-        retention=retention,
-    )
+) -> dict:
+    """The report ``prune`` writes beside the pruned space: the budget, both
+    cardinalities (as strings, since they exceed a double's exact range),
+    their ratio, and each dimension's value counts and retained values."""
+    original_cardinality = original.cardinality()
+    pruned_cardinality = pruned.cardinality()
+    return {
+        "budget_mb": constraint.budget_mb,
+        "original_cardinality": str(original_cardinality),
+        "pruned_cardinality": str(pruned_cardinality),
+        "cardinality_ratio": pruned_cardinality / original_cardinality,
+        "dimensions": [
+            {
+                "name": old.name,
+                "original_count": old.size(),
+                "kept_count": new.size(),
+                "retained": _describe(new),
+            }
+            for old, new in zip(original.dimensions, pruned.dimensions)
+        ],
+    }

@@ -110,14 +110,12 @@ class ParetoArchive:
         self._members = survivors
         return True
 
-    def update(self, candidates) -> "ParetoArchive":
-        for candidate in candidates:
-            self.insert(candidate)
-        return self
-
 
 def update_archive(archive: ParetoArchive, candidates) -> ParetoArchive:
-    return archive.update(candidates)
+    """Inserts the candidates in order; returns the archive."""
+    for candidate in candidates:
+        archive.insert(candidate)
+    return archive
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,12 @@ class TunerParams:
 
 
 def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    return math.sqrt(sum([(x - y) ** 2 for x, y in zip(a, b)]))
+    # A left-to-right loop, not ``sum``: since Python 3.12 ``sum`` of floats
+    # is compensated, which changes last bits and can flip a tie.
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += (x - y) ** 2
+    return math.sqrt(acc)
 
 
 def adaptive_random_init(

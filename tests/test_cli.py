@@ -492,10 +492,39 @@ def test_report_empty_front_exits_constraint(tmp_path):
     assert main(["report", "--front", str(empty)]) == EXIT_CONSTRAINT
 
 
-def test_report_malformed_front_exits_parse(tmp_path):
-    bad = tmp_path / "front.jsonl"
-    bad.write_text('{"config": {"tokenizer": "Word"}}\n')
-    assert main(["report", "--front", str(bad)]) == EXIT_PARSE
+def _truncate_config(record):
+    record.clear()
+    record["config"] = {"tokenizer": "Word"}
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        _truncate_config,
+        lambda record: record.update(predicted_effectiveness=str(record["predicted_effectiveness"])),
+        lambda record: record.update(size_mb=math.nan),
+        lambda record: record.update(gflops=True),
+        lambda record: record.pop("gflops"),
+        lambda record: record.update(size_mb=10**400),
+    ],
+    ids=[
+        "truncated-config", "string-effectiveness", "nan-size", "boolean-gflops", "missing-gflops",
+        "huge-integer-size",
+    ],
+)
+def test_report_malformed_front_exits_parse(pipeline, capsys, breakage):
+    # Line 1 is a real front record; line 2 is a copy of it, broken.
+    _, front = run_tune(pipeline, "front.jsonl")
+    record = json.loads(front.read_text().splitlines()[0])
+    lines = [json.dumps(record)]
+    breakage(record)
+    lines.append(json.dumps(record))
+    front.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--front", str(front)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "malformed front record on line 2" in captured.err
+    assert captured.out == ""
 
 
 def test_report_missing_file_exits_internal(tmp_path):

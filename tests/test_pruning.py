@@ -380,11 +380,14 @@ def test_size_constraint_validation():
 
 def test_prune_report_contents(canonical_space, pruned_space):
     report = prune_report(canonical_space, pruned_space, SizeConstraint(3.0))
-    assert report.budget_mb == 3.0
-    assert 0.0 < report.cardinality_ratio < 1.0
-    by_name = {r.name: r for r in report.retention}
-    assert by_name["vocab_size"].kept_count < by_name["vocab_size"].original_count
-    assert by_name["batch_size"].kept_count == 3
-    payload = report.as_dict()
-    assert payload["pruned_cardinality"] == str(pruned_space.cardinality())
-    assert "partitions" not in payload
+    assert list(report) == [
+        "budget_mb", "original_cardinality", "pruned_cardinality", "cardinality_ratio", "dimensions",
+    ]
+    assert report["budget_mb"] == 3.0
+    assert 0.0 < report["cardinality_ratio"] < 1.0
+    assert report["pruned_cardinality"] == str(pruned_space.cardinality())
+    by_name = {r["name"]: r for r in report["dimensions"]}
+    assert list(by_name) == [d.name for d in canonical_space.dimensions]
+    assert list(by_name["vocab_size"]) == ["name", "original_count", "kept_count", "retained"]
+    assert by_name["vocab_size"]["kept_count"] < by_name["vocab_size"]["original_count"]
+    assert by_name["batch_size"]["kept_count"] == 3

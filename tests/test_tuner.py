@@ -31,6 +31,7 @@ from cfgtune import (
     two_point_crossover,
     update_archive,
 )
+import cfgtune.tuner as tuner
 from cfgtune.tuner import _normalized_distance
 from conftest import make_config
 
@@ -238,6 +239,39 @@ def test_adaptive_init_equals_full_minimum(
             population = adaptive_random_init(space, n, rng, candidate_pool)
             assert population == full_minimum_init(space, n, reference_rng, candidate_pool)
             assert rng.getstate() == reference_rng.getstate()
+
+
+def neumaier_sum(values, start=0.0):
+    """The compensated float ``sum`` of Python 3.12 and later."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_normalized_distance_sums_left_to_right_on_every_python(pruned_space, monkeypatch):
+    # The distances must not depend on the interpreter's ``sum``: with a
+    # compensated one patched in, they still equal the left-to-right sum.
+    monkeypatch.setattr(tuner, "sum", neumaier_sum, raising=False)
+    rng = random.Random(0)
+    encodings = [
+        pruned_space.encode_genome(pruned_space.sample_genome(rng), normalize=True)
+        for _ in range(200)
+    ]
+    compensated_differs = False
+    for a, b in zip(encodings, encodings[1:]):
+        left_to_right = 0.0
+        for x, y in zip(a, b):
+            left_to_right += (x - y) ** 2
+        assert _normalized_distance(a, b) == math.sqrt(left_to_right)
+        squares = [(x - y) ** 2 for x, y in zip(a, b)]
+        compensated_differs |= neumaier_sum(squares) != left_to_right
+    assert compensated_differs  # the sample tells the two sums apart
 
 
 def test_space_document_round_trip_checksum(mini_space):
