@@ -171,16 +171,14 @@ def cmd_fit(args) -> int:
 def cmd_tune(args) -> int:
     space = load_space(args.space)
     model = SurrogateModel.load(args.model)
-    if model.space_checksum is not None and model.space_checksum != space.checksum():
+    if model.space_checksum != space.checksum():
         raise ChecksumMismatchError(
-            "surrogate model was fitted on a space with a different checksum; "
+            "surrogate model does not name this space's checksum; "
             "refit or pass the matching space file"
         )
     params = TunerParams(
         population_size=args.pop,
         generations=args.generations,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
         seed=derive_seed(args.seed, "tune"),
     )
     result = tune(space, model, params, size_budget_mb=args.budget_mb)
@@ -332,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--pop", type=int, default=20)
     p_tune.add_argument("--generations", type=int, default=50)
-    p_tune.add_argument("--crossover-rate", type=float, default=0.6)
-    p_tune.add_argument("--mutation-rate", type=float, default=0.1)
     p_tune.add_argument("--budget-mb", type=float, default=3.0)
     p_tune.add_argument("--out", required=True, help="Pareto-front JSONL file")
     p_tune.set_defaults(handler=cmd_tune)

@@ -376,11 +376,12 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
             )
         return Dimension(name=name, kind=INTEGER_RANGE, lower=lower, upper=upper)
     if isinstance(entry, list):
+        # NaN and infinity parse as JSON here but are no JSON numbers.
         if not entry or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry
+            _is_int(x) or (isinstance(x, float) and math.isfinite(x)) for x in entry
         ):
             raise SpaceFormatError(
-                f"{name}: expected a non-empty array of numbers", dimension=name
+                f"{name}: expected a non-empty array of finite numbers", dimension=name
             )
         if name in INTEGER_DIMENSIONS and not all(_is_int(x) and x >= 1 for x in entry):
             raise SpaceFormatError(

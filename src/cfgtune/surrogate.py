@@ -163,7 +163,7 @@ class SurrogateModel:
                 n_train=int(document["n_train"]),
                 n_iterations=int(document["n_iterations"]),
                 converged=bool(document["converged"]),
-                space_checksum=document.get("space_checksum"),
+                space_checksum=document["space_checksum"],
             )
         except KeyError as err:
             raise ModelFormatError(f"model file {path} has no {err} field") from None

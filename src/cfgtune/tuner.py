@@ -118,12 +118,15 @@ def update_archive(archive: ParetoArchive, candidates) -> ParetoArchive:
     return archive
 
 
+CROSSOVER_RATE = 0.6  # per pair of parents
+MUTATION_RATE = 0.1  # per dimension of each child
+CANDIDATE_POOL = 10  # uniform samples per initial member after the first
+
+
 @dataclass(frozen=True)
 class TunerParams:
     population_size: int = 20
     generations: int = 50
-    crossover_rate: float = 0.6
-    mutation_rate: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -131,10 +134,6 @@ class TunerParams:
             raise ValueError("population_size must be >= 1")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
 
 
 def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -150,12 +149,11 @@ def adaptive_random_init(
     space: ConfigurationSpace,
     n: int,
     seed: int | random.Random,
-    candidate_pool: int = 10,
 ) -> list[Genome]:
     """Distance-maximizing random population of genomes.
 
     The first member is a plain uniform sample; each later member is the best
-    of ``candidate_pool`` uniform samples, maximizing its minimum Euclidean
+    of :data:`CANDIDATE_POOL` uniform samples, maximizing its minimum Euclidean
     distance (over normalized encodings) to the members chosen so far. All
     samples pass through correction, so every member validates.
 
@@ -174,7 +172,7 @@ def adaptive_random_init(
         best_genome = None
         best_encoding = None
         best_score = -1.0
-        for _ in range(candidate_pool):
+        for _ in range(CANDIDATE_POOL):
             candidate = space.sample_genome(rng)
             encoding = space.encode_genome(candidate, normalize=True)
             # The running minimum replaces on ``<`` only, as ``min`` does.
@@ -245,37 +243,33 @@ def crowding_distances(objectives: list[ObjectiveVector]) -> list[float]:
             gap = (
                 objectives[order[rank + 1]][axis] - objectives[order[rank - 1]][axis]
             ) / (hi - lo)
-            if distances[order[rank]] != math.inf:
-                distances[order[rank]] += gap
+            distances[order[rank]] += gap  # infinity stays infinity
     return distances
 
 
-def tournament_select(
-    pool: list, count: int, tournament_size: int, rng: random.Random
-) -> list:
-    """``count`` winners of independent tournaments drawn without replacement
-    from the pool, whose entries (individuals, or the population members of
-    :func:`tune`) carry ``objectives``. Within a tournament, dominated
-    entrants lose; mutually non-dominated entrants tie-break by larger
-    pool-level crowding distance, then uniformly at random."""
-    if not pool:
-        raise ValueError("selection pool must be non-empty")
-    crowding = crowding_distances([ind.objectives for ind in pool])
-    k = min(tournament_size, len(pool))
+def tournament_select(pool: list, count: int, rng: random.Random) -> list:
+    """``count`` winners of binary tournaments, each between two distinct
+    entries of the pool, whose entries (individuals, or the population
+    members of :func:`tune`) carry ``objectives``. An entrant that dominates
+    the other wins; otherwise the larger pool-level crowding distance wins;
+    an exact tie is broken uniformly at random."""
+    if len(pool) < 2:
+        raise ValueError("selection pool needs at least 2 entries")
+    crowding = crowding_distances([entry.objectives for entry in pool])
     winners = []
     for _ in range(count):
-        entrant_indices = rng.sample(range(len(pool)), k)
-        non_dominated = [
-            i
-            for i in entrant_indices
-            if not any(
-                dominates(pool[j].objectives, pool[i].objectives)
-                for j in entrant_indices
-                if j != i
-            )
-        ]
-        best_crowding = max(crowding[i] for i in non_dominated)
-        finalists = [i for i in non_dominated if crowding[i] == best_crowding]
+        a, b = rng.sample(range(len(pool)), 2)
+        u, v = pool[a].objectives, pool[b].objectives
+        if dominates(u, v):
+            finalists = (a,)
+        elif dominates(v, u):
+            finalists = (b,)
+        elif crowding[a] != crowding[b]:
+            finalists = (a,) if crowding[a] > crowding[b] else (b,)
+        else:
+            finalists = (a, b)
+        # Also for one finalist: ``choice`` draws from the stream even then,
+        # and the golden fronts depend on that draw.
         winners.append(pool[rng.choice(finalists)])
     return winners
 
@@ -464,7 +458,7 @@ def tune(
         for pair_start in range(0, len(order) - 1, 2):
             g1 = population[order[pair_start]].genome
             g2 = population[order[pair_start + 1]].genome
-            if rng.random() < params.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 c1, c2 = two_point_crossover(g1, g2, rng)
             else:
                 c1, c2 = g1, g2
@@ -474,14 +468,14 @@ def tune(
 
         offspring = []
         for child in children:
-            mutated = boundary_random_mutation(child, space, params.mutation_rate, rng)
+            mutated = boundary_random_mutation(child, space, MUTATION_RATE, rng)
             offspring.append(evaluate(correct(mutated, space, rng)))
 
         update_archive(archive, archive_candidates(offspring))
         record_generation()
 
         pool = population + offspring
-        population = tournament_select(pool, params.population_size, 2, rng)  # binary tournament
+        population = tournament_select(pool, params.population_size, rng)
 
     return TuneResult(
         archive=archive,

@@ -145,6 +145,19 @@ def test_prune_wrong_shape_exits_parse(tmp_path):
     ) == EXIT_PARSE
 
 
+def test_prune_non_finite_space_value_exits_parse(tmp_path, capsys):
+    # Python's json reads NaN; a space holding one used to run every stage
+    # and write front lines that are not JSON.
+    document = json.loads(CANONICAL_SPACE_FILE.read_text())
+    document["learning_rate"] = [math.nan, 0.001]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    out = tmp_path / "pruned.json"
+    assert main(["prune", "--space", str(bad), "--out", str(out)]) == EXIT_PARSE
+    assert "learning_rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_float_integer_dimension_exits_parse(tmp_path, capsys):
     # A float hidden size used to load and then fail inside the divisor search.
     bad = tmp_path / "bad.json"
@@ -394,6 +407,16 @@ def test_tune_checksum_mismatch_exits_constraint(pipeline):
     assert code == EXIT_CONSTRAINT
 
 
+def test_tune_null_checksum_exits_constraint(pipeline):
+    # A model that names no space is not taken to match this one.
+    document = json.loads(pipeline["model"].read_text())
+    document["space_checksum"] = None
+    pipeline["model"].write_text(json.dumps(document))
+    code, out = run_tune(pipeline, "front.jsonl")
+    assert code == EXIT_CONSTRAINT
+    assert not out.exists()
+
+
 def test_tune_impossible_budget_exits_constraint(pipeline):
     code, _ = run_tune(pipeline, "front.jsonl", budget="0.0001")
     assert code == EXIT_CONSTRAINT
@@ -434,8 +457,16 @@ def test_tune_missing_model_exits_internal(pipeline):
         lambda doc: doc["covariance"].pop(),
         lambda doc: doc["covariance"][3].pop(),
         lambda doc: doc["feature_max"].pop(),
+        lambda doc: doc.pop("space_checksum"),
     ],
-    ids=["no-weights", "weights-short", "covariance-rows", "covariance-row-short", "feature-max-short"],
+    ids=[
+        "no-weights",
+        "weights-short",
+        "covariance-rows",
+        "covariance-row-short",
+        "feature-max-short",
+        "no-space-checksum",
+    ],
 )
 def test_tune_malformed_model_exits_parse(pipeline, capsys, breakage):
     document = json.loads(pipeline["model"].read_text())

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -73,6 +74,10 @@ def test_unknown_dimension_rejected():
         ("hidden_dropout_prob", [0.1, 0.1]),  # duplicates
         ("tokenizer", [1, 2]),  # non-string options
         ("tokenizer", []),
+        # NaN and infinities, which Python's json parses
+        ("learning_rate", [math.nan, 0.001]),
+        ("hidden_dropout_prob", [math.inf, 0.1]),
+        ("learning_rate", [-math.inf, 0.001]),
     ],
 )
 def test_malformed_entries_rejected(name, entry):

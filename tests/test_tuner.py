@@ -207,7 +207,7 @@ def test_adaptive_init_degenerate_single_point_space(point_space):
     assert min_pairwise_distance(point_space, configs) == 0.0
 
 
-def full_minimum_init(space, n, rng, candidate_pool=10):
+def full_minimum_init(space, n, rng, candidate_pool):
     """The initializer as first written: every candidate's minimum distance
     to the chosen members is computed in full."""
     chosen = [space.sample_genome(rng)]
@@ -225,7 +225,7 @@ def full_minimum_init(space, n, rng, candidate_pool=10):
     return chosen
 
 
-@pytest.mark.parametrize("candidate_pool", [1, 10])
+@pytest.mark.parametrize("candidate_pool", [tuner.CANDIDATE_POOL])
 @pytest.mark.parametrize("n", [1, 2, 20, 200])
 def test_adaptive_init_equals_full_minimum(
     pruned_space, mini_space, point_space, n, candidate_pool
@@ -236,7 +236,7 @@ def test_adaptive_init_equals_full_minimum(
     for space in (pruned_space, mini_space, point_space):
         for seed in seeds:
             rng, reference_rng = random.Random(seed), random.Random(seed)
-            population = adaptive_random_init(space, n, rng, candidate_pool)
+            population = adaptive_random_init(space, n, rng)
             assert population == full_minimum_init(space, n, reference_rng, candidate_pool)
             assert rng.getstate() == reference_rng.getstate()
 
@@ -365,13 +365,13 @@ def test_mutation_rejects_bad_rate(pruned_space):
 def test_tournament_dominating_individual_wins():
     pool = [ind(5, 5, -0.1, 1), ind(1, 1, -0.9, 2)]
     rng = random.Random(0)
-    winners = tournament_select(pool, 50, 2, rng)
+    winners = tournament_select(pool, 50, rng)
     assert all(w.objectives == vec(1, 1, -0.9) for w in winners)
 
 
 def test_tournament_identical_pool_preserves_objectives():
     pool = [ind(2, 2, -0.5, i) for i in range(4)]
-    winners = tournament_select(pool, 10, 2, random.Random(3))
+    winners = tournament_select(pool, 10, random.Random(3))
     assert all(w.objectives == vec(2, 2, -0.5) for w in winners)
 
 
@@ -380,14 +380,76 @@ def test_tournament_selection_pressure():
     strong = [ind(rng.uniform(0, 1), rng.uniform(0, 1), -0.9, i) for i in range(5)]
     weak = [ind(rng.uniform(4, 5), rng.uniform(4, 5), -0.1, 100 + i) for i in range(5)]
     pool = strong + weak
-    winners = tournament_select(pool, 10_000, 2, rng)
+    winners = tournament_select(pool, 10_000, rng)
     strong_wins = sum(1 for w in winners if w.objectives.neg_effectiveness == -0.9)
     assert strong_wins > 7000
 
 
 def test_tournament_requires_pool():
-    with pytest.raises(ValueError):
-        tournament_select([], 1, 2, random.Random(0))
+    for pool in ([], [ind(1, 1, -0.5)]):
+        with pytest.raises(ValueError):
+            tournament_select(pool, 1, random.Random(0))
+
+
+def k_way_tournament_select(pool, count, tournament_size, rng):
+    """The tournament as first written, for any size: dominated entrants
+    lose, the largest crowding distance among the rest wins, and ``choice``
+    breaks what is left."""
+    crowding = crowding_distances([entry.objectives for entry in pool])
+    k = min(tournament_size, len(pool))
+    winners = []
+    for _ in range(count):
+        entrant_indices = rng.sample(range(len(pool)), k)
+        non_dominated = [
+            i
+            for i in entrant_indices
+            if not any(
+                dominates(pool[j].objectives, pool[i].objectives)
+                for j in entrant_indices
+                if j != i
+            )
+        ]
+        best_crowding = max(crowding[i] for i in non_dominated)
+        finalists = [i for i in non_dominated if crowding[i] == best_crowding]
+        winners.append(pool[rng.choice(finalists)])
+    return winners
+
+
+def assert_same_as_k_way(points, count, seed):
+    pool = [ind(*p, tag=i) for i, p in enumerate(points)]
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    winners = tournament_select(pool, count, rng)
+    expected = k_way_tournament_select(pool, count, 2, reference_rng)
+    assert len(winners) == len(expected) == count
+    assert all(w is e for w, e in zip(winners, expected))
+    assert rng.getstate() == reference_rng.getstate()
+
+
+grid_triples = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 0))
+tournament_points = st.one_of(
+    # small grids repeat vectors and chain dominance
+    st.lists(grid_triples | objective_triples, min_size=2, max_size=12),
+    # one dominance chain
+    st.integers(2, 10).map(lambda n: [(i, i, i - n) for i in range(n)]),
+    # copies of one vector: every crowding distance is infinite
+    st.tuples(grid_triples, st.integers(2, 6)).map(lambda pc: [pc[0]] * pc[1]),
+)
+
+
+@given(points=tournament_points, count=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_binary_tournament_equals_k_way_at_two(points, count, seed):
+    assert_same_as_k_way(points, count, seed)
+
+
+def test_binary_tournament_equals_k_way_on_seeded_pools():
+    rng = random.Random(2024)
+    for seed in range(200):
+        n = rng.randint(2, 40)
+        if seed % 2:
+            points = [(rng.randint(0, 4), rng.randint(0, 4), -rng.randint(0, 4)) for _ in range(n)]
+        else:
+            points = [(rng.uniform(0, 5), rng.uniform(0, 5), -rng.random()) for _ in range(n)]
+        assert_same_as_k_way(points, rng.randint(1, 50), seed)
 
 
 def test_crowding_distance_boundaries_infinite():
@@ -721,10 +783,6 @@ def test_last_record_is_the_archive_hypervolume(pruned_space, budget_mb):
 def test_tuner_params_validation():
     with pytest.raises(ValueError):
         TunerParams(population_size=0)
-    with pytest.raises(ValueError):
-        TunerParams(crossover_rate=1.5)
-    with pytest.raises(ValueError):
-        TunerParams(mutation_rate=-0.1)
     with pytest.raises(ValueError):
         TunerParams(generations=-1)
 
