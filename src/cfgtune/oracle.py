@@ -16,6 +16,7 @@ perfbench's tracer can wrap it there.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -97,11 +98,20 @@ def kd_loss(batch: DistillationBatch) -> float:
     return math.fsum(per_example) / len(per_example) * t**2
 
 
-def _log_ramp(value: float, lo: float, hi: float) -> float:
+def _ramp(lo: float, hi: float) -> tuple[float, float] | None:
+    """``(log lo, log hi - log lo)`` for :func:`_log_ramp`; None for a ramp
+    that is constant 0 (``lo <= 0`` or ``hi <= lo``)."""
+    if lo <= 0 or hi <= lo:
+        return None
+    return math.log(lo), math.log(hi) - math.log(lo)
+
+
+def _log_ramp(value: float, ramp: tuple[float, float] | None) -> float:
     """Logarithmic ramp from 0 at lo to 1 at hi, clamped to [0, 1]."""
-    if value <= 0 or lo <= 0 or hi <= lo:
+    if ramp is None or value <= 0:
         return 0.0
-    unit = (math.log(value) - math.log(lo)) / (math.log(hi) - math.log(lo))
+    log_lo, log_span = ramp
+    unit = (math.log(value) - log_lo) / log_span
     return min(1.0, max(0.0, unit))
 
 
@@ -120,23 +130,31 @@ class SyntheticCapacityOracle:
     base = 0.55
     span = 0.40
 
-    def _bounds(self, name: str) -> tuple[float, float]:
-        dim = self.reference_space.dimension(name)
-        return float(dim.min_value()), float(dim.max_value())
+    @functools.cached_property
+    def _ramps(self) -> tuple:
+        """The capacity, feed-forward and vocabulary ramps of the reference
+        space, then its tokenizer options; computed on first use."""
+        (h_lo, h_hi), (l_lo, l_hi), (i_lo, i_hi), (v_lo, v_hi) = [
+            (float(dim.min_value()), float(dim.max_value()))
+            for dim in map(
+                self.reference_space.dimension,
+                ("hidden_size", "num_hidden_layers", "intermediate_size", "vocab_size"),
+            )
+        ]
+        return (
+            _ramp(h_lo * l_lo, h_hi * l_hi),
+            _ramp(i_lo, i_hi),
+            _ramp(v_lo, v_hi),
+            self.reference_space.dimension("tokenizer").options,
+        )
 
     def true_effectiveness(self, config: Configuration) -> float:
         """Noise-free benchmark value; the maximum base + span is attained at
         the capacity maxima combined with the first tokenizer option."""
-        h_lo, h_hi = self._bounds("hidden_size")
-        l_lo, l_hi = self._bounds("num_hidden_layers")
-        i_lo, i_hi = self._bounds("intermediate_size")
-        v_lo, v_hi = self._bounds("vocab_size")
-        capacity = _log_ramp(
-            config.hidden_size * config.num_hidden_layers, h_lo * l_lo, h_hi * l_hi
-        )
-        feed_forward = _log_ramp(config.intermediate_size, i_lo, i_hi)
-        vocabulary = _log_ramp(config.vocab_size, v_lo, v_hi)
-        options = self.reference_space.dimension("tokenizer").options
+        capacity_ramp, feed_forward_ramp, vocabulary_ramp, options = self._ramps
+        capacity = _log_ramp(config.hidden_size * config.num_hidden_layers, capacity_ramp)
+        feed_forward = _log_ramp(config.intermediate_size, feed_forward_ramp)
+        vocabulary = _log_ramp(config.vocab_size, vocabulary_ramp)
         if len(options) > 1:
             bonus = 1.0 - options.index(config.tokenizer) / (len(options) - 1)
         else:

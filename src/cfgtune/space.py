@@ -25,6 +25,7 @@ import math
 import operator
 import os
 import random
+import sys
 from dataclasses import dataclass
 
 CANONICAL_DIMENSIONS = (
@@ -349,6 +350,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """The value is finite as a float. NaN and infinity parse as JSON here
+    but are no JSON numbers; an integer too large for a float would overflow
+    in the first cost or encoding it enters."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _dimension_from_entry(name: str, entry) -> Dimension:
     if name in CATEGORICAL_DIMENSIONS:
         if not isinstance(entry, list) or not entry or not all(
@@ -370,15 +381,22 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
             raise SpaceFormatError(
                 f"{name}: range bounds must be integers", dimension=name
             )
+        if not _is_finite(lower) or not _is_finite(upper):
+            raise SpaceFormatError(
+                f"{name}: range bound too large for a float", dimension=name
+            )
+        if upper - lower >= sys.maxsize:  # len(range) would overflow
+            raise SpaceFormatError(
+                f"{name}: range has too many values to index", dimension=name
+            )
         if name in INTEGER_DIMENSIONS and lower < 1:
             raise SpaceFormatError(
                 f"{name}: values must be positive integers", dimension=name
             )
         return Dimension(name=name, kind=INTEGER_RANGE, lower=lower, upper=upper)
     if isinstance(entry, list):
-        # NaN and infinity parse as JSON here but are no JSON numbers.
         if not entry or not all(
-            _is_int(x) or (isinstance(x, float) and math.isfinite(x)) for x in entry
+            (_is_int(x) or isinstance(x, float)) and _is_finite(x) for x in entry
         ):
             raise SpaceFormatError(
                 f"{name}: expected a non-empty array of finite numbers", dimension=name

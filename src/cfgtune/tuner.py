@@ -137,12 +137,17 @@ class TunerParams:
 
 
 def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    # A left-to-right loop, not ``sum``: since Python 3.12 ``sum`` of floats
-    # is compensated, which changes last bits and can flip a tie.
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc += (x - y) ** 2
-    return math.sqrt(acc)
+    # One left-to-right expression, not ``sum``: since Python 3.12 ``sum`` of
+    # floats is compensated, which changes last bits and can flip a tie. It
+    # equals a loop from ``acc = 0.0``, as ``0.0 + t0 == t0`` exactly.
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = b
+    return math.sqrt(
+        (a0 - b0) ** 2 + (a1 - b1) ** 2 + (a2 - b2) ** 2 + (a3 - b3) ** 2
+        + (a4 - b4) ** 2 + (a5 - b5) ** 2 + (a6 - b6) ** 2 + (a7 - b7) ** 2
+        + (a8 - b8) ** 2 + (a9 - b9) ** 2 + (a10 - b10) ** 2 + (a11 - b11) ** 2
+        + (a12 - b12) ** 2
+    )
 
 
 def adaptive_random_init(
@@ -197,10 +202,33 @@ def crossover_at(g1: Genome, g2: Genome, x1: int, x2: int) -> tuple[Genome, Geno
     return g1[:x1] + g2[x1:x2] + g1[x2:], g2[:x1] + g1[x1:x2] + g2[x2:]
 
 
+def _distinct_pair(n: int, rng: random.Random) -> tuple[int, int]:
+    """Two distinct indices in ``range(n)``, ``n >= 2``: exactly the pair
+    ``rng.sample(range(n), 2)`` returns, from the same ``randrange`` draws in
+    the same order, so the rng ends in the same state. For ``n > 21``
+    ``sample`` redraws the second index on a collision; up to 21 it draws
+    from a shrinking pool, where the first index's slot holds ``n - 1``.
+    ``tests/test_tuner.py::test_distinct_pair_draws_what_sample_draws`` pins
+    this against the running interpreter's ``random.sample``."""
+    randrange = rng.randrange
+    first = randrange(n)
+    if n > 21:
+        second = randrange(n)
+        while second == first:
+            second = randrange(n)
+    else:
+        second = randrange(n - 1)
+        if second == first:
+            second = n - 1
+    return first, second
+
+
 def two_point_crossover(g1: Genome, g2: Genome, rng: random.Random) -> tuple[Genome, Genome]:
     """Children swap a random middle segment; cut points 0 <= x1 < x2 <= 13.
     Children are returned uncorrected; the caller corrects after mutation."""
-    x1, x2 = sorted(rng.sample(range(14), 2))
+    x1, x2 = _distinct_pair(14, rng)
+    if x1 > x2:
+        x1, x2 = x2, x1
     return crossover_at(g1, g2, x1, x2)
 
 
@@ -253,12 +281,13 @@ def tournament_select(pool: list, count: int, rng: random.Random) -> list:
     members of :func:`tune`) carry ``objectives``. An entrant that dominates
     the other wins; otherwise the larger pool-level crowding distance wins;
     an exact tie is broken uniformly at random."""
-    if len(pool) < 2:
+    size = len(pool)
+    if size < 2:
         raise ValueError("selection pool needs at least 2 entries")
     crowding = crowding_distances([entry.objectives for entry in pool])
     winners = []
     for _ in range(count):
-        a, b = rng.sample(range(len(pool)), 2)
+        a, b = _distinct_pair(size, rng)
         u, v = pool[a].objectives, pool[b].objectives
         if dominates(u, v):
             finalists = (a,)
@@ -302,6 +331,13 @@ def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, fl
     left-to-right order of the area sums are those of rebuilding the
     staircase at every level, so the value equals that per-level definition
     exactly.
+
+    The area terms need no clamp at zero: x strictly ascends along the
+    staircase and every point in it has x <= rx and y <= ry, so both factors
+    of every term are >= 0. With finite coordinates ``max(0.0, v)`` could
+    only turn a -0.0 (from ``rx - x`` or ``ry - y`` with signed zeros) into
+    +0.0, and adding either zero to an area that starts at +0.0 gives the
+    same float, so the sum is bit for bit the clamped one.
     """
     rx, ry, rz = reference
     clipped = sorted(
@@ -327,7 +363,7 @@ def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, fl
         upper = clipped[idx + 1][2] if idx + 1 < len(clipped) else rz
         area = 0.0
         for x0, x1, y0 in zip(xs, xs[1:] + [rx], ys):
-            area += max(0.0, x1 - x0) * max(0.0, ry - y0)
+            area += (x1 - x0) * (ry - y0)
         volume += area * max(0.0, upper - z)
     return volume
 

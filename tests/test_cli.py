@@ -158,6 +158,28 @@ def test_prune_non_finite_space_value_exits_parse(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, entry",
+    [
+        ("vocab_size", {"min": 1000, "max": 10**400}),
+        ("learning_rate", [10**400, 0.001]),
+        ("batch_size", [16, 10**400]),
+        ("vocab_size", {"min": 1000, "max": 10**300}),  # fits a float, not a range
+    ],
+)
+def test_prune_integer_too_large_exits_parse(tmp_path, capsys, name, entry):
+    # Such integers used to load, then overflow in the first float conversion
+    # or range length: an internal error, exit 5.
+    document = json.loads(CANONICAL_SPACE_FILE.read_text())
+    document[name] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    out = tmp_path / "pruned.json"
+    assert main(["prune", "--space", str(bad), "--out", str(out)]) == EXIT_PARSE
+    assert f"error: {name}:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_fit_float_integer_dimension_exits_parse(tmp_path, capsys):
     # A float hidden size used to load and then fail inside the divisor search.
     bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 import time
 
@@ -14,10 +15,13 @@ from cfgtune import (
     OracleProcessError,
     OracleResponseError,
     OracleTimeoutError,
+    SizeConstraint,
     SyntheticCapacityOracle,
     build_indicator,
     kd_loss,
+    prune,
     r_squared,
+    space_from_mapping,
 )
 from conftest import make_config
 
@@ -175,6 +179,82 @@ def test_synthetic_oracle_prefers_earlier_tokenizers(pruned_space):
     ]
     assert values == sorted(values, reverse=True)
     assert values[0] - values[-1] == pytest.approx(0.04, abs=1e-12)
+
+
+def reference_evaluate(oracle, config):
+    """The oracle's value as computed before its ramps were cached: every
+    bound looked up, and every logarithm taken, per call."""
+    space = oracle.reference_space
+
+    def bounds(name):
+        dim = space.dimension(name)
+        return float(dim.min_value()), float(dim.max_value())
+
+    def log_ramp(value, lo, hi):
+        if value <= 0 or lo <= 0 or hi <= lo:
+            return 0.0
+        unit = (math.log(value) - math.log(lo)) / (math.log(hi) - math.log(lo))
+        return min(1.0, max(0.0, unit))
+
+    h_lo, h_hi = bounds("hidden_size")
+    l_lo, l_hi = bounds("num_hidden_layers")
+    i_lo, i_hi = bounds("intermediate_size")
+    v_lo, v_hi = bounds("vocab_size")
+    capacity = log_ramp(
+        config.hidden_size * config.num_hidden_layers, h_lo * l_lo, h_hi * l_hi
+    )
+    feed_forward = log_ramp(config.intermediate_size, i_lo, i_hi)
+    vocabulary = log_ramp(config.vocab_size, v_lo, v_hi)
+    options = space.dimension("tokenizer").options
+    if len(options) > 1:
+        bonus = 1.0 - options.index(config.tokenizer) / (len(options) - 1)
+    else:
+        bonus = 1.0
+    score = 0.5 * capacity + 0.3 * feed_forward + 0.1 * vocabulary + 0.1 * bonus
+    truth = oracle.base + oracle.span * score
+    value = truth
+    if oracle.noise_sigma > 0:
+        key = json.dumps({"seed": oracle.seed, "config": config.as_dict()}, sort_keys=True)
+        value += random.Random(key).gauss(0.0, oracle.noise_sigma)
+    return truth, min(1.0, max(0.0, value))
+
+
+@pytest.fixture(scope="module")
+def constant_ramp_space(mini_space):
+    """Every capacity dimension and the tokenizer single-valued: each ramp is
+    constant 0 and the tokenizer bonus is 1."""
+    document = dict(
+        mini_space.to_document(),
+        tokenizer=["Word"],
+        vocab_size=[8000],
+        num_hidden_layers={"min": 2, "max": 2},
+        hidden_size=[32],
+        intermediate_size=[512],
+    )
+    return space_from_mapping(document)
+
+
+@pytest.mark.parametrize("space_name", ["pruned_3", "pruned_64", "mini", "constant_ramp"])
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+def test_synthetic_oracle_equals_per_call_formula(
+    canonical_space, pruned_space, mini_space, constant_ramp_space, space_name, noise_sigma
+):
+    space = {
+        "pruned_3": pruned_space,
+        "pruned_64": prune(canonical_space, SizeConstraint(64.0)),
+        "mini": mini_space,
+        "constant_ramp": constant_ramp_space,
+    }[space_name]
+    # The configurations come from the space itself and, where it is a
+    # pruned one, are also scored against the unpruned space.
+    references = [space] if space_name in ("mini", "constant_ramp") else [space, canonical_space]
+    configs = space.sample_uniform(300, seed=11)
+    for reference_space in references:
+        oracle = SyntheticCapacityOracle(reference_space, noise_sigma=noise_sigma, seed=7)
+        for config in configs:
+            truth, value = reference_evaluate(oracle, config)
+            assert oracle.true_effectiveness(config) == truth
+            assert oracle.evaluate(config) == value
 
 
 # --- external oracle ------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgtune import (
@@ -32,7 +32,7 @@ from cfgtune import (
     update_archive,
 )
 import cfgtune.tuner as tuner
-from cfgtune.tuner import _normalized_distance
+from cfgtune.tuner import _distinct_pair, _normalized_distance
 from conftest import make_config
 
 
@@ -315,6 +315,26 @@ def test_crossover_children_take_values_from_parents(pruned_space):
             assert c2[position] in options
 
 
+def test_distinct_pair_draws_what_sample_draws():
+    # Pins ``_distinct_pair`` to the running interpreter's ``random.sample``:
+    # both sides of its n <= 21 switch, the same pair and the same rng state.
+    for n in range(2, 65):
+        for seed in range(6):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                assert _distinct_pair(n, rng) == tuple(reference.sample(range(n), 2))
+            assert rng.getstate() == reference.getstate()
+
+
+def test_crossover_cut_points_are_the_sorted_sample():
+    g1, g2 = tuple(range(13)), tuple(range(100, 113))  # differ at every position
+    for seed in range(200):
+        rng, reference = random.Random(seed), random.Random(seed)
+        x1, x2 = sorted(reference.sample(range(14), 2))
+        assert two_point_crossover(g1, g2, rng) == crossover_at(g1, g2, x1, x2)
+        assert rng.getstate() == reference.getstate()
+
+
 def test_crossover_is_deterministic_under_seeded_rng(pruned_space):
     p1, p2 = genomes(pruned_space, 2, seed=24)
     a = two_point_crossover(p1, p2, random.Random(5))
@@ -551,9 +571,17 @@ def test_hypervolume_matches_inclusion_exclusion(raw_points):
     ),
     reference=st.tuples(grid_coordinates, grid_coordinates, grid_coordinates),
 )
+# Points on the reference box's faces, where an unclamped area factor is 0:
+# x == rx, y == ry, the reference corner itself, and x on a reference of
+# -0.0, where ``rx - x`` is -0.0.
+@example(raw_points=[(1.0, 0.25, 0.5), (0.5, 0.75, 0.25)], reference=(1.0, 1.0, 1.0))
+@example(raw_points=[(0.25, 1.0, 0.5), (0.5, 0.75, 0.25)], reference=(1.0, 1.0, 1.0))
+@example(raw_points=[(0.75, 0.75, 0.75), (0.25, 0.5, 0.0)], reference=(0.75, 0.75, 0.75))
+@example(raw_points=[(0.0, 0.5, 0.0), (-0.0, 0.25, 0.5)], reference=(-0.0, 1.0, 1.0))
 def test_hypervolume_equals_per_level_definition_exactly(raw_points, reference):
     points = [vec(*p) for p in raw_points]
-    assert hypervolume(points, reference) == per_level_hypervolume(points, reference)
+    # By ``repr``, so a -0.0 where the definition gives 0.0 fails too.
+    assert repr(hypervolume(points, reference)) == repr(per_level_hypervolume(points, reference))
 
 
 def test_hypervolume_equals_per_level_definition_on_random_fronts():
