@@ -9,15 +9,18 @@ computations and regression.
 
 Inside the search a configuration is a *genome*: a 13-tuple holding, per
 dimension, the index of its value in the dimension's ``domain``. Sampling,
-repair and encoding work on genomes; a :class:`Configuration` is built from
-one by :meth:`ConfigurationSpace.configuration` only where its values are
-needed.
+repair and encoding work on genomes. A :class:`Configuration`, a named tuple
+of the values, is built from one by :meth:`ConfigurationSpace.configuration`
+only where its values are needed: in ``tune``, for the cost models and an
+oracle or callable indicator when a genome is first scored, and for the
+members of the final archive. A fitted surrogate needs no configuration; it
+reads a table of per-(dimension, index) terms
+(:meth:`cfgtune.surrogate.SurrogateModel.genome_predictor`).
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import json
@@ -27,22 +30,45 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
-CANONICAL_DIMENSIONS = (
-    "tokenizer",
-    "vocab_size",
-    "num_hidden_layers",
-    "hidden_size",
-    "hidden_act",
-    "hidden_dropout_prob",
-    "intermediate_size",
-    "num_attention_heads",
-    "attention_probs_dropout_prob",
-    "max_sequence_length",
-    "position_embedding_type",
-    "learning_rate",
-    "batch_size",
-)
+
+class Configuration(NamedTuple):
+    """One concrete assignment of all 13 dimensions: a tuple of their values
+    in canonical order, whose field names are :data:`CANONICAL_DIMENSIONS`."""
+
+    tokenizer: str
+    vocab_size: int
+    num_hidden_layers: int
+    hidden_size: int
+    hidden_act: str
+    hidden_dropout_prob: float
+    intermediate_size: int
+    num_attention_heads: int
+    attention_probs_dropout_prob: float
+    max_sequence_length: int
+    position_embedding_type: str
+    learning_rate: float
+    batch_size: int
+
+    def value(self, dimension_name: str):
+        return getattr(self, dimension_name)
+
+    def replace(self, **changes) -> "Configuration":
+        return self._replace(**changes)
+
+    def as_dict(self) -> dict:
+        return self._asdict()
+
+    @classmethod
+    def from_dict(cls, mapping: dict) -> "Configuration":
+        missing = [name for name in CANONICAL_DIMENSIONS if name not in mapping]
+        if missing:
+            raise ValueError(f"configuration missing fields: {', '.join(missing)}")
+        return cls(**{name: mapping[name] for name in CANONICAL_DIMENSIONS})
+
+
+CANONICAL_DIMENSIONS = Configuration._fields
 
 # Dimensions whose values are strings; everything else is numeric.
 CATEGORICAL_DIMENSIONS = frozenset(
@@ -185,41 +211,6 @@ class Dimension:
         if self.kind == DISCRETE_NUMERIC_SET:
             return list(self.values)
         return list(self.options)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """One concrete assignment of all 13 dimensions."""
-
-    tokenizer: str
-    vocab_size: int
-    num_hidden_layers: int
-    hidden_size: int
-    hidden_act: str
-    hidden_dropout_prob: float
-    intermediate_size: int
-    num_attention_heads: int
-    attention_probs_dropout_prob: float
-    max_sequence_length: int
-    position_embedding_type: str
-    learning_rate: float
-    batch_size: int
-
-    def value(self, dimension_name: str):
-        return getattr(self, dimension_name)
-
-    def replace(self, **changes) -> "Configuration":
-        return dataclasses.replace(self, **changes)
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CANONICAL_DIMENSIONS}
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "Configuration":
-        missing = [name for name in CANONICAL_DIMENSIONS if name not in mapping]
-        if missing:
-            raise ValueError(f"configuration missing fields: {', '.join(missing)}")
-        return cls(**{name: mapping[name] for name in CANONICAL_DIMENSIONS})
 
 
 @dataclass(frozen=True)

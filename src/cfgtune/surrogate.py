@@ -11,10 +11,11 @@ Everything is pure Python in a fixed order, so ``fit`` writes the same
 not: OpenBLAS's SkylakeX kernel fuses each multiply-add, where its Haswell
 kernel rounds twice.) Sums of more than two terms are ``math.fsum``, which
 rounds once whatever the order of its terms; the builtin ``sum`` is not, since
-Python 3.12 compensates it. The posterior mean, on ``tune``'s hot path, is a
-plain loop instead: from ``0.0``, ``acc += scaled_i * w_i`` over the features
-left to right, then the intercept's ``1.0 * w``, as OpenBLAS's Haswell
-``ddot`` computes it.
+Python 3.12 compensates it. The posterior mean is a plain loop instead: from
+``0.0``, ``acc += scaled_i * w_i`` over the features left to right, then the
+intercept's ``1.0 * w``, as OpenBLAS's Haswell ``ddot`` computes it. On
+``tune``'s hot path, :meth:`SurrogateModel.genome_predictor` sums the same
+terms, each looked up by the genome index it depends on.
 
 Every name here is bound at import: perfbench's tracer wraps ``fit`` and
 ``SurrogateModel.predict_mean`` by reading them from the module and class dicts.
@@ -26,10 +27,11 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum
+from math import fsum, isfinite
 from operator import mul
+from typing import Callable
 
-from .space import atomic_open
+from .space import ConfigurationSpace, Genome, atomic_open
 
 # Fixed-point hyperparameter guards: keep the iteration inside a sane box so
 # degenerate data (perfect fits, constant targets) cannot overflow.
@@ -44,7 +46,22 @@ _TOL = 1e-6
 
 
 class ModelFormatError(ValueError):
-    """A model is missing a field, or its arrays do not fit together."""
+    """A model is missing a field, holds a number that is not finite, or its
+    arrays do not fit together."""
+
+
+def _scale(x: float, lo: float, span: float) -> float:
+    """One feature min-max scaled; a feature that does not vary (span 0.0)
+    scales to 0.0."""
+    return (x - lo) / span if span else 0.0
+
+
+def _finite(field: str, values) -> tuple[float, ...]:
+    """``values`` as floats; a NaN or an infinity raises, naming ``field``."""
+    numbers = tuple(map(float, values))
+    if not all(map(isfinite, numbers)):
+        raise ModelFormatError(f"{field} holds a number that is not finite")
+    return numbers
 
 
 @dataclass(frozen=True)
@@ -121,7 +138,7 @@ class SurrogateModel:
         lows, spans, _ = self._coefficients
         try:
             return [
-                (float(x) - lo) / span if span else 0.0
+                _scale(float(x), lo, span)
                 for x, lo, span in zip(vector, lows, spans, strict=True)
             ]
         except (TypeError, ValueError):
@@ -143,6 +160,40 @@ class SurrogateModel:
             acc += scaled * w
         return acc + weights[-1]  # 1.0 * intercept is the intercept
 
+    def genome_predictor(self, space: ConfigurationSpace) -> Callable[[Genome], float]:
+        """``genome -> predict_mean(space.encode_genome(genome))``, bit for bit.
+
+        Feature j's term ``scaled_j * w_j`` depends on the genome's index j
+        alone, so each is computed once, when a genome first holds that
+        index, into a dict per feature keyed by index (so memory grows with
+        the genomes scored, not with the space's size); the mean adds a
+        genome's terms left to right from 0.0, then the intercept. A model
+        whose feature count is not the space's raises ``ValueError``.
+        """
+        if len(space.dimensions) != self.n_features:
+            raise ValueError(f"expected a flat vector of length {self.n_features}")
+        lows, spans, weights = self._coefficients
+        intercept = weights[-1]
+        tables: list[dict[int, float]] = [{} for _ in space.dimensions]
+
+        def fill(genome: Genome) -> None:
+            vector = space.encode_genome(genome)
+            for table, index, x, lo, span, w in zip(tables, genome, vector, lows, spans, weights):
+                if index not in table:
+                    table[index] = _scale(x, lo, span) * w
+
+        def predict(genome: Genome) -> float:
+            acc = 0.0
+            for table, index in zip(tables, genome):
+                try:
+                    acc += table[index]
+                except KeyError:
+                    fill(genome)
+                    acc += table[index]
+            return acc + intercept
+
+        return predict
+
     def save(self, path) -> None:
         with atomic_open(path) as handle:
             json.dump(dataclasses.asdict(self), handle, indent=2)
@@ -154,12 +205,12 @@ class SurrogateModel:
             document = json.load(handle)
         try:
             return cls(
-                weights=tuple(map(float, document["weights"])),
-                alpha=float(document["alpha"]),
-                beta=float(document["beta"]),
-                feature_min=tuple(map(float, document["feature_min"])),
-                feature_max=tuple(map(float, document["feature_max"])),
-                covariance=tuple(tuple(map(float, row)) for row in document["covariance"]),
+                weights=_finite("weights", document["weights"]),
+                alpha=_finite("alpha", [document["alpha"]])[0],
+                beta=_finite("beta", [document["beta"]])[0],
+                feature_min=_finite("feature_min", document["feature_min"]),
+                feature_max=_finite("feature_max", document["feature_max"]),
+                covariance=tuple(_finite("covariance", row) for row in document["covariance"]),
                 n_train=int(document["n_train"]),
                 n_iterations=int(document["n_iterations"]),
                 converged=bool(document["converged"]),
@@ -167,7 +218,7 @@ class SurrogateModel:
             )
         except KeyError as err:
             raise ModelFormatError(f"model file {path} has no {err} field") from None
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ModelFormatError(f"malformed model file {path}: {err}") from None
 
 

@@ -9,10 +9,12 @@ non-dominated evaluated configurations. Deterministic for a fixed seed.
 
 The search runs on genomes (see :mod:`cfgtune.space`): tuples of value
 indices, so crossover is tuple slicing, mutation is an index draw, and the
-memo is keyed by small int tuples. A :class:`Configuration` is built only to
-score a new genome (the cost models, and an oracle or callable indicator; a
-surrogate reads the genome's encoding) and for archive candidates within
-the budget. :attr:`TuneResult.evaluations` decodes the memo on first access.
+memo and the archive hold small int tuples. A :class:`Configuration` is
+built only to score a new genome (for the cost models, and an oracle or
+callable indicator; a fitted surrogate adds table terms looked up by genome
+index, see :meth:`~cfgtune.surrogate.SurrogateModel.genome_predictor`) and
+for the members of the final archive, when :func:`tune` returns.
+:attr:`TuneResult.evaluations` decodes the memo on first access.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def dominates(u: ObjectiveVector, v: ObjectiveVector) -> bool:
 
 
 class ParetoArchive:
-    """Mutually non-dominated individuals, one per objective vector.
+    """Mutually non-dominated entries that carry ``objectives`` (individuals,
+    or the population members of :func:`tune`), one per objective vector.
 
     A candidate enters iff no member dominates it and no member already has
     an identical objective vector (first insert wins); entering candidates
@@ -244,8 +247,9 @@ def boundary_random_mutation(
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     mutated = None
+    draw = rng.random
     for position, dim in enumerate(space.dimensions):
-        if rng.random() < rate:
+        if draw() < rate:
             if mutated is None:
                 mutated = list(genome)
             mutated[position] = rng.randrange(dim.size())
@@ -260,17 +264,16 @@ def crowding_distances(objectives: list[ObjectiveVector]) -> list[float]:
     if n <= 2:
         return [math.inf] * n
     for axis in range(3):
-        order = sorted(range(n), key=lambda idx: objectives[idx][axis])
-        lo = objectives[order[0]][axis]
-        hi = objectives[order[-1]][axis]
+        column = [point[axis] for point in objectives]
+        order = sorted(range(n), key=column.__getitem__)
+        lo = column[order[0]]
+        hi = column[order[-1]]
         distances[order[0]] = math.inf
         distances[order[-1]] = math.inf
         if hi == lo:
             continue
         for rank in range(1, n - 1):
-            gap = (
-                objectives[order[rank + 1]][axis] - objectives[order[rank - 1]][axis]
-            ) / (hi - lo)
+            gap = (column[order[rank + 1]] - column[order[rank - 1]]) / (hi - lo)
             distances[order[rank]] += gap  # infinity stays infinity
     return distances
 
@@ -401,10 +404,14 @@ class TuneResult:
 def _effectiveness_callable(
     indicator, space: ConfigurationSpace
 ) -> Callable[[Genome, Configuration], float]:
-    """Accepts a fitted surrogate (which reads the genome's encoding), an
-    oracle, or a plain callable (which read the configuration)."""
-    if hasattr(indicator, "predict_mean"):
-        return lambda genome, config: indicator.predict_mean(space.encode_genome(genome))
+    """Accepts a fitted surrogate (anything with a ``genome_predictor``
+    method, see :meth:`~cfgtune.surrogate.SurrogateModel.genome_predictor`,
+    which reads the genome), an oracle (an ``evaluate`` method) or a plain
+    callable (which read the configuration); an object with only
+    ``predict_mean`` is none of these."""
+    if hasattr(indicator, "genome_predictor"):
+        predict = indicator.genome_predictor(space)
+        return lambda genome, config: predict(genome)
     if hasattr(indicator, "evaluate"):
         return lambda genome, config: indicator.evaluate(config)
     if callable(indicator):
@@ -441,26 +448,25 @@ def tune(
     rng = random.Random(params.seed)
     memo: dict[Genome, ObjectiveVector] = {}
 
+    isfinite = math.isfinite
+
     def evaluate(genome: Genome) -> _Member:
         cached = memo.get(genome)
         if cached is None:
             config = space.configuration(genome)
             effectiveness = float(effectiveness_of(genome, config))
-            cached = ObjectiveVector(
-                size_mb=model_size_mb(config),
-                gflops=forward_gflops(config),
-                neg_effectiveness=-min(1.0, max(0.0, effectiveness)),
-            )
+            size_mb = model_size_mb(config)
+            gflops = forward_gflops(config)
             # The raw effectiveness is checked: the clamp maps NaN to 0.0.
-            if not all(math.isfinite(v) for v in (cached.size_mb, cached.gflops, effectiveness)):
+            if not (isfinite(size_mb) and isfinite(gflops) and isfinite(effectiveness)):
                 raise RuntimeError(f"non-finite objectives for {config}")
+            cached = ObjectiveVector(size_mb, gflops, -min(1.0, max(0.0, effectiveness)))
             memo[genome] = cached
         return _Member(genome, cached)
 
-    def archive_candidates(members: list[_Member]) -> list[Individual]:
+    def archive_candidates(members: list[_Member]) -> list[_Member]:
         return [
-            Individual(space.configuration(m.genome), m.objectives)
-            for m in members
+            m for m in members
             if size_budget_mb is None or m.objectives.size_mb <= size_budget_mb
         ]
 
@@ -514,7 +520,10 @@ def tune(
         population = tournament_select(pool, params.population_size, rng)
 
     return TuneResult(
-        archive=archive,
+        archive=update_archive(
+            ParetoArchive(),
+            [Individual(space.configuration(m.genome), m.objectives) for m in archive],
+        ),
         records=records,
         reference_point=reference,
         space=space,

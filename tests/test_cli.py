@@ -452,11 +452,36 @@ def test_tune_non_positive_budget_exits_parse(pipeline, capsys, budget):
     assert not out.exists()
 
 
-def test_tune_nan_effectiveness_exits_internal(pipeline, monkeypatch):
-    # Clamping would score NaN as 0.0; a non-finite prediction is a fault.
-    monkeypatch.setattr(SurrogateModel, "predict_mean", lambda self, x: math.nan)
-    code, _ = run_tune(pipeline, "front.jsonl")
-    assert code == EXIT_INTERNAL
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "path",
+    [("weights", 2), ("alpha",), ("beta",), ("feature_min", 0), ("feature_max", 12), ("covariance", 3, 5)],
+    ids=lambda path: path[0],
+)
+def test_tune_non_finite_model_number_exits_parse(pipeline, capsys, path, value):
+    # json writes these as the tokens NaN, Infinity and -Infinity, which
+    # json reads back although they are no JSON numbers.
+    document = json.loads(pipeline["model"].read_text())
+    *keys, last = path
+    target = document
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    pipeline["model"].write_text(json.dumps(document))
+    code, out = run_tune(pipeline, "front.jsonl")
+    assert code == EXIT_PARSE
+    assert f"{path[0]} holds a number that is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_model_integer_too_large_for_a_float_exits_parse(pipeline, capsys):
+    document = json.loads(pipeline["model"].read_text())
+    document["weights"][2] = 10**400
+    pipeline["model"].write_text(json.dumps(document))
+    code, out = run_tune(pipeline, "front.jsonl")
+    assert code == EXIT_PARSE
+    assert "model file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tune_missing_model_exits_internal(pipeline):

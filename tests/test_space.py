@@ -302,6 +302,30 @@ def test_corrected_samples_always_validate(seed, mini_space):
 def test_from_dict_requires_all_fields():
     with pytest.raises(ValueError):
         Configuration.from_dict({"tokenizer": "Word"})
+    values = make_config().as_dict()
+    del values["batch_size"]
+    with pytest.raises(ValueError, match="missing fields: batch_size"):
+        Configuration.from_dict(values)
+
+
+def test_configuration_contract():
+    config = make_config()
+    assert tuple(config.as_dict()) == CANONICAL_DIMENSIONS
+    assert Configuration.from_dict(dict(reversed(config.as_dict().items()))) == config
+    assert config.value("hidden_size") == config.hidden_size == 768
+    wider = config.replace(hidden_size=1024)
+    assert wider.hidden_size == 1024 and config.hidden_size == 768
+    assert wider.as_dict() == {**config.as_dict(), "hidden_size": 1024}
+    with pytest.raises(ValueError):
+        config.replace(hidden_width=1024)
+    twin = make_config()
+    assert twin == config and hash(twin) == hash(config) and twin is not config
+    assert wider != config
+    assert {config: 1}[twin] == 1
+    with pytest.raises(AttributeError):
+        config.hidden_size = 1024
+    with pytest.raises(AttributeError):
+        config.extra = 1
 
 
 def test_dimension_kind_validation():

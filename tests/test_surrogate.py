@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -412,3 +413,40 @@ def test_predict_mean_rejects_wrong_shape(tmp_path):
         for bad in (np.zeros(d + 1), np.zeros((1, d)), np.zeros(0), 1.0):
             with pytest.raises(ValueError):
                 model.predict_mean(bad)
+
+
+def predictor_cases(canonical_space, mini_space):
+    """(model, space) pairs: fitted on listing3 pruned to 3 and 64 MB; with a
+    zero-span feature, constant in the training set, that still carries a
+    weight; and on a space with single-valued dimensions."""
+    cases = []
+    for budget_mb in (3.0, 64.0):
+        space = cfgtune.prune(canonical_space, cfgtune.SizeConstraint(budget_mb))
+        model, training, _ = build_indicator(space, SyntheticCapacityOracle(reference_space=space), k=20, seed=5)
+        cases.append((model, space))
+    vectors = [list(v) for v in training.vectors]
+    for row in vectors:
+        row[3] = 512.0
+    constant = fit(vectors, training.targets)
+    assert constant.feature_min[3] == constant.feature_max[3]
+    weights = list(constant.weights)
+    weights[3] = 0.75
+    cases.append((dataclasses.replace(constant, weights=tuple(weights)), space))
+    mini_model, _, _ = build_indicator(mini_space, SyntheticCapacityOracle(reference_space=mini_space), k=20, seed=2)
+    cases += [(mini_model, mini_space), (model, mini_space)]
+    return cases
+
+
+def test_genome_predictor_equals_predict_mean_of_the_encoding(canonical_space, mini_space):
+    rng = random.Random(12)
+    for model, space in predictor_cases(canonical_space, mini_space):
+        predict = model.genome_predictor(space)
+        genomes = [space.sample_genome(rng) for _ in range(500)]
+        for genome in genomes + genomes:  # each term computed, then looked up
+            assert repr(predict(genome)) == repr(model.predict_mean(space.encode_genome(genome)))
+
+
+def test_genome_predictor_rejects_a_model_of_another_width(mini_space):
+    model = fit([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="length 2"):
+        model.genome_predictor(mini_space)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,7 @@ from cfgtune import (
 )
 import cfgtune.tuner as tuner
 from cfgtune.tuner import _distinct_pair, _normalized_distance
-from conftest import make_config
+from conftest import CANONICAL_SPACE_FILE, make_config
 
 
 def vec(a, b, c):
@@ -682,6 +683,28 @@ def test_tune_accepts_plain_callable(mini_space):
     assert all(m.objectives.neg_effectiveness == -0.5 for m in result.archive)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tune_non_finite_effectiveness_raises(mini_space, value):
+    # Clamping would score NaN as 0.0 and infinity as 1.0; a non-finite
+    # indicator is a fault.
+    with pytest.raises(RuntimeError, match="non-finite objectives"):
+        tune(mini_space, lambda config: value, TunerParams(population_size=4, generations=1, seed=0))
+
+
+def test_tune_evaluations_are_the_memo_decoded_in_order(pruned_space):
+    result = tune(
+        pruned_space,
+        SyntheticCapacityOracle(reference_space=pruned_space),
+        TunerParams(population_size=10, generations=5, seed=3),
+    )
+    genomes = list(result.genome_evaluations)
+    assert list(result.evaluations) == [pruned_space.configuration(g) for g in genomes]
+    assert list(result.evaluations.values()) == list(result.genome_evaluations.values())
+    # The archive holds the decoded members, each the configuration of its
+    # memo entry.
+    assert all(result.evaluations[m.config] == m.objectives for m in result.archive)
+
+
 # sha256 digests of pop 40 x 30 runs on listing3, scored by the pure-Python
 # oracle so no BLAS build can move them: first the front (configuration JSON
 # plus the repr of the objectives, in archive order), then the repr of every
@@ -843,3 +866,22 @@ def test_select_deployment_single_and_empty():
     assert select_deployment_config(archive, 3.0) is only
     with pytest.raises(ValueError):
         select_deployment_config(ParetoArchive(), 3.0)
+
+
+@pytest.mark.parametrize("batch_max", [10**6, 10**10])
+def test_tune_surrogate_memory_grows_with_evaluations_not_range_sizes(batch_max):
+    # No cost formula reads batch_size, so pruning keeps its whole range; a
+    # surrogate's per-index terms must not take a slot per value of it.
+    document = json.loads(CANONICAL_SPACE_FILE.read_text())
+    document["batch_size"] = {"min": 1, "max": batch_max}
+    space = prune(space_from_mapping(document), SizeConstraint(3.0))
+    assert space.dimensions[-1].size() == batch_max
+    model, _, _ = build_indicator(space, SyntheticCapacityOracle(reference_space=space), k=20, seed=0)
+    tracemalloc.start()
+    try:
+        result = tune(space, model, TunerParams(population_size=10, generations=3, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.archive) > 0
+    assert peak < 2_000_000
