@@ -11,7 +11,6 @@ budget: the budget, the pruned max corner's GFLOPs, and zero effectiveness.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from cfgtune import (
     select_deployment_config,
     tune,
 )
-from cfgtune.space import atomic_open
+from cfgtune.space import write_jsonl
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,9 +92,7 @@ def main(argv=None) -> int:
               f"{row['hypervolume']:>12.4f} {row['pick_size_mb']:>12.4f} "
               f"{row['pick_effectiveness']:>8.4f}")
 
-    with atomic_open(args.out) as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(args.out, rows)
 
     front_sizes = [row["front_size"] for row in rows]
     volumes = [row["hypervolume"] for row in rows]

@@ -79,68 +79,3 @@ from .tuner import (
     two_point_crossover,
     update_archive,
 )
-
-__all__ = [
-    "__version__",
-    "CANONICAL_DIMENSIONS",
-    "CATEGORICAL_DIMENSIONS",
-    "DEFAULT_CARBON_INTENSITY",
-    "MEGABYTE",
-    "SIZE_RELEVANT_DIMENSIONS",
-    "Configuration",
-    "ConfigurationSpace",
-    "Dimension",
-    "DistillationBatch",
-    "EmptyFeasibleSpaceError",
-    "ExternalProcessOracle",
-    "GenerationRecord",
-    "Individual",
-    "ModelFormatError",
-    "ObjectiveVector",
-    "OracleError",
-    "OracleProcessError",
-    "OracleResponseError",
-    "OracleTimeoutError",
-    "ParetoArchive",
-    "SizeBreakdown",
-    "SizeConstraint",
-    "SpaceFormatError",
-    "SurrogateModel",
-    "SyntheticCapacityOracle",
-    "TrainingSet",
-    "TuneResult",
-    "TunerParams",
-    "UnsatisfiableSpaceError",
-    "ValidationResult",
-    "adaptive_random_init",
-    "boundary_random_mutation",
-    "build_indicator",
-    "co2_emissions_kg",
-    "correct",
-    "crossover_at",
-    "crowding_distances",
-    "dominates",
-    "fit",
-    "forward_gflops",
-    "forward_pass_flops",
-    "hypervolume",
-    "kd_loss",
-    "load_space",
-    "min_corner_bytes",
-    "model_size_breakdown",
-    "model_size_mb",
-    "parameter_file_bytes",
-    "parse_space",
-    "prune",
-    "prune_report",
-    "r_squared",
-    "reference_point",
-    "save_space",
-    "select_deployment_config",
-    "space_from_mapping",
-    "tournament_select",
-    "training_energy_kwh",
-    "tune",
-    "two_point_crossover",
-    "update_archive",
-]

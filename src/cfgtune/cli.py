@@ -17,7 +17,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import math
 import shlex
 import sys
 from pathlib import Path
@@ -39,9 +38,11 @@ from .space import (
     Configuration,
     SpaceFormatError,
     UnsatisfiableSpaceError,
-    atomic_open,
+    is_json_number,
     load_space,
     save_space,
+    write_json,
+    write_jsonl,
 )
 from .surrogate import SurrogateModel, r_squared
 from .tuner import (
@@ -122,10 +123,7 @@ def cmd_prune(args) -> int:
     pruned = prune(space, constraint)
     save_space(pruned, args.out)
     report = prune_report(space, pruned, constraint)
-    report_path = _derived_path(args.out, ".report.json")
-    with atomic_open(report_path) as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    write_json(_derived_path(args.out, ".report.json"), report)
     print(f"pruned space written to {args.out}")
     for entry in report["dimensions"]:
         print(
@@ -149,15 +147,10 @@ def cmd_fit(args) -> int:
     )
     model.save(args.out)
     table_path = _derived_path(args.out, ".table.jsonl")
-    with atomic_open(table_path) as handle:
-        for config, target in zip(configs, table.targets):
-            handle.write(
-                json.dumps(
-                    {"config": config.as_dict(), "effectiveness": target},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        table_path,
+        ({"config": c.as_dict(), "effectiveness": t} for c, t in zip(configs, table.targets)),
+    )
     print(f"surrogate model written to {args.out}")
     print(f"audit table ({len(table)} rows) written to {table_path}")
     print(
@@ -189,14 +182,9 @@ def cmd_tune(args) -> int:
         )
 
     records = [_front_record(m) for m in sorted(members, key=_front_sort_key)]
-    with atomic_open(args.out) as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
+    write_jsonl(args.out, records)
     log_path = _derived_path(args.out, ".runlog.jsonl")
-    with atomic_open(log_path) as handle:
-        for rec in result.records:
-            handle.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
+    write_jsonl(log_path, map(dataclasses.asdict, result.records))
 
     manifest_path = _derived_path(args.out, ".manifest.json")
     manifest = {
@@ -211,9 +199,7 @@ def cmd_tune(args) -> int:
         "front_size": len(records),
         "written_at": _utc_now(),
     }
-    with atomic_open(manifest_path) as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    write_json(manifest_path, manifest)
 
     print(f"front ({len(records)} members) written to {args.out}")
     print(f"run log written to {log_path}")
@@ -223,8 +209,7 @@ def cmd_tune(args) -> int:
 
 def _objective(record: dict, key: str) -> float:
     value = record[key]
-    # bool is an int subclass; NaN and infinity are not JSON numbers.
-    if type(value) not in (int, float) or not math.isfinite(value):
+    if not is_json_number(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return value
 
@@ -247,8 +232,7 @@ def _load_front(path: str) -> list[Individual]:
                         neg_effectiveness=-_objective(record, "predicted_effectiveness"),
                     ),
                 )
-            # OverflowError: an integer too large for a float.
-            except (KeyError, TypeError, ValueError, OverflowError) as err:
+            except (KeyError, TypeError, ValueError) as err:
                 raise SpaceFormatError(
                     f"malformed front record on line {line_number}: {err}"
                 ) from err

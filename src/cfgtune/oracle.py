@@ -26,7 +26,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 
-from .space import Configuration, ConfigurationSpace
+from .space import Configuration, ConfigurationSpace, is_json_number, scale, write_jsonl
 from .surrogate import SurrogateModel, TrainingSet, fit
 
 
@@ -111,8 +111,7 @@ def _log_ramp(value: float, ramp: tuple[float, float] | None) -> float:
     if ramp is None or value <= 0:
         return 0.0
     log_lo, log_span = ramp
-    unit = (math.log(value) - log_lo) / log_span
-    return min(1.0, max(0.0, unit))
+    return min(1.0, max(0.0, scale(math.log(value), log_lo, log_span)))
 
 
 @dataclass(frozen=True)
@@ -230,19 +229,13 @@ class ExternalProcessOracle:
         with tempfile.TemporaryDirectory(prefix="cfgtune-oracle-") as workdir:
             request_path = os.path.join(workdir, "request.jsonl")
             response_path = os.path.join(workdir, "response.jsonl")
-            with open(request_path, "w", encoding="utf-8") as handle:
-                for request_id, config in zip(ids, configs):
-                    handle.write(
-                        json.dumps(
-                            {
-                                "id": request_id,
-                                "config": config.as_dict(),
-                                "space_checksum": self.space_checksum,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+            write_jsonl(
+                request_path,
+                (
+                    {"id": i, "config": c.as_dict(), "space_checksum": self.space_checksum}
+                    for i, c in zip(ids, configs)
+                ),
+            )
             argv = list(self.command) + [request_path, response_path]
             timeout = _oracle_timeout_s()
             try:
@@ -282,23 +275,22 @@ class ExternalProcessOracle:
                     continue
                 try:
                     record = json.loads(line)
-                    request_id = record["id"]
-                    value = float(record["effectiveness"])
+                    request_id, value = record["id"], record["effectiveness"]
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
                     raise OracleResponseError(
                         f"malformed response line {line_number}: {err}",
                         partial=reported,
                     ) from err
-                if not math.isfinite(value):
+                if not is_json_number(value):
                     raise OracleResponseError(
-                        f"non-finite effectiveness on response line {line_number}",
+                        f"non-finite or non-numeric effectiveness on response line {line_number}",
                         partial=reported,
                     )
                 if request_id in reported:
                     raise OracleResponseError(
                         f"duplicate response id {request_id!r}", partial=reported
                     )
-                reported[request_id] = min(1.0, max(0.0, value))
+                reported[request_id] = min(1.0, max(0.0, float(value)))
         missing = [i for i in ids if i not in reported]
         extra = sorted(set(reported) - set(ids))
         if missing or extra:

@@ -16,6 +16,10 @@ oracle or callable indicator when a genome is first scored, and for the
 members of the final archive. A fitted surrogate needs no configuration; it
 reads a table of per-(dimension, index) terms
 (:meth:`cfgtune.surrogate.SurrogateModel.genome_predictor`).
+
+The package's artifacts are written by :func:`write_json` and
+:func:`write_jsonl` alone, and a number read from a file passes
+:func:`is_json_number`.
 """
 
 from __future__ import annotations
@@ -50,12 +54,6 @@ class Configuration(NamedTuple):
     position_embedding_type: str
     learning_rate: float
     batch_size: int
-
-    def value(self, dimension_name: str):
-        return getattr(self, dimension_name)
-
-    def replace(self, **changes) -> "Configuration":
-        return self._replace(**changes)
 
     def as_dict(self) -> dict:
         return self._asdict()
@@ -186,8 +184,6 @@ class Dimension:
     def index(self, value) -> int:
         if not self.contains(value):
             raise ValueError(f"{self.name}: value {value!r} not in dimension")
-        if self.kind == INTEGER_RANGE:
-            return value - self.lower
         return self.domain.index(value)
 
     def min_value(self):
@@ -240,14 +236,9 @@ class ConfigurationSpace:
     @functools.cached_property
     def _codec(self) -> tuple:
         """Per dimension: the sequence whose index-th entry is the raw
-        encoding component, its lower bound, and its span (None for a
-        single-valued dimension, which encodes to 0)."""
+        encoding component, its lower bound, and its span."""
         return tuple(
-            (
-                range(dim.size()) if dim.kind == CATEGORICAL else dim.domain,
-                dim.lo,
-                dim.hi - dim.lo if dim.hi > dim.lo else None,
-            )
+            (range(dim.size()) if dim.kind == CATEGORICAL else dim.domain, dim.lo, dim.hi - dim.lo)
             for dim in self.dimensions
         )
 
@@ -276,8 +267,7 @@ class ConfigurationSpace:
 
     def validate(self, config: Configuration) -> ValidationResult:
         violations = []
-        for dim in self.dimensions:
-            value = config.value(dim.name)
+        for dim, value in zip(self.dimensions, config):
             if not dim.contains(value):
                 violations.append(f"{dim.name}: value {value!r} not in dimension")
         heads = config.num_attention_heads
@@ -290,27 +280,27 @@ class ConfigurationSpace:
 
     def genome(self, config: Configuration) -> Genome:
         """The index of each value of ``config`` in its dimension."""
-        return tuple(dim.index(config.value(dim.name)) for dim in self.dimensions)
+        return tuple(map(Dimension.index, self.dimensions, config))
 
     def configuration(self, genome: Genome) -> Configuration:
         return Configuration(*map(operator.getitem, self._domains, genome))
 
-    def encode(self, config: Configuration, normalize: bool = False) -> tuple[float, ...]:
-        """13-component numeric vector; categorical values become option indices.
-
-        With ``normalize`` each component is mapped affinely onto [0, 1] using
-        the dimension bounds (single-valued dimensions map to 0).
-        """
+    def encode(self, config: Configuration) -> tuple[float, ...]:
+        """13-component numeric vector; categorical values become option indices."""
         result = self.validate(config)
         if not result:
             raise ValueError(f"cannot encode invalid configuration: {result.violations}")
-        return self.encode_genome(self.genome(config), normalize)
+        return self.encode_genome(self.genome(config))
 
     def encode_genome(self, genome: Genome, normalize: bool = False) -> tuple[float, ...]:
-        """:meth:`encode` of the genome's configuration, without validating."""
+        """:meth:`encode` of the genome's configuration, without validating.
+
+        With ``normalize`` each component is mapped by :func:`scale` onto
+        [0, 1] using the dimension bounds (single-valued dimensions map to 0).
+        """
         if normalize:
             return tuple([
-                (float(components[i]) - lo) / span if span else 0.0
+                scale(float(components[i]), lo, span)
                 for (components, lo, span), i in zip(self._codec, genome)
             ])
         return tuple([float(components[i]) for (components, _, _), i in zip(self._codec, genome)])
@@ -337,14 +327,21 @@ class ConfigurationSpace:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def scale(x: float, lo: float, span: float) -> float:
+    """The min-max map of ``x`` onto [0, 1] for a feature whose values run
+    from ``lo`` over ``span``; a feature that does not vary (span 0.0) maps
+    to 0.0. The normalized encoding, the surrogate's fit and predictions and
+    the synthetic oracle's ramps all use it."""
+    return (x - lo) / span if span > 0 else 0.0
 
 
-def _is_finite(value) -> bool:
-    """The value is finite as a float. NaN and infinity parse as JSON here
-    but are no JSON numbers; an integer too large for a float would overflow
-    in the first cost or encoding it enters."""
+def is_json_number(value) -> bool:
+    """The one rule for a number read from a file: an int or a float, not a
+    bool (an int subclass), and finite as a float. NaN and infinity parse as
+    JSON here but are no JSON numbers; an integer too large for a float would
+    overflow in the first float computation it enters."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
@@ -368,13 +365,9 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
                 dimension=name,
             )
         lower, upper = entry["min"], entry["max"]
-        if not _is_int(lower) or not _is_int(upper):
+        if not all(isinstance(bound, int) and is_json_number(bound) for bound in (lower, upper)):
             raise SpaceFormatError(
-                f"{name}: range bounds must be integers", dimension=name
-            )
-        if not _is_finite(lower) or not _is_finite(upper):
-            raise SpaceFormatError(
-                f"{name}: range bound too large for a float", dimension=name
+                f"{name}: range bounds must be integers that fit a float", dimension=name
             )
         if upper - lower >= sys.maxsize:  # len(range) would overflow
             raise SpaceFormatError(
@@ -386,13 +379,11 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
             )
         return Dimension(name=name, kind=INTEGER_RANGE, lower=lower, upper=upper)
     if isinstance(entry, list):
-        if not entry or not all(
-            (_is_int(x) or isinstance(x, float)) and _is_finite(x) for x in entry
-        ):
+        if not entry or not all(map(is_json_number, entry)):
             raise SpaceFormatError(
                 f"{name}: expected a non-empty array of finite numbers", dimension=name
             )
-        if name in INTEGER_DIMENSIONS and not all(_is_int(x) and x >= 1 for x in entry):
+        if name in INTEGER_DIMENSIONS and not all(isinstance(x, int) and x >= 1 for x in entry):
             raise SpaceFormatError(
                 f"{name}: values must be positive integers", dimension=name
             )
@@ -454,10 +445,22 @@ def atomic_open(path):
         raise
 
 
-def save_space(space: ConfigurationSpace, path) -> None:
+def write_json(path, document) -> None:
+    """An artifact that is one JSON document: indented by 2, then a newline."""
     with atomic_open(path) as handle:
-        json.dump(space.to_document(), handle, indent=2)
+        json.dump(document, handle, indent=2)
         handle.write("\n")
+
+
+def write_jsonl(path, records) -> None:
+    """An artifact of records: one JSON object per line, keys sorted."""
+    with atomic_open(path) as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def save_space(space: ConfigurationSpace, path) -> None:
+    write_json(path, space.to_document())
 
 
 def _divisors(n: int) -> list[int]:

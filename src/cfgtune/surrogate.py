@@ -27,11 +27,11 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum, isfinite
+from math import fsum
 from operator import mul
 from typing import Callable
 
-from .space import ConfigurationSpace, Genome, atomic_open
+from .space import ConfigurationSpace, Genome, is_json_number, scale, write_json
 
 # Fixed-point hyperparameter guards: keep the iteration inside a sane box so
 # degenerate data (perfect fits, constant targets) cannot overflow.
@@ -46,22 +46,17 @@ _TOL = 1e-6
 
 
 class ModelFormatError(ValueError):
-    """A model is missing a field, holds a number that is not finite, or its
-    arrays do not fit together."""
+    """A model is missing a field, holds a value that is not a finite JSON
+    number where it needs one, or its arrays do not fit together."""
 
 
-def _scale(x: float, lo: float, span: float) -> float:
-    """One feature min-max scaled; a feature that does not vary (span 0.0)
-    scales to 0.0."""
-    return (x - lo) / span if span else 0.0
-
-
-def _finite(field: str, values) -> tuple[float, ...]:
-    """``values`` as floats; a NaN or an infinity raises, naming ``field``."""
-    numbers = tuple(map(float, values))
-    if not all(map(isfinite, numbers)):
-        raise ModelFormatError(f"{field} holds a number that is not finite")
-    return numbers
+def _numbers(field: str, values) -> tuple[float, ...]:
+    """``values`` as floats; anything but a finite JSON number (a string, a
+    boolean, a NaN or an infinity) raises, naming ``field``."""
+    values = tuple(values)
+    if not all(map(is_json_number, values)):
+        raise ModelFormatError(f"{field} holds a number that is not finite, or a value that is not a number")
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -120,13 +115,12 @@ class SurrogateModel:
     def _coefficients(
         self,
     ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """(feature minimums, spans, weights) as Python floats. The span of a
-        feature that does not vary is 0.0, and the feature scales to 0.0."""
+        """(feature minimums, spans, weights) as Python floats, for
+        :func:`~cfgtune.space.scale`."""
         lows = tuple(float(lo) for lo in self.feature_min)
-        spans = (float(hi) - lo for hi, lo in zip(self.feature_max, lows))
         return (
             lows,
-            tuple(span if span > 0 else 0.0 for span in spans),
+            tuple(float(hi) - lo for hi, lo in zip(self.feature_max, lows)),
             tuple(float(w) for w in self.weights),
         )
 
@@ -138,7 +132,7 @@ class SurrogateModel:
         lows, spans, _ = self._coefficients
         try:
             return [
-                _scale(float(x), lo, span)
+                scale(float(x), lo, span)
                 for x, lo, span in zip(vector, lows, spans, strict=True)
             ]
         except (TypeError, ValueError):
@@ -180,7 +174,7 @@ class SurrogateModel:
             vector = space.encode_genome(genome)
             for table, index, x, lo, span, w in zip(tables, genome, vector, lows, spans, weights):
                 if index not in table:
-                    table[index] = _scale(x, lo, span) * w
+                    table[index] = scale(x, lo, span) * w
 
         def predict(genome: Genome) -> float:
             acc = 0.0
@@ -195,30 +189,33 @@ class SurrogateModel:
         return predict
 
     def save(self, path) -> None:
-        with atomic_open(path) as handle:
-            json.dump(dataclasses.asdict(self), handle, indent=2)
-            handle.write("\n")
+        write_json(path, dataclasses.asdict(self))
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
         try:
+            if not isinstance(document["converged"], bool):
+                raise ModelFormatError("converged must be true or false")
+            n_train, n_iterations = document["n_train"], document["n_iterations"]
+            if not all(isinstance(n, int) and is_json_number(n) for n in (n_train, n_iterations)):
+                raise ModelFormatError("n_train and n_iterations must be integers")
             return cls(
-                weights=_finite("weights", document["weights"]),
-                alpha=_finite("alpha", [document["alpha"]])[0],
-                beta=_finite("beta", [document["beta"]])[0],
-                feature_min=_finite("feature_min", document["feature_min"]),
-                feature_max=_finite("feature_max", document["feature_max"]),
-                covariance=tuple(_finite("covariance", row) for row in document["covariance"]),
-                n_train=int(document["n_train"]),
-                n_iterations=int(document["n_iterations"]),
-                converged=bool(document["converged"]),
+                weights=_numbers("weights", document["weights"]),
+                alpha=_numbers("alpha", [document["alpha"]])[0],
+                beta=_numbers("beta", [document["beta"]])[0],
+                feature_min=_numbers("feature_min", document["feature_min"]),
+                feature_max=_numbers("feature_max", document["feature_max"]),
+                covariance=tuple(_numbers("covariance", row) for row in document["covariance"]),
+                n_train=n_train,
+                n_iterations=n_iterations,
+                converged=document["converged"],
                 space_checksum=document["space_checksum"],
             )
         except KeyError as err:
             raise ModelFormatError(f"model file {path} has no {err} field") from None
-        except (TypeError, ValueError, OverflowError) as err:
+        except (TypeError, ValueError) as err:
             raise ModelFormatError(f"malformed model file {path}: {err}") from None
 
 
@@ -275,11 +272,8 @@ def fit(
     n, d = len(X), len(X[0])
     feature_min = [min(column) for column in zip(*X)]
     feature_max = [max(column) for column in zip(*X)]
-    design = [
-        [(x - lo) / (hi - lo) if hi > lo else 0.0 for x, lo, hi in zip(row, feature_min, feature_max)]
-        + [1.0]
-        for row in X
-    ]
+    spans = [hi - lo for lo, hi in zip(feature_min, feature_max)]
+    design = [[scale(x, lo, span) for x, lo, span in zip(row, feature_min, spans)] + [1.0] for row in X]
     columns = list(zip(*design))
     gram = [[_dot(a, b) for b in columns] for a in columns]
     moments = [_dot(column, y) for column in columns]

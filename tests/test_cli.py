@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 import sys
 import textwrap
 
@@ -367,6 +369,37 @@ def test_fit_crashing_external_oracle_exits_oracle(tmp_path, space_file):
     ) == EXIT_ORACLE
 
 
+@pytest.mark.parametrize(
+    "literal", ['"0.7"', "true", str(10**400)], ids=["string", "boolean", "huge-integer"]
+)
+def test_fit_external_oracle_non_number_exits_oracle(tmp_path, space_file, capsys, literal):
+    # A string or a boolean was read as a float and fitted; 10**400 overflowed
+    # in that conversion, an internal error (exit 5).
+    script = tmp_path / "eval.py"
+    script.write_text(
+        textwrap.dedent(
+            f"""\
+            import json, sys
+            rows = [json.loads(line) for line in open(sys.argv[1])]
+            with open(sys.argv[2], "w") as handle:
+                for row in rows:
+                    handle.write('{{"id": %s, "effectiveness": %s}}\\n' % (json.dumps(row["id"]), {literal!r}))
+            """
+        )
+    )
+    assert main(
+        [
+            "fit",
+            "--space", str(space_file),
+            "--oracle", f"external:{sys.executable} {script}",
+            "--samples", "6",
+            "--out", str(tmp_path / "m.json"),
+        ]
+    ) == EXIT_ORACLE
+    assert "non-numeric effectiveness on response line 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.py", "space.json"]
+
+
 # --- tune --------------------------------------------------------------------
 
 
@@ -482,6 +515,55 @@ def test_tune_model_integer_too_large_for_a_float_exits_parse(pipeline, capsys):
     assert code == EXIT_PARSE
     assert "model file" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, breakage",
+    [
+        ("alpha", lambda doc: doc.update(alpha=str(doc["alpha"]))),
+        ("beta", lambda doc: doc.update(beta=True)),
+        ("weights", lambda doc: doc.update(weights=list(map(str, doc["weights"])))),
+        ("converged", lambda doc: doc.update(converged="false")),
+        ("n_train", lambda doc: doc.update(n_train=str(doc["n_train"]))),
+    ],
+    ids=["string-alpha", "boolean-beta", "string-weights", "string-converged", "string-n_train"],
+)
+def test_tune_model_value_of_the_wrong_type_exits_parse(pipeline, capsys, field, breakage):
+    # These were converted by float(), int() or bool(), and tune ran.
+    document = json.loads(pipeline["model"].read_text())
+    breakage(document)
+    pipeline["model"].write_text(json.dumps(document))
+    code, out = run_tune(pipeline, "front.jsonl")
+    assert code == EXIT_PARSE
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failing", ["predicted_effectiveness", "hypervolume"], ids=["front", "runlog"])
+def test_tune_failing_write_keeps_previous_artifacts(pipeline, monkeypatch, failing):
+    assert run_tune(pipeline, "front.jsonl")[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in pipeline["tmp"].iterdir()}
+    real_dumps, records = json.dumps, []
+
+    def dumps_then_fail(obj, **kwargs):
+        if isinstance(obj, dict) and failing in obj:
+            records.append(obj)
+            if len(records) == 2:  # the first line is already written
+                raise TypeError("Object of type Tensor is not JSON serializable")
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    # Seed 8 finds another front, so a completed write would change the files.
+    assert run_tune(pipeline, "front.jsonl", seed=8)[0] == EXIT_INTERNAL
+    assert len(records) == 2
+    after = {p.name: p.read_bytes() for p in pipeline["tmp"].iterdir()}
+    assert sorted(after) == sorted(before)  # no temporary file left behind
+    assert after["front.runlog.jsonl"] == before["front.runlog.jsonl"]
+    assert after["front.manifest.json"] == before["front.manifest.json"]
+    if failing == "predicted_effectiveness":
+        assert after["front.jsonl"] == before["front.jsonl"]
+    else:  # the front was written whole before the run log failed
+        assert after["front.jsonl"] != before["front.jsonl"]
 
 
 def test_tune_missing_model_exits_internal(pipeline):
@@ -623,3 +705,46 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# --- the README quickstart ---------------------------------------------------
+
+# sha256 of every artifact and of each stage's stdout of the README quickstart
+# (seed 11), as written before the artifact writers were shared. The
+# manifest's digest is taken without its written_at line.
+QUICKSTART_DIGESTS = {
+    "pruned.json": "6837f3c05c4c27d00edfaa153d919560c47de18b1356125105b1515409707947",
+    "pruned.report.json": "daa1033d3200aeb3bd43dbabf1b8f8151d6e4dcea5fea298be967b0404a02e47",
+    "model.json": "473a4d0f14c2cb28322c5f4d880c2238aa5a16be74cea2ff47e77f5c1adb0574",
+    "model.table.jsonl": "3bf592a890c71349dc6979da6e82b0105cd5b733d4925f26b6f8a07a67c1140d",
+    "front.jsonl": "60b15a2432b3d3e6c4a8ac2b4cbfa0936797f9225e09ef08575ca54295d19252",
+    "front.runlog.jsonl": "8a398fa68c26629df804a8f87f3c6d74d88ecf3e2d621be40b0f354a0f01190b",
+    "front.manifest.json": "3244313ca227d12972e5e900309a3157aea0aa0f7a9cec00ff1e810b0a87d699",
+    "prune stdout": "aa6edd48d5c5b63b6a439934483dc2f452e0d79ade18770be5dccef6f889d433",
+    "fit stdout": "29c13c93657f4449d83b7e456e7280250a00a60de2b7e7374ed2e0107a729e8f",
+    "tune stdout": "209d4687a3e18e31c7f4b489810cca440c1ae1dc2e4cf5254812cdf071c02897",
+    "report stdout": "aff76eff214e591790d5ad1f383430ebf40c223f972260b1a9b07a812ffb4c67",
+}
+
+
+def test_readme_quickstart_golden_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    stages = [
+        ["prune", "--space", str(CANONICAL_SPACE_FILE), "--budget-mb", "3.0", "--out", "pruned.json"],
+        ["fit", "--space", "pruned.json", "--oracle", "synthetic", "--samples", "20", "--seed", "11",
+         "--out", "model.json"],
+        ["tune", "--space", "pruned.json", "--model", "model.json", "--seed", "11", "--out", "front.jsonl"],
+        ["report", "--front", "front.jsonl", "--target-mb", "3.0", "--runtime-hours", "0.8",
+         "--power-kw", "0.4"],
+    ]
+    digests = {}
+    for stage in stages:
+        capsys.readouterr()
+        assert main(stage) == EXIT_OK
+        digests[f"{stage[0]} stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for path in tmp_path.iterdir():
+        data = path.read_bytes()
+        if path.name == "front.manifest.json":
+            data = re.sub(rb'\n  "written_at": "[^"]*"', b"", data)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == QUICKSTART_DIGESTS

@@ -174,7 +174,7 @@ def test_synthetic_oracle_prefers_earlier_tokenizers(pruned_space):
     options = pruned_space.dimension("tokenizer").options
     config = make_config(hidden_size=64, num_attention_heads=2, vocab_size=5000)
     values = [
-        oracle.true_effectiveness(config.replace(tokenizer=option))
+        oracle.true_effectiveness(config._replace(tokenizer=option))
         for option in options
     ]
     assert values == sorted(values, reverse=True)

@@ -149,13 +149,13 @@ def test_encode_rejects_invalid(canonical_space):
 def test_encode_normalized_components_in_unit_interval(canonical_space):
     for seed in range(5):
         for config in canonical_space.sample_uniform(20, seed=seed):
-            normalized = canonical_space.encode(config, normalize=True)
+            normalized = canonical_space.encode_genome(canonical_space.genome(config), normalize=True)
             assert all(0.0 <= x <= 1.0 for x in normalized)
 
 
 def test_single_valued_dimension_normalizes_to_zero(mini_space):
     position = CANONICAL_DIMENSIONS.index("max_sequence_length")
-    assert mini_space.encode(_mini_member(), normalize=True)[position] == 0.0
+    assert mini_space.encode_genome(mini_space.genome(_mini_member()), normalize=True)[position] == 0.0
 
 
 def test_sample_uniform_is_seed_deterministic(canonical_space):
@@ -312,12 +312,12 @@ def test_configuration_contract():
     config = make_config()
     assert tuple(config.as_dict()) == CANONICAL_DIMENSIONS
     assert Configuration.from_dict(dict(reversed(config.as_dict().items()))) == config
-    assert config.value("hidden_size") == config.hidden_size == 768
-    wider = config.replace(hidden_size=1024)
+    assert getattr(config, "hidden_size") == config.hidden_size == 768
+    wider = config._replace(hidden_size=1024)
     assert wider.hidden_size == 1024 and config.hidden_size == 768
     assert wider.as_dict() == {**config.as_dict(), "hidden_size": 1024}
     with pytest.raises(ValueError):
-        config.replace(hidden_width=1024)
+        config._replace(hidden_width=1024)
     twin = make_config()
     assert twin == config and hash(twin) == hash(config) and twin is not config
     assert wider != config

@@ -163,7 +163,7 @@ def test_adaptive_init_deterministic_and_valid(pruned_space):
 
 
 def min_pairwise_distance(space, configs):
-    encodings = [space.encode(c, normalize=True) for c in configs]
+    encodings = [space.encode_genome(space.genome(c), normalize=True) for c in configs]
     return min(
         math.dist(x, y) for x, y in itertools.combinations(encodings, 2)
     )
@@ -354,7 +354,7 @@ def test_mutation_rate_one_draws_in_range(pruned_space):
         boundary_random_mutation(genome, pruned_space, 1.0, random.Random(2))
     )
     for dim in pruned_space.dimensions:
-        assert dim.contains(mutated.value(dim.name))
+        assert dim.contains(getattr(mutated, dim.name))
 
 
 def test_mutation_change_frequency(pruned_space):
