@@ -13,11 +13,8 @@ Exit codes: 0 success, 2 parse/usage, 3 constraint or empty result,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
 import hashlib
 import json
-import shlex
 import sys
 from pathlib import Path
 
@@ -77,6 +74,8 @@ def derive_seed(master_seed: int, component: str) -> int:
 
 
 def _utc_now() -> str:
+    import datetime  # only the manifest's timestamp reads the clock
+
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
@@ -93,6 +92,8 @@ def _make_oracle(selector: str, space, seed: int, noise_sigma: float):
             seed=derive_seed(seed, "oracle"),
         )
     if selector.startswith("external:"):
+        import shlex
+
         command = tuple(shlex.split(selector[len("external:"):]))
         if not command:
             raise SpaceFormatError("external oracle command is empty")
@@ -184,7 +185,7 @@ def cmd_tune(args) -> int:
     records = [_front_record(m) for m in sorted(members, key=_front_sort_key)]
     write_jsonl(args.out, records)
     log_path = _derived_path(args.out, ".runlog.jsonl")
-    write_jsonl(log_path, map(dataclasses.asdict, result.records))
+    write_jsonl(log_path, (record._asdict() for record in result.records))
 
     manifest_path = _derived_path(args.out, ".manifest.json")
     manifest = {
@@ -192,7 +193,11 @@ def cmd_tune(args) -> int:
         "space_checksum": space.checksum(),
         "size_budget_mb": args.budget_mb,
         "surrogate_file": str(args.model),
-        "tuner_params": dataclasses.asdict(params),
+        "tuner_params": {
+            "population_size": params.population_size,
+            "generations": params.generations,
+            "seed": params.seed,
+        },
         "hypervolume_reference": list(result.reference_point),
         "master_seed": args.seed,
         "evaluations": result.evaluation_count,

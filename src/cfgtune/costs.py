@@ -9,7 +9,7 @@ length, reported in units of 1e9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .space import Configuration
 
@@ -59,8 +59,7 @@ def classifier_bytes(hidden_size: int) -> int:
     return 2 * h * h + 4 * h + 2
 
 
-@dataclass(frozen=True)
-class SizeBreakdown:
+class SizeBreakdown(NamedTuple):
     """Exact byte counts per model part; the total's MB view divides by 2**20."""
 
     embedding_bytes: int

@@ -21,10 +21,6 @@ import json
 import math
 import os
 import random
-import signal
-import subprocess
-import tempfile
-from dataclasses import dataclass
 
 from .space import Configuration, ConfigurationSpace, is_json_number, scale, write_jsonl
 from .surrogate import SurrogateModel, TrainingSet, fit
@@ -50,26 +46,29 @@ class OracleTimeoutError(OracleError):
     """The external evaluator exceeded its time limit."""
 
 
-@dataclass(frozen=True)
 class DistillationBatch:
     """Paired teacher/student logit vectors and a softening temperature."""
 
-    teacher_logits: tuple[tuple[float, ...], ...]
-    student_logits: tuple[tuple[float, ...], ...]
-    temperature: float
-
-    def __post_init__(self):
-        if self.temperature <= 0:
+    def __init__(
+        self,
+        teacher_logits: tuple[tuple[float, ...], ...],
+        student_logits: tuple[tuple[float, ...], ...],
+        temperature: float,
+    ):
+        if temperature <= 0:
             raise ValueError("temperature must be positive")
-        if len(self.teacher_logits) != len(self.student_logits):
+        if len(teacher_logits) != len(student_logits):
             raise ValueError("teacher and student batches must have equal length")
-        if not self.teacher_logits:
+        if not teacher_logits:
             raise ValueError("batch must contain at least one example")
-        for p, q in zip(self.teacher_logits, self.student_logits):
+        for p, q in zip(teacher_logits, student_logits):
             if len(p) != len(q):
                 raise ValueError("paired logit vectors must have equal length")
             if len(p) < 2:
                 raise ValueError("logit vectors need at least 2 classes")
+        self.teacher_logits = teacher_logits
+        self.student_logits = student_logits
+        self.temperature = temperature
 
 
 def _log_softmax(logits, temperature: float) -> list[float]:
@@ -114,7 +113,6 @@ def _log_ramp(value: float, ramp: tuple[float, float] | None) -> float:
     return min(1.0, max(0.0, scale(math.log(value), log_lo, log_span)))
 
 
-@dataclass(frozen=True)
 class SyntheticCapacityOracle:
     """Closed-form pseudo-accuracy: a capacity score saturating in hidden
     width times depth (weight 0.5), feed-forward width (0.3) and vocabulary
@@ -122,12 +120,15 @@ class SyntheticCapacityOracle:
     mapped onto [base, base + span]. Optional Gaussian noise is derived from
     (seed, configuration) only, so evaluation stays pure."""
 
-    reference_space: ConfigurationSpace
-    noise_sigma: float = 0.0
-    seed: int = 0
-
     base = 0.55
     span = 0.40
+
+    def __init__(
+        self, reference_space: ConfigurationSpace, noise_sigma: float = 0.0, seed: int = 0
+    ):
+        self.reference_space = reference_space
+        self.noise_sigma = noise_sigma
+        self.seed = seed
 
     @functools.cached_property
     def _ramps(self) -> tuple:
@@ -195,8 +196,10 @@ def _oracle_timeout_s() -> float:
     return value
 
 
-def _kill_process_group(process: subprocess.Popen) -> None:
+def _kill_process_group(process) -> None:
     """SIGKILL the evaluator's whole process group, then reap the evaluator."""
+    import signal
+
     try:
         os.killpg(process.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -204,7 +207,6 @@ def _kill_process_group(process: subprocess.Popen) -> None:
     process.wait()
 
 
-@dataclass(frozen=True)
 class ExternalProcessOracle:
     """Evaluator behind a subprocess boundary.
 
@@ -215,15 +217,21 @@ class ExternalProcessOracle:
     request exactly; partial responses are an error. Reported values are
     clamped to [0, 1]. The evaluator runs in a session of its own; on timeout
     its whole process group is killed, so no process it started outlives it.
+    The modules that run it are imported on the first call, so a process that
+    never runs an evaluator does not load them.
     """
 
-    command: tuple[str, ...]
-    space_checksum: str | None = None
+    def __init__(self, command: tuple[str, ...], space_checksum: str | None = None):
+        self.command = command
+        self.space_checksum = space_checksum
 
     def evaluate(self, config: Configuration) -> float:
         return self.evaluate_many([config])[0]
 
     def evaluate_many(self, configs) -> list[float]:
+        import subprocess
+        import tempfile
+
         configs = list(configs)
         ids = [f"cfg-{index}" for index in range(len(configs))]
         with tempfile.TemporaryDirectory(prefix="cfgtune-oracle-") as workdir:
@@ -281,6 +289,11 @@ class ExternalProcessOracle:
                         f"malformed response line {line_number}: {err}",
                         partial=reported,
                     ) from err
+                if not isinstance(request_id, str):
+                    raise OracleResponseError(
+                        f"response id on line {line_number} is not a string: {request_id!r}",
+                        partial=reported,
+                    )
                 if not is_json_number(value):
                     raise OracleResponseError(
                         f"non-finite or non-numeric effectiveness on response line {line_number}",

@@ -12,8 +12,6 @@ evaluated. Each dimension is bisected once, on the whole space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes
 from .space import (
     DISCRETE_NUMERIC_SET,
@@ -27,13 +25,11 @@ class EmptyFeasibleSpaceError(ValueError):
     """No configuration in the space satisfies the size budget."""
 
 
-@dataclass(frozen=True)
 class SizeConstraint:
-    budget_mb: float = 3.0
-
-    def __post_init__(self):
-        if not self.budget_mb > 0:  # NaN fails every comparison
-            raise ValueError(f"budget_mb must be positive, got {self.budget_mb}")
+    def __init__(self, budget_mb: float = 3.0):
+        if not budget_mb > 0:  # NaN fails every comparison
+            raise ValueError(f"budget_mb must be positive, got {budget_mb}")
+        self.budget_mb = budget_mb
 
     def admits(self, size_bytes: int) -> bool:
         # Exact-byte comparison; scaling by 2**20 is lossless in binary floats.
@@ -119,9 +115,10 @@ def prune(
         if cutoff is None:
             new_dims.append(dim)
         elif dim.kind == INTEGER_RANGE:
-            new_dims.append(replace(dim, upper=cutoff))
+            new_dims.append(Dimension(dim.name, INTEGER_RANGE, lower=dim.lower, upper=cutoff))
         else:
-            new_dims.append(replace(dim, values=tuple(v for v in dim.values if v <= cutoff)))
+            kept = tuple(v for v in dim.values if v <= cutoff)
+            new_dims.append(Dimension(dim.name, DISCRETE_NUMERIC_SET, values=kept))
     return ConfigurationSpace(tuple(new_dims))
 
 

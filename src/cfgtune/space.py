@@ -33,7 +33,6 @@ import operator
 import os
 import random
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -109,7 +108,6 @@ class UnsatisfiableSpaceError(ValueError):
     """No (hidden_size, num_attention_heads) pair in the space is valid."""
 
 
-@dataclass(frozen=True)
 class Dimension:
     """One tunable setting: an inclusive integer range, a fixed set of numbers,
     or a list of named options. Option/value order is fixed and defines the
@@ -118,52 +116,51 @@ class Dimension:
     ``domain[i]`` is the value at index i; for an integer range it is a
     ``range``, so no table grows with the range. ``lo`` and ``hi`` bound the
     encoding component: the value itself, or the option index for a
-    categorical dimension."""
+    categorical dimension. Two dimensions are equal when their name, kind,
+    bounds, values and options are."""
 
-    name: str
-    kind: str
-    lower: int = 0
-    upper: int = 0
-    values: tuple = ()
-    options: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.kind == INTEGER_RANGE:
-            if self.lower > self.upper:
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        lower: int = 0,
+        upper: int = 0,
+        values: tuple = (),
+        options: tuple[str, ...] = (),
+    ):
+        self.name, self.kind = name, kind
+        self.lower, self.upper, self.values, self.options = lower, upper, values, options
+        if kind == INTEGER_RANGE:
+            if lower > upper:
                 raise SpaceFormatError(
-                    f"{self.name}: range lower bound {self.lower} exceeds upper "
-                    f"bound {self.upper}",
-                    dimension=self.name,
+                    f"{name}: range lower bound {lower} exceeds upper bound {upper}",
+                    dimension=name,
                 )
-            domain, lo, hi = range(self.lower, self.upper + 1), self.lower, self.upper
-        elif self.kind == DISCRETE_NUMERIC_SET:
-            if not self.values:
-                raise SpaceFormatError(
-                    f"{self.name}: empty value set", dimension=self.name
-                )
-            if len(set(self.values)) != len(self.values):
-                raise SpaceFormatError(
-                    f"{self.name}: duplicate values", dimension=self.name
-                )
-            domain, lo, hi = self.values, min(self.values), max(self.values)
-        elif self.kind == CATEGORICAL:
-            if not self.options:
-                raise SpaceFormatError(
-                    f"{self.name}: empty option list", dimension=self.name
-                )
-            if len(set(self.options)) != len(self.options):
-                raise SpaceFormatError(
-                    f"{self.name}: duplicate options", dimension=self.name
-                )
-            domain, lo, hi = self.options, 0, len(self.options) - 1
+            domain, lo, hi = range(lower, upper + 1), lower, upper
+        elif kind == DISCRETE_NUMERIC_SET:
+            if not values:
+                raise SpaceFormatError(f"{name}: empty value set", dimension=name)
+            if len(set(values)) != len(values):
+                raise SpaceFormatError(f"{name}: duplicate values", dimension=name)
+            domain, lo, hi = values, min(values), max(values)
+        elif kind == CATEGORICAL:
+            if not options:
+                raise SpaceFormatError(f"{name}: empty option list", dimension=name)
+            if len(set(options)) != len(options):
+                raise SpaceFormatError(f"{name}: duplicate options", dimension=name)
+            domain, lo, hi = options, 0, len(options) - 1
         else:
             raise SpaceFormatError(
-                f"{self.name}: unknown dimension kind {self.kind!r}",
-                dimension=self.name,
+                f"{name}: unknown dimension kind {kind!r}", dimension=name
             )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "lo", float(lo))
-        object.__setattr__(self, "hi", float(hi))
+        self.domain, self.lo, self.hi = domain, float(lo), float(hi)
+
+    def __eq__(self, other):
+        if type(other) is not Dimension:
+            return NotImplemented
+        return (self.name, self.kind, self.lower, self.upper, self.values, self.options) == (
+            other.name, other.kind, other.lower, other.upper, other.values, other.options
+        )
 
     def size(self) -> int:
         return len(self.domain)
@@ -209,8 +206,7 @@ class Dimension:
         return list(self.options)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     valid: bool
     violations: tuple[str, ...] = ()
 
@@ -218,19 +214,23 @@ class ValidationResult:
         return self.valid
 
 
-@dataclass(frozen=True)
 class ConfigurationSpace:
-    """The 13 dimensions in canonical order, with encoding and sampling."""
+    """The 13 dimensions in canonical order, with encoding and sampling. Two
+    spaces are equal when their dimensions are."""
 
-    dimensions: tuple[Dimension, ...]
-
-    def __post_init__(self):
-        names = tuple(d.name for d in self.dimensions)
+    def __init__(self, dimensions: tuple[Dimension, ...]):
+        names = tuple(d.name for d in dimensions)
         if names != CANONICAL_DIMENSIONS:
             raise SpaceFormatError(
                 "dimensions must be exactly the 13 canonical entries in canonical "
                 f"order; got {names}"
             )
+        self.dimensions = dimensions
+
+    def __eq__(self, other):
+        if type(other) is not ConfigurationSpace:
+            return NotImplemented
+        return self.dimensions == other.dimensions
 
     # Built on first use, so spaces that are only pruned never pay for them.
     @functools.cached_property

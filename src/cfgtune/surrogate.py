@@ -23,9 +23,7 @@ Every name here is bound at import: perfbench's tracer wraps ``fit`` and
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 from operator import mul
@@ -59,53 +57,81 @@ def _numbers(field: str, values) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-@dataclass(frozen=True)
 class TrainingSet:
     """Encoded configuration vectors paired with observed effectiveness."""
 
-    vectors: tuple[tuple[float, ...], ...]
-    targets: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.vectors) != len(self.targets):
+    def __init__(self, vectors: tuple[tuple[float, ...], ...], targets: tuple[float, ...]):
+        if len(vectors) != len(targets):
             raise ValueError("vectors and targets must have equal length")
-        if len(self.vectors) >= 1:
-            width = len(self.vectors[0])
-            if any(len(v) != width for v in self.vectors):
+        if len(vectors) >= 1:
+            width = len(vectors[0])
+            if any(len(v) != width for v in vectors):
                 raise ValueError("all vectors must have the same length")
+        self.vectors, self.targets = vectors, targets
+
+    def __eq__(self, other):
+        if type(other) is not TrainingSet:
+            return NotImplemented
+        return (self.vectors, self.targets) == (other.vectors, other.targets)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
 class SurrogateModel:
     """Fitted effectiveness predictor. ``weights`` has one entry per feature
     plus a trailing intercept; ``covariance`` is the posterior weight
     covariance used for predictive variance. Arrays whose shapes do not fit
-    together raise ``ModelFormatError``.
+    together raise ``ModelFormatError``. Two models are equal when their
+    documents (:meth:`to_document`) are.
 
     The scaling and the weights as Python floats are built once per model, on
     first use. ``predict_mean`` computes the mean only; ``predict`` takes its
     mean from it and adds the variance.
     """
 
-    weights: tuple[float, ...]
-    alpha: float
-    beta: float
-    feature_min: tuple[float, ...]
-    feature_max: tuple[float, ...]
-    covariance: tuple[tuple[float, ...], ...]
-    n_train: int
-    n_iterations: int
-    converged: bool
-    space_checksum: str | None = None
-
-    def __post_init__(self):
-        d = len(self.feature_min)
-        sizes = (len(self.weights), len(self.feature_max) + 1, len(self.covariance))
-        if any(size != d + 1 for size in sizes + tuple(map(len, self.covariance))):
+    def __init__(
+        self,
+        weights: tuple[float, ...],
+        alpha: float,
+        beta: float,
+        feature_min: tuple[float, ...],
+        feature_max: tuple[float, ...],
+        covariance: tuple[tuple[float, ...], ...],
+        n_train: int,
+        n_iterations: int,
+        converged: bool,
+        space_checksum: str | None = None,
+    ):
+        d = len(feature_min)
+        sizes = (len(weights), len(feature_max) + 1, len(covariance))
+        if any(size != d + 1 for size in sizes + tuple(map(len, covariance))):
             raise ModelFormatError(f"weights, feature_max or covariance do not fit {d} features")
+        self.weights, self.alpha, self.beta = weights, alpha, beta
+        self.feature_min, self.feature_max, self.covariance = feature_min, feature_max, covariance
+        self.n_train, self.n_iterations, self.converged = n_train, n_iterations, converged
+        self.space_checksum = space_checksum
+
+    def to_document(self) -> dict:
+        """The fields in ``model.json``'s key order, as :meth:`save` writes
+        and :meth:`load` reads them."""
+        return {
+            "weights": self.weights,
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "feature_min": self.feature_min,
+            "feature_max": self.feature_max,
+            "covariance": self.covariance,
+            "n_train": self.n_train,
+            "n_iterations": self.n_iterations,
+            "converged": self.converged,
+            "space_checksum": self.space_checksum,
+        }
+
+    def __eq__(self, other):
+        if type(other) is not SurrogateModel:
+            return NotImplemented
+        return self.to_document() == other.to_document()
 
     @property
     def n_features(self) -> int:
@@ -189,7 +215,7 @@ class SurrogateModel:
         return predict
 
     def save(self, path) -> None:
-        write_json(path, dataclasses.asdict(self))
+        write_json(path, self.to_document())
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":

@@ -23,7 +23,6 @@ import bisect
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .costs import forward_gflops, model_size_mb
@@ -42,8 +41,7 @@ class ObjectiveVector(NamedTuple):
         return -self.neg_effectiveness
 
 
-@dataclass(frozen=True)
-class Individual:
+class Individual(NamedTuple):
     config: Configuration
     objectives: ObjectiveVector
 
@@ -126,17 +124,13 @@ MUTATION_RATE = 0.1  # per dimension of each child
 CANDIDATE_POOL = 10  # uniform samples per initial member after the first
 
 
-@dataclass(frozen=True)
 class TunerParams:
-    population_size: int = 20
-    generations: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.population_size < 1:
+    def __init__(self, population_size: int = 20, generations: int = 50, seed: int = 0):
+        if population_size < 1:
             raise ValueError("population_size must be >= 1")
-        if self.generations < 0:
+        if generations < 0:
             raise ValueError("generations must be >= 0")
+        self.population_size, self.generations, self.seed = population_size, generations, seed
 
 
 def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -371,8 +365,7 @@ def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, fl
     return volume
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
+class GenerationRecord(NamedTuple):
     generation: int
     archive_size: int
     hypervolume: float
@@ -381,13 +374,17 @@ class GenerationRecord:
     best_effectiveness: float
 
 
-@dataclass
 class TuneResult:
-    archive: ParetoArchive
-    records: list[GenerationRecord]
-    reference_point: tuple[float, float, float]
-    space: ConfigurationSpace
-    genome_evaluations: dict[Genome, ObjectiveVector]
+    def __init__(
+        self,
+        archive: ParetoArchive,
+        records: list[GenerationRecord],
+        reference_point: tuple[float, float, float],
+        space: ConfigurationSpace,
+        genome_evaluations: dict[Genome, ObjectiveVector],
+    ):
+        self.archive, self.records, self.reference_point = archive, records, reference_point
+        self.space, self.genome_evaluations = space, genome_evaluations
 
     @functools.cached_property
     def evaluations(self) -> dict[Configuration, ObjectiveVector]:

@@ -400,6 +400,35 @@ def test_fit_external_oracle_non_number_exits_oracle(tmp_path, space_file, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.py", "space.json"]
 
 
+@pytest.mark.parametrize(
+    "response, line_number",
+    [
+        ('{"id": ["cfg-0"], "effectiveness": 0.7}\n', 1),
+        ('{"id": "cfg-unknown", "effectiveness": 0.7}\n{"id": 7, "effectiveness": 0.7}\n', 2),
+    ],
+    ids=["list-id", "int-id-beside-unknown-string-id"],
+)
+def test_fit_external_oracle_non_string_id_exits_oracle(
+    tmp_path, space_file, capsys, response, line_number
+):
+    # A list id was used as a dict key ("unhashable type: 'list'"), and an int
+    # id beside an unknown string id failed to sort the unexpected ids; both
+    # were internal errors (exit 5).
+    script = tmp_path / "eval.py"
+    script.write_text(f"import sys\nopen(sys.argv[2], 'w').write({response!r})\n")
+    assert main(
+        [
+            "fit",
+            "--space", str(space_file),
+            "--oracle", f"external:{sys.executable} {script}",
+            "--samples", "6",
+            "--out", str(tmp_path / "m.json"),
+        ]
+    ) == EXIT_ORACLE
+    assert f"response id on line {line_number} is not a string" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.py", "space.json"]
+
+
 # --- tune --------------------------------------------------------------------
 
 

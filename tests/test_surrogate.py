@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import platform
@@ -254,10 +253,10 @@ def prediction_models(tmp_path):
     path = tmp_path / "model.json"
     models[-1].save(path)
     models.append(SurrogateModel.load(path))
-    models.append(dataclasses.replace(models[2], space_checksum="def456"))
+    models.append(SurrogateModel(**{**models[2].to_document(), "space_checksum": "def456"}))
     # Fitting gives a constant column a zero weight; a nonzero one shows
     # whether the column is masked out.
-    models.append(dataclasses.replace(models[-2], weights=tuple(rng.normal(size=14))))
+    models.append(SurrogateModel(**{**models[-2].to_document(), "weights": tuple(rng.normal(size=14))}))
     return models
 
 
@@ -431,7 +430,7 @@ def predictor_cases(canonical_space, mini_space):
     assert constant.feature_min[3] == constant.feature_max[3]
     weights = list(constant.weights)
     weights[3] = 0.75
-    cases.append((dataclasses.replace(constant, weights=tuple(weights)), space))
+    cases.append((SurrogateModel(**{**constant.to_document(), "weights": tuple(weights)}), space))
     mini_model, _, _ = build_indicator(mini_space, SyntheticCapacityOracle(reference_space=mini_space), k=20, seed=2)
     cases += [(mini_model, mini_space), (model, mini_space)]
     return cases
