@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         row = {
             "seed": seed,
             "front_size": len(result.archive),
-            "evaluations": result.evaluation_count,
+            "evaluations": len(result.genome_evaluations),
             "hypervolume": result.records[-1].hypervolume,
             "pick_size_mb": pick_size,
             "pick_effectiveness": pick_eff,

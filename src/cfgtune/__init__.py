@@ -11,8 +11,8 @@ bound eagerly, since perfbench's tracer reads ``load_space``, ``prune``,
 ``build_indicator`` and ``tune`` from this module's dict and ``cli``'s. What
 makes start-up cheap instead: the record types are named tuples and plain
 classes, not dataclasses, and the standard-library modules that only the
-external oracle or the manifest timestamp need are imported where they are
-used.
+external oracle, the manifest timestamp or ``fit`` and ``tune``'s hashing
+need are imported where they are used.
 """
 
 __version__ = "0.1.0"

@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 parse/usage, 3 constraint or empty result,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -69,6 +69,8 @@ class EmptyFrontError(ValueError):
 
 def derive_seed(master_seed: int, component: str) -> int:
     """Stable sub-seed for a named pipeline component."""
+    import hashlib  # only fit and tune derive seeds
+
     digest = hashlib.sha256(f"{master_seed}:{component}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -153,7 +155,7 @@ def cmd_fit(args) -> int:
         ({"config": c.as_dict(), "effectiveness": t} for c, t in zip(configs, table.targets)),
     )
     print(f"surrogate model written to {args.out}")
-    print(f"audit table ({len(table)} rows) written to {table_path}")
+    print(f"audit table ({len(table.targets)} rows) written to {table_path}")
     print(
         f"alpha={model.alpha:.6g} beta={model.beta:.6g} "
         f"iterations={model.n_iterations} converged={model.converged} "
@@ -176,13 +178,12 @@ def cmd_tune(args) -> int:
         seed=derive_seed(args.seed, "tune"),
     )
     result = tune(space, model, params, size_budget_mb=args.budget_mb)
-    members = result.archive.members
-    if not members:
+    if not result.archive:
         raise EmptyFrontError(
             f"no archived configuration fits {args.budget_mb} MB"
         )
 
-    records = [_front_record(m) for m in sorted(members, key=_front_sort_key)]
+    records = [_front_record(m) for m in sorted(result.archive, key=_front_sort_key)]
     write_jsonl(args.out, records)
     log_path = _derived_path(args.out, ".runlog.jsonl")
     write_jsonl(log_path, (record._asdict() for record in result.records))
@@ -200,7 +201,7 @@ def cmd_tune(args) -> int:
         },
         "hypervolume_reference": list(result.reference_point),
         "master_seed": args.seed,
-        "evaluations": result.evaluation_count,
+        "evaluations": len(result.genome_evaluations),
         "front_size": len(records),
         "written_at": _utc_now(),
     }
@@ -246,8 +247,12 @@ def _load_front(path: str) -> list[Individual]:
 
 
 def cmd_report(args) -> int:
-    if not args.target_mb > 0:
-        raise ValueError(f"--target-mb must be positive, got {args.target_mb}")
+    if not 0 < args.target_mb < math.inf:
+        raise ValueError(f"--target-mb must be positive and finite, got {args.target_mb}")
+    estimate = args.runtime_hours is not None and args.power_kw is not None
+    if estimate:  # before any output: a rejected workload prints nothing
+        energy = training_energy_kwh(args.runtime_hours, args.power_kw)
+        co2 = co2_emissions_kg(energy, args.carbon_intensity)
     front = _load_front(args.front)
     if not front:
         raise EmptyFrontError(f"front file {args.front} has no solutions")
@@ -272,9 +277,7 @@ def cmd_report(args) -> int:
     print(f"deployment pick (closest to {args.target_mb} MB):")
     print(json.dumps(pick.config.as_dict(), indent=2, sort_keys=True))
 
-    if args.runtime_hours is not None and args.power_kw is not None:
-        energy = training_energy_kwh(args.runtime_hours, args.power_kw)
-        co2 = co2_emissions_kg(energy, args.carbon_intensity)
+    if estimate:
         print()
         print(
             f"workload estimate: {energy:.4f} kWh at {args.carbon_intensity} "
@@ -339,9 +342,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpaceFormatError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
     except (
         EmptyFeasibleSpaceError,
         ChecksumMismatchError,

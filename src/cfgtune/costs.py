@@ -9,6 +9,7 @@ length, reported in units of 1e9.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .space import Configuration
@@ -130,14 +131,14 @@ def forward_gflops(config: Configuration) -> float:
 
 
 def training_energy_kwh(runtime_hours: float, average_power_kw: float) -> float:
-    if runtime_hours < 0 or average_power_kw < 0:
-        raise ValueError("runtime and power must be non-negative")
+    if not (0 <= runtime_hours < math.inf and 0 <= average_power_kw < math.inf):
+        raise ValueError("runtime and power must be non-negative and finite")
     return runtime_hours * average_power_kw
 
 
 def co2_emissions_kg(
     energy_kwh: float, carbon_intensity: float = DEFAULT_CARBON_INTENSITY
 ) -> float:
-    if energy_kwh < 0 or carbon_intensity < 0:
-        raise ValueError("energy and carbon intensity must be non-negative")
+    if not (0 <= energy_kwh < math.inf and 0 <= carbon_intensity < math.inf):
+        raise ValueError("energy and carbon intensity must be non-negative and finite")
     return energy_kwh * carbon_intensity

@@ -12,6 +12,8 @@ evaluated. Each dimension is bisected once, on the whole space.
 
 from __future__ import annotations
 
+import math
+
 from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes
 from .space import (
     DISCRETE_NUMERIC_SET,
@@ -27,8 +29,8 @@ class EmptyFeasibleSpaceError(ValueError):
 
 class SizeConstraint:
     def __init__(self, budget_mb: float = 3.0):
-        if not budget_mb > 0:  # NaN fails every comparison
-            raise ValueError(f"budget_mb must be positive, got {budget_mb}")
+        if not 0 < budget_mb < math.inf:  # NaN fails every comparison
+            raise ValueError(f"budget_mb must be positive and finite, got {budget_mb}")
         self.budget_mb = budget_mb
 
     def admits(self, size_bytes: int) -> bool:

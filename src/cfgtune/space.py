@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import operator
@@ -323,6 +322,8 @@ class ConfigurationSpace:
         return {dim.name: dim.to_entry() for dim in self.dimensions}
 
     def checksum(self) -> str:
+        import hashlib  # only fit and tune name the space by checksum
+
         canonical = json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -27,7 +27,7 @@ import json
 from functools import cached_property
 from math import fsum
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .space import ConfigurationSpace, Genome, is_json_number, scale, write_json
 
@@ -57,25 +57,12 @@ def _numbers(field: str, values) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-class TrainingSet:
-    """Encoded configuration vectors paired with observed effectiveness."""
+class TrainingSet(NamedTuple):
+    """Encoded configuration vectors paired with observed effectiveness; the
+    shapes are checked where they are used, by :func:`fit`."""
 
-    def __init__(self, vectors: tuple[tuple[float, ...], ...], targets: tuple[float, ...]):
-        if len(vectors) != len(targets):
-            raise ValueError("vectors and targets must have equal length")
-        if len(vectors) >= 1:
-            width = len(vectors[0])
-            if any(len(v) != width for v in vectors):
-                raise ValueError("all vectors must have the same length")
-        self.vectors, self.targets = vectors, targets
-
-    def __eq__(self, other):
-        if type(other) is not TrainingSet:
-            return NotImplemented
-        return (self.vectors, self.targets) == (other.vectors, other.targets)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
+    vectors: tuple[tuple[float, ...], ...]
+    targets: tuple[float, ...]
 
 
 class SurrogateModel:

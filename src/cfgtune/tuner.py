@@ -14,13 +14,12 @@ built only to score a new genome (for the cost models, and an oracle or
 callable indicator; a fitted surrogate adds table terms looked up by genome
 index, see :meth:`~cfgtune.surrogate.SurrogateModel.genome_predictor`) and
 for the members of the final archive, when :func:`tune` returns.
-:attr:`TuneResult.evaluations` decodes the memo on first access.
+:attr:`TuneResult.evaluations` decodes the memo on each access.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import random
 from typing import Callable, NamedTuple
@@ -81,10 +80,6 @@ class ParetoArchive:
 
     def __iter__(self):
         return iter(self._members)
-
-    @property
-    def members(self) -> tuple[Individual, ...]:
-        return tuple(self._members)
 
     def objective_vectors(self) -> list[ObjectiveVector]:
         return [m.objectives for m in self._members]
@@ -374,28 +369,19 @@ class GenerationRecord(NamedTuple):
     best_effectiveness: float
 
 
-class TuneResult:
-    def __init__(
-        self,
-        archive: ParetoArchive,
-        records: list[GenerationRecord],
-        reference_point: tuple[float, float, float],
-        space: ConfigurationSpace,
-        genome_evaluations: dict[Genome, ObjectiveVector],
-    ):
-        self.archive, self.records, self.reference_point = archive, records, reference_point
-        self.space, self.genome_evaluations = space, genome_evaluations
-
-    @functools.cached_property
-    def evaluations(self) -> dict[Configuration, ObjectiveVector]:
-        """Every distinct evaluated configuration in evaluation order,
-        decoded from ``genome_evaluations`` on first access."""
-        configuration = self.space.configuration
-        return {configuration(g): v for g, v in self.genome_evaluations.items()}
+class TuneResult(NamedTuple):
+    archive: ParetoArchive
+    records: list[GenerationRecord]
+    reference_point: tuple[float, float, float]
+    space: ConfigurationSpace
+    genome_evaluations: dict[Genome, ObjectiveVector]
 
     @property
-    def evaluation_count(self) -> int:
-        return len(self.genome_evaluations)
+    def evaluations(self) -> dict[Configuration, ObjectiveVector]:
+        """Every distinct evaluated configuration in evaluation order,
+        decoded from ``genome_evaluations`` on each access."""
+        configuration = self.space.configuration
+        return {configuration(g): v for g, v in self.genome_evaluations.items()}
 
 
 def _effectiveness_callable(
@@ -430,16 +416,16 @@ def tune(
     surrogate, oracle, or callable). When ``size_budget_mb`` is given, only
     individuals within the budget may enter the archive, so every front
     member honors the size constraint even where single-dimension pruning
-    cannot exclude a combination. A budget that is not positive (NaN
-    included) raises ``ValueError`` before any evaluation.
+    cannot exclude a combination. A budget that is not positive and
+    finite (NaN included) raises ``ValueError`` before any evaluation.
 
     Each :class:`GenerationRecord` follows one archive update (the initial
     population's, then each generation's). Its hypervolume is taken against
     :func:`reference_point`, so the series never decreases and compares
     across seeds and runs.
     """
-    if size_budget_mb is not None and not size_budget_mb > 0:
-        raise ValueError(f"size_budget_mb must be positive, got {size_budget_mb}")
+    if size_budget_mb is not None and not 0 < size_budget_mb < math.inf:
+        raise ValueError(f"size_budget_mb must be positive and finite, got {size_budget_mb}")
     reference = reference_point(space, size_budget_mb)
     effectiveness_of = _effectiveness_callable(indicator, space)
     rng = random.Random(params.seed)
@@ -516,16 +502,10 @@ def tune(
         pool = population + offspring
         population = tournament_select(pool, params.population_size, rng)
 
-    return TuneResult(
-        archive=update_archive(
-            ParetoArchive(),
-            [Individual(space.configuration(m.genome), m.objectives) for m in archive],
-        ),
-        records=records,
-        reference_point=reference,
-        space=space,
-        genome_evaluations=memo,
-    )
+    # The members are mutually non-dominated and distinct, so decoding them
+    # in place keeps the archive's order and its invariant.
+    archive._members = [Individual(space.configuration(m.genome), m.objectives) for m in archive]
+    return TuneResult(archive, records, reference, space, memo)
 
 
 def select_deployment_config(archive: ParetoArchive, target_mb: float) -> Individual:

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import textwrap
 
@@ -17,7 +19,7 @@ from cfgtune.cli import (
     derive_seed,
     main,
 )
-from conftest import CANONICAL_SPACE_FILE, MINI_SPACE_DOCUMENT
+from conftest import CANONICAL_SPACE_FILE, MINI_SPACE_DOCUMENT, REPO_ROOT
 
 
 @pytest.fixture()
@@ -223,7 +225,7 @@ def test_prune_impossible_budget_exits_constraint(tmp_path, space_file):
     ) == EXIT_CONSTRAINT
 
 
-@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
 def test_prune_non_positive_budget_exits_parse(tmp_path, space_file, capsys, budget):
     out = tmp_path / "out.json"
     assert main(
@@ -506,7 +508,7 @@ def test_tune_impossible_budget_exits_constraint(pipeline):
     assert code == EXIT_CONSTRAINT
 
 
-@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
 def test_tune_non_positive_budget_exits_parse(pipeline, capsys, budget):
     code, out = run_tune(pipeline, "front.jsonl", budget=budget)
     assert code == EXIT_PARSE
@@ -665,13 +667,31 @@ def test_report_without_power_flags_skips_emissions(pipeline, capsys):
     assert "kWh" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("target", ["nan", "0", "-1"])
+@pytest.mark.parametrize("target", ["nan", "inf", "0", "-1"])
 def test_report_non_positive_target_exits_parse(pipeline, capsys, target):
     _, front = run_tune(pipeline, "front.jsonl")
     capsys.readouterr()
     assert main(["report", "--front", str(front), "--target-mb", target]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert "must be positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [("nan", "0.4", "0.4375"), ("0.8", "inf", "0.4375"), ("0.8", "0.4", "nan")],
+    ids=["nan-runtime", "inf-power", "nan-intensity"],
+)
+def test_report_non_finite_workload_exits_parse(pipeline, capsys, workload):
+    _, front = run_tune(pipeline, "front.jsonl")
+    capsys.readouterr()
+    hours, power, intensity = workload
+    assert main(
+        ["report", "--front", str(front), "--runtime-hours", hours, "--power-kw", power,
+         "--carbon-intensity", intensity]
+    ) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "must be non-negative and finite" in captured.err
     assert captured.out == ""
 
 
@@ -777,3 +797,16 @@ def test_readme_quickstart_golden_bytes(tmp_path, monkeypatch, capsys):
             data = re.sub(rb'\n  "written_at": "[^"]*"', b"", data)
         digests[path.name] = hashlib.sha256(data).hexdigest()
     assert digests == QUICKSTART_DIGESTS
+
+
+def test_readme_python_api_block_runs():
+    """The README's one ``python`` block, run from the repo root with
+    ``PYTHONPATH=src`` as its documented use of the API."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0]], cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,3 +113,15 @@ def test_negative_workload_rejected():
         training_energy_kwh(-1.0, 0.4)
     with pytest.raises(ValueError):
         co2_emissions_kg(-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_workload_rejected(value):
+    for call in (
+        lambda: training_energy_kwh(value, 0.4),
+        lambda: training_energy_kwh(0.8, value),
+        lambda: co2_emissions_kg(value),
+        lambda: co2_emissions_kg(0.32, carbon_intensity=value),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()

@@ -5,7 +5,8 @@ loads numpy, and a Python without it runs the whole pipeline and writes the
 same bytes. The pipeline runs in fresh interpreters, since this test process
 has numpy loaded, and once more in this process for comparison. The same
 runner checks that no stage loads the modules that only an external oracle
-needs, or that cfgtune's record types no longer use.
+needs, or that cfgtune's record types no longer use, and that ``prune`` and
+``report`` do not load ``hashlib``.
 """
 
 import json
@@ -113,15 +114,14 @@ def test_pipeline_with_numpy_blocked_matches_an_unblocked_run(tmp_path, capsys):
     assert "deployment pick (closest to 3.0 MB)" in outputs["block"][1]
 
 
-def test_stages_load_no_module_they_do_not_use(tmp_path):
-    """After ``import cfgtune`` and after each stage, none of
-    :data:`NOT_AT_STARTUP` is loaded unless a bare interpreter, under the same
-    environment, already loads it at start-up (``site`` may)."""
+def loaded_at_startup(modules):
+    """Those of ``modules`` that a bare interpreter, under the same
+    environment, already loads at start-up (``site`` may)."""
     bare = subprocess.run(
         [
             sys.executable, "-c",
             "import json, sys; print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))",
-            json.dumps(NOT_AT_STARTUP),
+            json.dumps(modules),
         ],
         capture_output=True,
         text=True,
@@ -129,8 +129,28 @@ def test_stages_load_no_module_they_do_not_use(tmp_path):
         timeout=120,
         check=True,
     )
-    at_startup = json.loads(bare.stdout)
+    return json.loads(bare.stdout)
+
+
+def test_stages_load_no_module_they_do_not_use(tmp_path):
+    """After ``import cfgtune`` and after each stage, none of
+    :data:`NOT_AT_STARTUP` is loaded unless a bare interpreter already loads
+    it at start-up."""
+    at_startup = loaded_at_startup(NOT_AT_STARTUP)
     records, _ = run_fresh(pipeline_stages(tmp_path), watched=NOT_AT_STARTUP)
     assert records == [["import", None, at_startup]] + [
         [stage, EXIT_OK, at_startup] for stage in ("prune", "fit", "tune", "report")
     ]
+
+
+def test_prune_and_report_alone_do_not_load_hashlib(tmp_path):
+    """Only ``fit`` and ``tune`` hash (the space checksum and the derived
+    seeds), so a process that runs only ``prune``, or only ``report``, loads
+    neither ``hashlib`` nor the OpenSSL-backed ``_hashlib``."""
+    hashing = ["hashlib", "_hashlib"]
+    at_startup = loaded_at_startup(hashing)
+    prune, fit, tune, report = pipeline_stages(tmp_path)
+    run_fresh([prune, fit, tune])  # the front that report reads
+    for stage in (prune, report):
+        records, _ = run_fresh([stage], watched=hashing)
+        assert records == [["import", None, at_startup], [stage[0], EXIT_OK, at_startup]]

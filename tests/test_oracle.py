@@ -424,7 +424,7 @@ def test_external_oracle_timeout_kills_grandchildren(tmp_path, pruned_space, mon
 def test_build_indicator_fits_the_synthetic_landscape(pruned_space):
     oracle = SyntheticCapacityOracle(reference_space=pruned_space)
     model, table, configs = build_indicator(pruned_space, oracle, k=20, seed=99)
-    assert len(table) == 20
+    assert len(table.vectors) == len(table.targets) == 20
     assert all(pruned_space.validate(c) for c in configs)
     assert all(0.0 <= t <= 1.0 for t in table.targets)
     vectors = [pruned_space.encode(c) for c in configs]
@@ -443,7 +443,7 @@ def test_build_indicator_is_seed_deterministic(pruned_space):
 def test_build_indicator_minimum_k(pruned_space):
     oracle = SyntheticCapacityOracle(reference_space=pruned_space)
     model, table, _ = build_indicator(pruned_space, oracle, k=2, seed=0)
-    assert len(table) == 2
+    assert len(table.vectors) == len(table.targets) == 2
     with pytest.raises(ValueError):
         build_indicator(pruned_space, oracle, k=1, seed=0)
 

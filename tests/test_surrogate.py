@@ -204,10 +204,12 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_training_set_validation_and_fit():
+    # A training set checks no shapes itself; ``fit`` rejects the ones that do
+    # not fit together.
     with pytest.raises(ValueError):
-        TrainingSet(vectors=((1.0,),), targets=(0.1, 0.2))
+        fit(*TrainingSet(vectors=((1.0,), (2.0,)), targets=(0.1, 0.2, 0.3)))
     with pytest.raises(ValueError):
-        TrainingSet(vectors=((1.0,), (1.0, 2.0)), targets=(0.1, 0.2))
+        fit(*TrainingSet(vectors=((1.0,), (1.0, 2.0)), targets=(0.1, 0.2)))
     data = TrainingSet(vectors=((0.0,), (1.0,), (2.0,)), targets=(0.0, 0.5, 1.0))
     model = fit(data.vectors, data.targets)
     assert model.predict_mean((1.0,)) == pytest.approx(0.5, abs=1e-4)
