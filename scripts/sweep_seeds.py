@@ -77,8 +77,10 @@ def main(argv=None) -> int:
             pick = select_deployment_config(result.archive, args.budget_mb)
             pick_size = pick.objectives.size_mb
             pick_eff = pick.objectives.effectiveness
+            pick_text = f"{pick_size:>12.4f} {pick_eff:>8.4f}"
         else:  # no evaluated configuration fit the budget in this run
-            pick_size = pick_eff = float("nan")
+            pick_size = pick_eff = None
+            pick_text = f"{'-':>12} {'-':>8}"
         row = {
             "seed": seed,
             "front_size": len(result.archive),
@@ -89,8 +91,7 @@ def main(argv=None) -> int:
         }
         rows.append(row)
         print(f"{row['seed']:>4} {row['front_size']:>5} {row['evaluations']:>6} "
-              f"{row['hypervolume']:>12.4f} {row['pick_size_mb']:>12.4f} "
-              f"{row['pick_effectiveness']:>8.4f}")
+              f"{row['hypervolume']:>12.4f} {pick_text}")
 
     write_jsonl(args.out, rows)
 

@@ -18,7 +18,8 @@ reads a table of per-(dimension, index) terms
 (:meth:`cfgtune.surrogate.SurrogateModel.genome_predictor`).
 
 The package's artifacts are written by :func:`write_json` and
-:func:`write_jsonl` alone, and a number read from a file passes
+:func:`write_jsonl` alone, which raise ``ValueError`` on a NaN or an infinity
+before the artifact is replaced, and a number read from a file passes
 :func:`is_json_number`.
 """
 
@@ -449,7 +450,7 @@ def atomic_open(path):
 def write_json(path, document) -> None:
     """An artifact that is one JSON document: indented by 2, then a newline."""
     with atomic_open(path) as handle:
-        json.dump(document, handle, indent=2)
+        json.dump(document, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -457,7 +458,7 @@ def write_jsonl(path, records) -> None:
     """An artifact of records: one JSON object per line, keys sorted."""
     with atomic_open(path) as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 def save_space(space: ConfigurationSpace, path) -> None:

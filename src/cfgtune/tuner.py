@@ -20,6 +20,7 @@ for the members of the final archive, when :func:`tune` returns.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from typing import Callable, NamedTuple
@@ -128,6 +129,9 @@ class TunerParams:
         self.population_size, self.generations, self.seed = population_size, generations, seed
 
 
+_SLACK = 1e-9  # relative; see :func:`adaptive_random_init`
+
+
 def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     # One left-to-right expression, not ``sum``: since Python 3.12 ``sum`` of
     # floats is compensated, which changes last bits and can flip a tie. It
@@ -154,11 +158,19 @@ def adaptive_random_init(
     distance (over normalized encodings) to the members chosen so far. All
     samples pass through correction, so every member validates.
 
-    A candidate's distances are scanned with a running minimum that stops as
-    soon as it is ``<= best_score``: the candidate's minimum can then only be
-    lower, and only a score ``> best_score`` wins, so the choice is exactly
-    that of the full minimum. Every candidate is still sampled and encoded,
-    so the ``rng`` stream is unchanged.
+    A candidate's distances to the chosen members are scanned in C with
+    ``math.dist``. If ``nearest * (1 + _SLACK) <= best_score`` it loses;
+    otherwise its exact score, the :func:`_normalized_distance` minimum, is
+    taken over the members whose ``math.dist`` is at most ``nearest * (1 +
+    _SLACK) ** 2``, and only a score ``> best_score`` wins. Both distances
+    start from the same rounded component differences and are within about
+    1e-15 relative of their true norm (``math.dist`` about 1 ulp on CPython
+    3.10+, the 13-term sum and ``sqrt`` about 8 roundoffs), a margin of about
+    1e6 under ``_SLACK = 1e-9``: a clear loser's exact score is ``<=
+    best_score`` too, and the member at the exact minimum is always
+    rechecked, so every winner and score is that of the full minimum. Every
+    candidate is still sampled and encoded, so the ``rng`` stream is
+    unchanged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -172,14 +184,15 @@ def adaptive_random_init(
         for _ in range(CANDIDATE_POOL):
             candidate = space.sample_genome(rng)
             encoding = space.encode_genome(candidate, normalize=True)
-            # The running minimum replaces on ``<`` only, as ``min`` does.
-            score = _normalized_distance(encoding, encodings[0])
-            for index in range(1, len(encodings)):
-                if score <= best_score:
-                    break
-                distance = _normalized_distance(encoding, encodings[index])
-                if distance < score:
-                    score = distance
+            distances = list(map(math.dist, itertools.repeat(encoding), encodings))
+            nearest = min(distances)
+            if nearest * (1 + _SLACK) <= best_score:
+                continue  # a clear loser
+            near = nearest * (1 + _SLACK) ** 2
+            score = min(
+                _normalized_distance(encoding, e)
+                for e, d in zip(encodings, distances) if d <= near
+            )
             if score > best_score:
                 best_genome, best_encoding, best_score = candidate, encoding, score
         chosen.append(best_genome)
@@ -364,9 +377,9 @@ class GenerationRecord(NamedTuple):
     generation: int
     archive_size: int
     hypervolume: float
-    best_size_mb: float
-    best_gflops: float
-    best_effectiveness: float
+    best_size_mb: float | None
+    best_gflops: float | None
+    best_effectiveness: float | None
 
 
 class TuneResult(NamedTuple):
@@ -463,9 +476,9 @@ def tune(
                 generation=len(records),
                 archive_size=len(snapshot),
                 hypervolume=hypervolume(snapshot, reference),
-                best_size_mb=min((p[0] for p in snapshot), default=math.nan),
-                best_gflops=min((p[1] for p in snapshot), default=math.nan),
-                best_effectiveness=max((-p[2] for p in snapshot), default=math.nan),
+                best_size_mb=min((p[0] for p in snapshot), default=None),
+                best_gflops=min((p[1] for p in snapshot), default=None),
+                best_effectiveness=max((-p[2] for p in snapshot), default=None),
             )
         )
 

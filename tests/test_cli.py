@@ -570,6 +570,34 @@ def test_tune_model_value_of_the_wrong_type_exits_parse(pipeline, capsys, field,
     assert not out.exists()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_tune_artifacts_are_strict_json_while_the_archive_is_empty(tmp_path):
+    # At README defaults with the seed-11 model, tune seed 0 archives nothing
+    # in its first four generations; those run-log lines have no best member.
+    pruned, model, front = tmp_path / "pruned.json", tmp_path / "model.json", tmp_path / "front.jsonl"
+    for stage in (
+        ["prune", "--space", str(CANONICAL_SPACE_FILE), "--budget-mb", "3.0", "--out", str(pruned)],
+        ["fit", "--space", str(pruned), "--oracle", "synthetic", "--samples", "20", "--seed", "11",
+         "--out", str(model)],
+        ["tune", "--space", str(pruned), "--model", str(model), "--seed", "0", "--out", str(front)],
+    ):
+        assert main(stage) == EXIT_OK
+    runlog = [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in (tmp_path / "front.runlog.jsonl").read_text().splitlines()
+    ]
+    assert [row["archive_size"] == 0 for row in runlog[:5]] == [True] * 4 + [False]
+    for row in runlog:
+        best = [row["best_size_mb"], row["best_gflops"], row["best_effectiveness"]]
+        assert best == [None] * 3 if row["archive_size"] == 0 else None not in best
+    for line in front.read_text().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+    json.loads((tmp_path / "front.manifest.json").read_text(), parse_constant=_reject_constant)
+
+
 @pytest.mark.parametrize("failing", ["predicted_effectiveness", "hypervolume"], ids=["front", "runlog"])
 def test_tune_failing_write_keeps_previous_artifacts(pipeline, monkeypatch, failing):
     assert run_tune(pipeline, "front.jsonl")[0] == EXIT_OK

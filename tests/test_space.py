@@ -19,7 +19,7 @@ from cfgtune import (
     save_space,
     space_from_mapping,
 )
-from cfgtune.space import INTEGER_DIMENSIONS
+from cfgtune.space import INTEGER_DIMENSIONS, write_json, write_jsonl
 from conftest import CANONICAL_SPACE_FILE, MINI_SPACE_DOCUMENT, make_config
 
 
@@ -189,6 +189,22 @@ def test_save_load_round_trip(tmp_path, canonical_space):
 def corrected(config, space, rng):
     """``correct`` applied to the configuration's genome, decoded."""
     return space.configuration(correct(space.genome(config), space, rng))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path, value: write_json(path, {"hypervolume": 1.0, "best_size_mb": value}),
+        lambda path, value: write_jsonl(path, [{"best_size_mb": 1.0}, {"best_size_mb": value}]),
+    ],
+    ids=["json", "jsonl"],
+)
+def test_writers_refuse_non_finite_numbers_and_leave_no_file(tmp_path, write, value):
+    # JSON has no token for them; Python's json would write NaN or Infinity.
+    with pytest.raises(ValueError):
+        write(tmp_path / "artifact.json", value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_correct_resamples_heads_from_divisors(canonical_space):

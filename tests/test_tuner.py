@@ -208,6 +208,29 @@ def test_adaptive_init_degenerate_single_point_space(point_space):
     assert min_pairwise_distance(point_space, configs) == 0.0
 
 
+@pytest.fixture(scope="module")
+def two_value_space():
+    """Two values per dimension, so every normalized component is 0 or 1 and
+    many candidates tie exactly on their nearest distance."""
+    return space_from_mapping(
+        {
+            "tokenizer": ["Byte-Pair Encoding", "Word"],
+            "vocab_size": [1000, 50265],
+            "num_hidden_layers": {"min": 1, "max": 2},
+            "hidden_size": [64, 768],
+            "hidden_act": ["GELU", "ReLU"],
+            "hidden_dropout_prob": [0.1, 0.5],
+            "intermediate_size": [16, 3072],
+            "num_attention_heads": {"min": 1, "max": 2},
+            "attention_probs_dropout_prob": [0.1, 0.5],
+            "max_sequence_length": [256, 512],
+            "position_embedding_type": ["absolute", "relative_key"],
+            "learning_rate": [0.001, 0.0001],
+            "batch_size": [16, 64],
+        }
+    )
+
+
 def full_minimum_init(space, n, rng, candidate_pool):
     """The initializer as first written: every candidate's minimum distance
     to the chosen members is computed in full."""
@@ -229,17 +252,52 @@ def full_minimum_init(space, n, rng, candidate_pool):
 @pytest.mark.parametrize("candidate_pool", [tuner.CANDIDATE_POOL])
 @pytest.mark.parametrize("n", [1, 2, 20, 200])
 def test_adaptive_init_equals_full_minimum(
-    pruned_space, mini_space, point_space, n, candidate_pool
+    pruned_space, mini_space, point_space, two_value_space, n, candidate_pool, monkeypatch
 ):
-    # The early exit picks exactly the members the full minimum picks and
-    # leaves the rng where the full minimum leaves it.
+    # The ``math.dist`` scan and its exact recheck pick exactly the members
+    # the full minimum picks and leave the rng where the full minimum leaves
+    # it. The recheck runs, but on fewer (candidate, member) pairs than the
+    # full minimum scores.
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return _normalized_distance(a, b)
+
+    monkeypatch.setattr(tuner, "_normalized_distance", counted)
     seeds = range({1: 40, 2: 40, 20: 10, 200: 1}[n])
-    for space in (pruned_space, mini_space, point_space):
+    pairs = candidate_pool * n * (n - 1) // 2 * len(seeds)
+    for space in (pruned_space, mini_space, point_space, two_value_space):
+        calls = 0
         for seed in seeds:
             rng, reference_rng = random.Random(seed), random.Random(seed)
             population = adaptive_random_init(space, n, rng)
             assert population == full_minimum_init(space, n, reference_rng, candidate_pool)
             assert rng.getstate() == reference_rng.getstate()
+        if n > 1:
+            assert 0 < calls < pairs
+
+
+@pytest.mark.parametrize("budget_mb", [3.0, 64.0])
+def test_math_dist_agrees_with_normalized_distance(canonical_space, budget_mb):
+    # The fast scan in ``adaptive_random_init`` rests on this: the two
+    # distances agree to far within ``_SLACK`` on the running interpreter.
+    space = prune(canonical_space, SizeConstraint(budget_mb))
+    rng = random.Random(0)
+    encodings = [
+        space.encode_genome(space.sample_genome(rng), normalize=True) for _ in range(3000)
+    ]
+    pairs = list(zip(encodings, encodings[1:]))
+    for a, b in zip(encodings[:500], encodings[500:1000]):
+        position = rng.randrange(13)  # differ in this component alone
+        pairs.append((a, a[:position] + b[position:position + 1] + a[position + 1:]))
+    for a in encodings[:100]:
+        assert math.dist(a, a) == _normalized_distance(a, a) == 0.0
+    for a, b in pairs:
+        exact = _normalized_distance(a, b)
+        assert abs(math.dist(a, b) - exact) <= 1e-12 * exact
+    assert 1e-12 < tuner._SLACK
 
 
 def neumaier_sum(values, start=0.0):
