@@ -99,6 +99,8 @@ def _make_oracle(selector: str, space, seed: int, noise_sigma: float):
         command = tuple(shlex.split(selector[len("external:"):]))
         if not command:
             raise SpaceFormatError("external oracle command is empty")
+        if noise_sigma:  # the evaluator is never told of it
+            raise ValueError("--noise-sigma applies only to the synthetic oracle")
         return ExternalProcessOracle(command=command, space_checksum=space.checksum())
     raise SpaceFormatError(
         f"unknown oracle {selector!r}; expected 'synthetic' or 'external:<cmd>'"

@@ -126,6 +126,8 @@ class SyntheticCapacityOracle:
     def __init__(
         self, reference_space: ConfigurationSpace, noise_sigma: float = 0.0, seed: int = 0
     ):
+        if not 0 <= noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
         self.reference_space = reference_space
         self.noise_sigma = noise_sigma
         self.seed = seed
@@ -181,6 +183,7 @@ class SyntheticCapacityOracle:
 # day; override only through the environment.
 DEFAULT_ORACLE_TIMEOUT_S = 24 * 60 * 60
 TIMEOUT_ENV_VAR = "CFGTUNE_ORACLE_TIMEOUT_S"
+MAX_ORACLE_TIMEOUT_S = 2147483.647  # poll()'s longest wait: 2**31 - 1 ms, a C int
 
 
 def _oracle_timeout_s() -> float:
@@ -191,8 +194,8 @@ def _oracle_timeout_s() -> float:
         value = float(raw)
     except ValueError as err:
         raise OracleError(f"{TIMEOUT_ENV_VAR} must be a number, got {raw!r}") from err
-    if value <= 0:
-        raise OracleError(f"{TIMEOUT_ENV_VAR} must be positive, got {value}")
+    if not 0 < value <= MAX_ORACLE_TIMEOUT_S:
+        raise OracleError(f"{TIMEOUT_ENV_VAR} must be in (0, {MAX_ORACLE_TIMEOUT_S}], got {raw!r}")
     return value
 
 
@@ -232,6 +235,7 @@ class ExternalProcessOracle:
         import subprocess
         import tempfile
 
+        timeout = _oracle_timeout_s()  # a bad setting fails before any evaluator starts
         configs = list(configs)
         ids = [f"cfg-{index}" for index in range(len(configs))]
         with tempfile.TemporaryDirectory(prefix="cfgtune-oracle-") as workdir:
@@ -245,7 +249,6 @@ class ExternalProcessOracle:
                 ),
             )
             argv = list(self.command) + [request_path, response_path]
-            timeout = _oracle_timeout_s()
             try:
                 process = subprocess.Popen(
                     argv,

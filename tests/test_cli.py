@@ -327,6 +327,38 @@ def test_fit_unknown_oracle_exits_parse(tmp_path, space_file):
     ) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_fit_non_finite_or_negative_noise_exits_parse(tmp_path, space_file, capsys, sigma):
+    # NaN and -1 meant no noise, and inf turned every target into 0.0 or 1.0,
+    # all with exit 0.
+    assert main(
+        [
+            "fit",
+            "--space", str(space_file),
+            "--noise-sigma", sigma,
+            "--out", str(tmp_path / "m.json"),
+        ]
+    ) == EXIT_PARSE
+    assert "noise_sigma must be finite and non-negative" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
+
+
+def test_fit_noise_with_external_oracle_exits_parse(tmp_path, space_file, capsys):
+    # The evaluator never sees the noise, so the flag would be silently ignored.
+    marker = tmp_path / "evaluator-ran"
+    assert main(
+        [
+            "fit",
+            "--space", str(space_file),
+            "--oracle", f"external:{sys.executable} -c \"open('{marker}', 'w')\"",
+            "--noise-sigma", "0.05",
+            "--out", str(tmp_path / "m.json"),
+        ]
+    ) == EXIT_PARSE
+    assert "--noise-sigma applies only to the synthetic oracle" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
+
+
 def test_fit_external_oracle_happy_path(tmp_path, space_file):
     script = tmp_path / "eval.py"
     script.write_text(

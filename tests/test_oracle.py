@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cfgtune import (
     DistillationBatch,
     ExternalProcessOracle,
+    OracleError,
     OracleProcessError,
     OracleResponseError,
     OracleTimeoutError,
@@ -401,6 +402,30 @@ def test_external_oracle_timeout(tmp_path, pruned_space, monkeypatch):
     oracle = ExternalProcessOracle(command=command)
     with pytest.raises(OracleTimeoutError):
         oracle.evaluate(pruned_space.sample_uniform(1, seed=1)[0])
+
+
+@pytest.mark.parametrize(
+    "setting", ["abc", "0", "-1", "nan", "inf", "1e300", "2147483.648"]
+)
+def test_external_oracle_rejects_bad_timeout_before_starting(
+    tmp_path, pruned_space, monkeypatch, setting
+):
+    # NaN failed inside poll() and values above 2**31 - 1 ms overflowed its C
+    # int, both after the evaluator had started.
+    monkeypatch.setenv("CFGTUNE_ORACLE_TIMEOUT_S", setting)
+    marker = tmp_path / "evaluator-ran"
+    command = write_evaluator(tmp_path, "touch.py", f"open({str(marker)!r}, 'w').close()\n")
+    oracle = ExternalProcessOracle(command=command)
+    with pytest.raises(OracleError, match="CFGTUNE_ORACLE_TIMEOUT_S"):
+        oracle.evaluate(pruned_space.sample_uniform(1, seed=1)[0])
+    assert not marker.exists()
+
+
+def test_external_oracle_accepts_the_longest_poll_timeout(tmp_path, pruned_space, monkeypatch):
+    monkeypatch.setenv("CFGTUNE_ORACLE_TIMEOUT_S", "2147483.647")
+    command = write_evaluator(tmp_path, "good.py", GOOD_EVALUATOR)
+    oracle = ExternalProcessOracle(command=command)
+    assert oracle.evaluate(pruned_space.sample_uniform(1, seed=9)[0]) == 0.873
 
 
 def test_external_oracle_timeout_kills_grandchildren(tmp_path, pruned_space, monkeypatch):

@@ -53,21 +53,37 @@ def test_run_pipeline_writes_the_cli_stages_artifacts(tmp_path):
     ).read_bytes()
 
 
-def test_sweep_seeds_hypervolume_uses_one_fixed_reference(tmp_path):
-    out = tmp_path / "sweep.jsonl"
-    proc = run_script("sweep_seeds.py", "--seeds", "2", *SMALL_SEARCH, "--out", str(out))
+def test_run_pipeline_sweeps_tune_seeds_against_one_fixed_reference(tmp_path):
+    # At this size tune seed 1 finds no configuration within 3 MB (tune exits 3).
+    out_dir = tmp_path / "sweep"
+    proc = run_script(
+        "run_pipeline.py", "--seed", "0", "--tune-seeds", "0", "1", *SMALL_SEARCH,
+        "--out-dir", str(out_dir),
+    )
 
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    rows = [json.loads(line) for line in (out_dir / "seeds.jsonl").read_text().splitlines()]
     assert [row["seed"] for row in rows] == [0, 1]
-    pruned = load_space(tmp_path / "sweep.pruned.json")
-    model = SurrogateModel.load(tmp_path / "sweep.model.json")
+    assert rows[1] == {"seed": 1, "front_size": 0, "evaluations": None, "hypervolume": 0.0}
+
+    pruned = load_space(out_dir / "pruned.json")
+    model = SurrogateModel.load(out_dir / "model_seed0.json")
     corner = Configuration.from_dict(
         {d.name: d.options[0] if d.options else d.max_value() for d in pruned.dimensions}
     )
-    reference = (3.0, forward_gflops(corner), 0.0)
-    assert str(reference) in proc.stdout
-    for row in rows:
-        params = TunerParams(population_size=8, generations=5, seed=derive_seed(row["seed"], "tune"))
-        result = tune(pruned, model, params, size_budget_mb=3.0)
-        assert row["hypervolume"] == hypervolume(result.archive.objective_vectors(), reference)
-    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+    manifest = json.loads((out_dir / "front_seed0.manifest.json").read_text())
+    reference = manifest["hypervolume_reference"]
+    assert reference == [3.0, forward_gflops(corner), 0.0]
+    params = TunerParams(population_size=8, generations=5, seed=derive_seed(0, "tune"))
+    result = tune(pruned, model, params, size_budget_mb=3.0)
+    assert rows[0] == {
+        "seed": 0,
+        "front_size": len(result.archive),
+        "evaluations": len(result.genome_evaluations),
+        "hypervolume": hypervolume(result.archive.objective_vectors(), tuple(reference)),
+    }
+    params = TunerParams(population_size=8, generations=5, seed=derive_seed(1, "tune"))
+    assert not tune(pruned, model, params, size_budget_mb=3.0).archive
+    half = rows[0]["hypervolume"] / 2  # the mean and the stdev of [hypervolume, 0.0]
+    assert f"range [0, {rows[0]['front_size']}]" in proc.stdout
+    assert f"hypervolume: mean {half:.4f}, stdev {half:.4f}" in proc.stdout
+    assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
