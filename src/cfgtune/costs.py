@@ -5,14 +5,16 @@ Size is computed in exact integer bytes from closed-form parameter counts
 edge; 1 MB = 2**20 bytes. The FLOPs model is a standard per-layer count of
 the dense matrix multiplies in an encoder forward pass at full sequence
 length, reported in units of 1e9.
+Both have a configuration form and a genome form, :func:`genome_costs`;
+the two call the same integer functions, so each formula is written once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .space import Configuration
+from .space import CANONICAL_DIMENSIONS, Configuration, ConfigurationSpace, Genome
 
 MEGABYTE = 1 << 20
 
@@ -112,22 +114,45 @@ def model_size_mb(config: Configuration) -> float:
     ) / MEGABYTE
 
 
-def forward_pass_flops(config: Configuration) -> int:
-    """Dense multiply-add count for one forward pass at full sequence length.
+def dense_flops(l: int, h: int, i: int, s: int) -> int:
+    """Dense multiply-add count for one forward pass at full sequence length
+    s, with l layers, hidden size h and intermediate size i.
 
     Per layer: QKV + output projections 8sh^2, attention score and mixing
     matmuls 4s^2h, feed-forward 4shi; plus the pooler/classifier 4h^2.
     """
-    s = config.max_sequence_length
-    h = config.hidden_size
-    i = config.intermediate_size
-    l = config.num_hidden_layers
     per_layer = 8 * s * h * h + 4 * s * s * h + 4 * s * h * i
     return l * per_layer + 4 * h * h
 
 
+def forward_pass_flops(config: Configuration) -> int:
+    return dense_flops(
+        config.num_hidden_layers, config.hidden_size, config.intermediate_size,
+        config.max_sequence_length,
+    )
+
+
 def forward_gflops(config: Configuration) -> float:
     return forward_pass_flops(config) / 1e9
+
+
+def genome_costs(space: ConfigurationSpace) -> Callable[[Genome], tuple[float, float]]:
+    """``genome -> (model_size_mb(c), forward_gflops(c))`` for ``c =
+    space.configuration(genome)``, bit for bit: the same integer functions
+    on the same values, looked up by index, with no configuration built."""
+    positions = [CANONICAL_DIMENSIONS.index(name) for name in SIZE_RELEVANT_DIMENSIONS]
+    v, l, h, i, s = positions
+    vocab, layers, hidden, inter, seq = (space.dimensions[p].domain for p in positions)
+
+    def costs(genome: Genome) -> tuple[float, float]:
+        n_v, n_l, n_h = vocab[genome[v]], layers[genome[l]], hidden[genome[h]]
+        n_i, n_s = inter[genome[i]], seq[genome[s]]
+        return (
+            parameter_file_bytes(n_v, n_l, n_h, n_i, n_s) / MEGABYTE,
+            dense_flops(n_l, n_h, n_i, n_s) / 1e9,
+        )
+
+    return costs
 
 
 def training_energy_kwh(runtime_hours: float, average_power_kw: float) -> float:

@@ -128,6 +128,8 @@ class SyntheticCapacityOracle:
     ):
         if not 0 <= noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+        if noise_sigma > 1:  # every score is clamped to [0, 1]
+            raise ValueError(f"noise_sigma must be at most 1, got {noise_sigma}")
         self.reference_space = reference_space
         self.noise_sigma = noise_sigma
         self.seed = seed

@@ -11,11 +11,11 @@ Inside the search a configuration is a *genome*: a 13-tuple holding, per
 dimension, the index of its value in the dimension's ``domain``. Sampling,
 repair and encoding work on genomes. A :class:`Configuration`, a named tuple
 of the values, is built from one by :meth:`ConfigurationSpace.configuration`
-only where its values are needed: in ``tune``, for the cost models and an
-oracle or callable indicator when a genome is first scored, and for the
-members of the final archive. A fitted surrogate needs no configuration; it
-reads a table of per-(dimension, index) terms
-(:meth:`cfgtune.surrogate.SurrogateModel.genome_predictor`).
+only where its values are needed: in ``tune``, for an oracle or callable
+indicator when a genome is first scored, and for the members of the final
+archive. The cost models (:func:`cfgtune.costs.genome_costs`) and a fitted
+surrogate (:meth:`cfgtune.surrogate.SurrogateModel.genome_predictor`) read
+the genome's indices instead.
 
 The package's artifacts are written by :func:`write_json` and
 :func:`write_jsonl` alone, which raise ``ValueError`` on a NaN or an infinity
@@ -306,10 +306,10 @@ class ConfigurationSpace:
         return tuple([float(components[i]) for (components, _, _), i in zip(self._codec, genome)])
 
     def sample_genome(self, rng: random.Random) -> Genome:
-        """One index per dimension, each drawn uniformly in canonical order,
-        then repaired by :func:`correct`."""
-        randrange = rng.randrange
-        return correct(tuple([randrange(len(domain)) for domain in self._domains]), self, rng)
+        """One index per dimension, each drawn uniformly in canonical order
+        by :func:`below`, then repaired by :func:`correct`."""
+        bits = rng.getrandbits
+        return correct(tuple([below(bits, len(domain)) for domain in self._domains]), self, rng)
 
     def sample_uniform(self, n: int, seed: int) -> list[Configuration]:
         """n valid configurations from :meth:`sample_genome`. Deterministic
@@ -327,6 +327,17 @@ class ConfigurationSpace:
 
         canonical = json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def below(getrandbits, n: int) -> int:
+    """``rng.randrange(n)``, ``n >= 1``, from ``getrandbits = rng.getrandbits``:
+    the same draws as CPython 3.10-3.13, without its two Python frames
+    (``tests/test_tuner.py`` pins it to the running interpreter)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def scale(x: float, lo: float, span: float) -> float:

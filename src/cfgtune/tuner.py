@@ -9,12 +9,15 @@ non-dominated evaluated configurations. Deterministic for a fixed seed.
 
 The search runs on genomes (see :mod:`cfgtune.space`): tuples of value
 indices, so crossover is tuple slicing, mutation is an index draw, and the
-memo and the archive hold small int tuples. A :class:`Configuration` is
-built only to score a new genome (for the cost models, and an oracle or
-callable indicator; a fitted surrogate adds table terms looked up by genome
-index, see :meth:`~cfgtune.surrogate.SurrogateModel.genome_predictor`) and
-for the members of the final archive, when :func:`tune` returns.
-:attr:`TuneResult.evaluations` decodes the memo on each access.
+memo and the archive hold small int tuples. A new genome is scored by index:
+:func:`~cfgtune.costs.genome_costs` for size and FLOPs, and a fitted
+surrogate's :meth:`~cfgtune.surrogate.SurrogateModel.genome_predictor` for
+effectiveness. A :class:`Configuration` is built only for an oracle or a
+callable indicator, once per new genome, and for the members of the final
+archive, when :func:`tune` returns. :attr:`TuneResult.evaluations` decodes
+the memo on each access. Sampling, variation and selection draw indices with
+:func:`~cfgtune.space.below`, which draws what ``randrange``, ``choice`` and
+``shuffle`` would.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import math
 import random
 from typing import Callable, NamedTuple
 
-from .costs import forward_gflops, model_size_mb
-from .space import Configuration, ConfigurationSpace, Genome, correct
+from .costs import forward_gflops, genome_costs, model_size_mb
+from .space import Configuration, ConfigurationSpace, Genome, below, correct
 
 
 class ObjectiveVector(NamedTuple):
@@ -209,23 +212,34 @@ def crossover_at(g1: Genome, g2: Genome, x1: int, x2: int) -> tuple[Genome, Geno
 
 def _distinct_pair(n: int, rng: random.Random) -> tuple[int, int]:
     """Two distinct indices in ``range(n)``, ``n >= 2``: exactly the pair
-    ``rng.sample(range(n), 2)`` returns, from the same ``randrange`` draws in
-    the same order, so the rng ends in the same state. For ``n > 21``
-    ``sample`` redraws the second index on a collision; up to 21 it draws
-    from a shrinking pool, where the first index's slot holds ``n - 1``.
-    ``tests/test_tuner.py::test_distinct_pair_draws_what_sample_draws`` pins
-    this against the running interpreter's ``random.sample``."""
-    randrange = rng.randrange
-    first = randrange(n)
+    ``rng.sample(range(n), 2)`` returns, from the same ``randrange`` draws
+    (by :func:`below`) in the same order, so the rng ends in the same state.
+    For ``n > 21`` ``sample`` redraws the second index on a collision; up to
+    21 it draws from a shrinking pool, where the first index's slot holds
+    ``n - 1``. ``tests/test_tuner.py::test_distinct_pair_draws_what_sample_draws``
+    pins this against the running interpreter's ``random.sample``."""
+    bits = rng.getrandbits
+    first = below(bits, n)
     if n > 21:
-        second = randrange(n)
+        second = below(bits, n)
         while second == first:
-            second = randrange(n)
+            second = below(bits, n)
     else:
-        second = randrange(n - 1)
+        second = below(bits, n - 1)
         if second == first:
             second = n - 1
     return first, second
+
+
+def _permutation(n: int, rng: random.Random) -> list[int]:
+    """``range(n)`` as ``rng.shuffle`` shuffles it: the same Fisher-Yates
+    loop, its draws made by :func:`below`."""
+    bits = rng.getrandbits
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = below(bits, i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def two_point_crossover(g1: Genome, g2: Genome, rng: random.Random) -> tuple[Genome, Genome]:
@@ -249,12 +263,12 @@ def boundary_random_mutation(
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     mutated = None
-    draw = rng.random
+    draw, bits = rng.random, rng.getrandbits
     for position, dim in enumerate(space.dimensions):
         if draw() < rate:
             if mutated is None:
                 mutated = list(genome)
-            mutated[position] = rng.randrange(dim.size())
+            mutated[position] = below(bits, dim.size())
     return genome if mutated is None else tuple(mutated)
 
 
@@ -274,9 +288,10 @@ def crowding_distances(objectives: list[ObjectiveVector]) -> list[float]:
         distances[order[-1]] = math.inf
         if hi == lo:
             continue
-        for rank in range(1, n - 1):
-            gap = (column[order[rank + 1]] - column[order[rank - 1]]) / (hi - lo)
-            distances[order[rank]] += gap  # infinity stays infinity
+        span = hi - lo
+        ranked = [column[index] for index in order]
+        for index, previous, following in zip(order[1:-1], ranked, ranked[2:]):
+            distances[index] += (following - previous) / span  # infinity stays infinity
     return distances
 
 
@@ -290,6 +305,7 @@ def tournament_select(pool: list, count: int, rng: random.Random) -> list:
     if size < 2:
         raise ValueError("selection pool needs at least 2 entries")
     crowding = crowding_distances([entry.objectives for entry in pool])
+    bits = rng.getrandbits
     winners = []
     for _ in range(count):
         a, b = _distinct_pair(size, rng)
@@ -302,9 +318,9 @@ def tournament_select(pool: list, count: int, rng: random.Random) -> list:
             finalists = (a,) if crowding[a] > crowding[b] else (b,)
         else:
             finalists = (a, b)
-        # Also for one finalist: ``choice`` draws from the stream even then,
-        # and the golden fronts depend on that draw.
-        winners.append(pool[rng.choice(finalists)])
+        # ``rng.choice(finalists)``, which draws from the stream even for
+        # one finalist; the golden fronts depend on that draw.
+        winners.append(pool[finalists[below(bits, len(finalists))]])
     return winners
 
 
@@ -397,21 +413,19 @@ class TuneResult(NamedTuple):
         return {configuration(g): v for g, v in self.genome_evaluations.items()}
 
 
-def _effectiveness_callable(
-    indicator, space: ConfigurationSpace
-) -> Callable[[Genome, Configuration], float]:
-    """Accepts a fitted surrogate (anything with a ``genome_predictor``
-    method, see :meth:`~cfgtune.surrogate.SurrogateModel.genome_predictor`,
-    which reads the genome), an oracle (an ``evaluate`` method) or a plain
-    callable (which read the configuration); an object with only
-    ``predict_mean`` is none of these."""
+def _effectiveness_callable(indicator, space: ConfigurationSpace) -> Callable[[Genome], float]:
+    """``genome -> effectiveness`` for a fitted surrogate (anything with a
+    ``genome_predictor`` method), which builds no :class:`Configuration`, or
+    for an oracle (an ``evaluate`` method) or a plain callable, which receive
+    ``space.configuration(genome)``; an object with only ``predict_mean`` is
+    none of these."""
     if hasattr(indicator, "genome_predictor"):
-        predict = indicator.genome_predictor(space)
-        return lambda genome, config: predict(genome)
+        return indicator.genome_predictor(space)
+    configuration = space.configuration
     if hasattr(indicator, "evaluate"):
-        return lambda genome, config: indicator.evaluate(config)
+        return lambda genome: indicator.evaluate(configuration(genome))
     if callable(indicator):
-        return lambda genome, config: indicator(config)
+        return lambda genome: indicator(configuration(genome))
     raise TypeError(
         "indicator must be a fitted surrogate, an oracle, or a callable"
     )
@@ -441,6 +455,7 @@ def tune(
         raise ValueError(f"size_budget_mb must be positive and finite, got {size_budget_mb}")
     reference = reference_point(space, size_budget_mb)
     effectiveness_of = _effectiveness_callable(indicator, space)
+    costs_of = genome_costs(space)
     rng = random.Random(params.seed)
     memo: dict[Genome, ObjectiveVector] = {}
 
@@ -449,13 +464,11 @@ def tune(
     def evaluate(genome: Genome) -> _Member:
         cached = memo.get(genome)
         if cached is None:
-            config = space.configuration(genome)
-            effectiveness = float(effectiveness_of(genome, config))
-            size_mb = model_size_mb(config)
-            gflops = forward_gflops(config)
+            effectiveness = float(effectiveness_of(genome))
+            size_mb, gflops = costs_of(genome)
             # The raw effectiveness is checked: the clamp maps NaN to 0.0.
             if not (isfinite(size_mb) and isfinite(gflops) and isfinite(effectiveness)):
-                raise RuntimeError(f"non-finite objectives for {config}")
+                raise RuntimeError(f"non-finite objectives for {space.configuration(genome)}")
             cached = ObjectiveVector(size_mb, gflops, -min(1.0, max(0.0, effectiveness)))
             memo[genome] = cached
         return _Member(genome, cached)
@@ -490,8 +503,7 @@ def tune(
     record_generation()
 
     for _ in range(params.generations):
-        order = list(range(len(population)))
-        rng.shuffle(order)
+        order = _permutation(len(population), rng)
         children: list[Genome] = []
         for pair_start in range(0, len(order) - 1, 2):
             g1 = population[order[pair_start]].genome

@@ -343,6 +343,22 @@ def test_fit_non_finite_or_negative_noise_exits_parse(tmp_path, space_file, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
 
 
+@pytest.mark.parametrize("sigma", ["1.5", "1e308"])
+def test_fit_noise_above_one_exits_parse(tmp_path, space_file, capsys, sigma):
+    # The synthetic oracle clamps every score to [0, 1], so such noise left
+    # targets of only 0.0 and 1.0 and a fit that did not converge, with exit 0.
+    assert main(
+        [
+            "fit",
+            "--space", str(space_file),
+            "--noise-sigma", sigma,
+            "--out", str(tmp_path / "m.json"),
+        ]
+    ) == EXIT_PARSE
+    assert "noise_sigma must be at most 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
+
+
 def test_fit_noise_with_external_oracle_exits_parse(tmp_path, space_file, capsys):
     # The evaluator never sees the noise, so the flag would be silently ignored.
     marker = tmp_path / "evaluator-ran"

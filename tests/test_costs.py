@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -8,14 +9,18 @@ from cfgtune import (
     DEFAULT_CARBON_INTENSITY,
     MEGABYTE,
     SIZE_RELEVANT_DIMENSIONS,
+    SizeConstraint,
     co2_emissions_kg,
     forward_gflops,
     forward_pass_flops,
     model_size_breakdown,
     model_size_mb,
     parameter_file_bytes,
+    prune,
+    space_from_mapping,
     training_energy_kwh,
 )
+from cfgtune.costs import genome_costs
 from conftest import make_config
 
 
@@ -125,3 +130,28 @@ def test_non_finite_workload_rejected(value):
     ):
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+@pytest.mark.parametrize("form", ["listing3", "3 MB", "64 MB", "mini", "value sets"])
+def test_genome_costs_equal_the_configuration_forms(canonical_space, mini_space, form):
+    if form == "value sets":
+        # Every size-relevant dimension a value array, not a range.
+        document = canonical_space.to_document()
+        document.update(
+            vocab_size=[500, 8000, 50265],
+            num_hidden_layers=[1, 6, 12],
+            hidden_size=[48, 96, 768],
+            intermediate_size=[64, 3072],
+            max_sequence_length=[128, 512],
+        )
+        space = space_from_mapping(document)
+    elif form.endswith("MB"):
+        space = prune(canonical_space, SizeConstraint(float(form.split()[0])))
+    else:
+        space = mini_space if form == "mini" else canonical_space
+    costs = genome_costs(space)
+    rng = random.Random(5)
+    for _ in range(500):
+        genome = space.sample_genome(rng)
+        config = space.configuration(genome)
+        assert costs(genome) == (model_size_mb(config), forward_gflops(config))

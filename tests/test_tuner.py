@@ -33,7 +33,8 @@ from cfgtune import (
     update_archive,
 )
 import cfgtune.tuner as tuner
-from cfgtune.tuner import _distinct_pair, _normalized_distance
+from cfgtune.space import below
+from cfgtune.tuner import _distinct_pair, _normalized_distance, _permutation
 from conftest import CANONICAL_SPACE_FILE, make_config
 
 
@@ -383,6 +384,35 @@ def test_distinct_pair_draws_what_sample_draws():
             for _ in range(30):
                 assert _distinct_pair(n, rng) == tuple(reference.sample(range(n), 2))
             assert rng.getstate() == reference.getstate()
+
+
+def test_below_draws_what_randrange_draws():
+    # Pins ``below`` to the running interpreter's ``randrange``: the same
+    # value and the same rng state, on both sides of every power of two up
+    # to 64 and on draws wider than one 32-bit word.
+    for n in [*range(1, 71), 2**32 + 1, 10**12]:
+        for seed in range(6):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert below(rng.getrandbits, n) == reference.randrange(n)
+            assert rng.getstate() == reference.getstate()
+
+
+def test_finalist_pick_draws_what_choice_draws():
+    for finalists in ((3,), (3, 8)):
+        for seed in range(50):
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert finalists[below(rng.getrandbits, len(finalists))] == reference.choice(finalists)
+            assert rng.getstate() == reference.getstate()
+
+
+def test_permutation_draws_what_shuffle_draws():
+    for n in range(301):
+        rng, reference = random.Random(n), random.Random(n)
+        order = list(range(n))
+        reference.shuffle(order)
+        assert _permutation(n, rng) == order
+        assert rng.getstate() == reference.getstate()
 
 
 def test_crossover_cut_points_are_the_sorted_sample():
@@ -831,6 +861,28 @@ def test_tune_reproduces_golden_large_archive(canonical_space):
     )
     assert len(result.archive) == 279
     assert (front_digest(result), records_digest(result)) == GOLDEN_LARGE_ARCHIVE_DIGESTS
+
+
+# The same digests of a tune-tight-sized run (3 MB, pop 200 x 100) scored by
+# a surrogate fitted on 20 oracle samples, as ``tune`` runs from the CLI;
+# the fit is pure Python too, so no BLAS build can move them either.
+GOLDEN_SURROGATE_DIGESTS = (
+    "b50f8379a99e79b7756a1ff830d71271e2d3475cf2ecaecb84a1df9ab0a80f9a",
+    "20421760cdc3c763d7644af26d6d680fdaf88b2f995ce494bb4996fb635bdb58",
+)
+
+
+def test_tune_reproduces_golden_surrogate_front(pruned_space):
+    oracle = SyntheticCapacityOracle(reference_space=pruned_space)
+    model, _, _ = build_indicator(pruned_space, oracle, k=20, seed=0)
+    result = tune(
+        pruned_space,
+        model,
+        TunerParams(population_size=200, generations=100, seed=7),
+        size_budget_mb=3.0,
+    )
+    assert len(result.archive) == 28
+    assert (front_digest(result), records_digest(result)) == GOLDEN_SURROGATE_DIGESTS
 
 
 # --- the fixed hypervolume reference -----------------------------------------
