@@ -19,10 +19,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import random
+from typing import Callable
 
-from .space import Configuration, ConfigurationSpace, is_json_number, scale, write_jsonl
+from .space import CANONICAL_DIMENSIONS, Configuration, ConfigurationSpace, Genome
+from .space import is_json_number, scale, write_jsonl
 from .surrogate import SurrogateModel, TrainingSet, fit
 
 
@@ -105,12 +108,22 @@ def _ramp(lo: float, hi: float) -> tuple[float, float] | None:
     return math.log(lo), math.log(hi) - math.log(lo)
 
 
+def _clamp(value: float) -> float:
+    return min(1.0, max(0.0, value))
+
+
 def _log_ramp(value: float, ramp: tuple[float, float] | None) -> float:
     """Logarithmic ramp from 0 at lo to 1 at hi, clamped to [0, 1]."""
     if ramp is None or value <= 0:
         return 0.0
     log_lo, log_span = ramp
-    return min(1.0, max(0.0, scale(math.log(value), log_lo, log_span)))
+    return _clamp(scale(math.log(value), log_lo, log_span))
+
+
+# The entries of a configuration, a genome or a dimension tuple that the
+# synthetic score reads, in the order its terms take them.
+_SCORED = ("hidden_size", "num_hidden_layers", "intermediate_size", "vocab_size", "tokenizer")
+_scored = operator.itemgetter(*map(CANONICAL_DIMENSIONS.index, _SCORED))
 
 
 class SyntheticCapacityOracle:
@@ -135,46 +148,59 @@ class SyntheticCapacityOracle:
         self.seed = seed
 
     @functools.cached_property
-    def _ramps(self) -> tuple:
-        """The capacity, feed-forward and vocabulary ramps of the reference
-        space, then its tokenizer options; computed on first use."""
+    def _terms(self) -> tuple:
+        """The capacity term of (hidden size, layers), then the feed-forward,
+        vocabulary and tokenizer terms, from the reference space; built once."""
+        *numeric, tokenizer = _scored(self.reference_space.dimensions)
         (h_lo, h_hi), (l_lo, l_hi), (i_lo, i_hi), (v_lo, v_hi) = [
-            (float(dim.min_value()), float(dim.max_value()))
-            for dim in map(
-                self.reference_space.dimension,
-                ("hidden_size", "num_hidden_layers", "intermediate_size", "vocab_size"),
-            )
+            (float(dim.min_value()), float(dim.max_value())) for dim in numeric
         ]
+        capacity, feed_forward, vocabulary = _ramp(h_lo * l_lo, h_hi * l_hi), _ramp(i_lo, i_hi), _ramp(v_lo, v_hi)
+        options = tokenizer.options
         return (
-            _ramp(h_lo * l_lo, h_hi * l_hi),
-            _ramp(i_lo, i_hi),
-            _ramp(v_lo, v_hi),
-            self.reference_space.dimension("tokenizer").options,
+            lambda hidden, layers: _log_ramp(hidden * layers, capacity),
+            lambda intermediate: _log_ramp(intermediate, feed_forward),
+            lambda vocab: _log_ramp(vocab, vocabulary),
+            lambda tokenizer: 1.0 - options.index(tokenizer) / max(1, len(options) - 1),  # one option: 1.0
         )
+
+    def _score(self, capacity: float, feed_forward: float, vocabulary: float, bonus: float) -> float:
+        return self.base + self.span * (0.5 * capacity + 0.3 * feed_forward + 0.1 * vocabulary + 0.1 * bonus)
 
     def true_effectiveness(self, config: Configuration) -> float:
         """Noise-free benchmark value; the maximum base + span is attained at
         the capacity maxima combined with the first tokenizer option."""
-        capacity_ramp, feed_forward_ramp, vocabulary_ramp, options = self._ramps
-        capacity = _log_ramp(config.hidden_size * config.num_hidden_layers, capacity_ramp)
-        feed_forward = _log_ramp(config.intermediate_size, feed_forward_ramp)
-        vocabulary = _log_ramp(config.vocab_size, vocabulary_ramp)
-        if len(options) > 1:
-            bonus = 1.0 - options.index(config.tokenizer) / (len(options) - 1)
-        else:
-            bonus = 1.0
-        score = 0.5 * capacity + 0.3 * feed_forward + 0.1 * vocabulary + 0.1 * bonus
-        return self.base + self.span * score
+        capacity, feed_forward, vocabulary, bonus = self._terms
+        h, l, i, v, t = _scored(config)
+        return self._score(capacity(h, l), feed_forward(i), vocabulary(v), bonus(t))
 
     def evaluate(self, config: Configuration) -> float:
         value = self.true_effectiveness(config)
         if self.noise_sigma > 0:
-            key = json.dumps(
-                {"seed": self.seed, "config": config.as_dict()}, sort_keys=True
-            )
-            rng = random.Random(key)
-            value += rng.gauss(0.0, self.noise_sigma)
-        return min(1.0, max(0.0, value))
+            key = json.dumps({"seed": self.seed, "config": config.as_dict()}, sort_keys=True)
+            value += random.Random(key).gauss(0.0, self.noise_sigma)
+        return _clamp(value)
+
+    def genome_predictor(self, space: ConfigurationSpace) -> Callable[[Genome], float]:
+        """``genome -> evaluate(space.configuration(genome))``, bit for bit.
+        Without noise, each term is computed once per value index of ``space``
+        (the capacity once per pair of hidden size and layer indices). With
+        noise, which is keyed on the configuration's JSON, it is ``evaluate``."""
+        if self.noise_sigma > 0:
+            configuration = space.configuration
+            return lambda genome: self.evaluate(configuration(genome))
+        hidden, layers, intermediate, vocab, tokenizer = (dim.domain for dim in _scored(space.dimensions))
+        capacity, feed_forward, vocabulary, bonus = self._terms
+        capacity_at = functools.cache(lambda h, l: capacity(hidden[h], layers[l]))
+        feed_forward_at = functools.cache(lambda i: feed_forward(intermediate[i]))
+        vocabulary_at = functools.cache(lambda v: vocabulary(vocab[v]))
+        bonus_at = functools.cache(lambda t: bonus(tokenizer[t]))
+
+        def predict(genome: Genome) -> float:
+            h, l, i, v, t = _scored(genome)
+            return _clamp(self._score(capacity_at(h, l), feed_forward_at(i), vocabulary_at(v), bonus_at(t)))
+
+        return predict
 
     def evaluate_many(self, configs) -> list[float]:
         return [self.evaluate(c) for c in configs]
@@ -308,7 +334,7 @@ class ExternalProcessOracle:
                     raise OracleResponseError(
                         f"duplicate response id {request_id!r}", partial=reported
                     )
-                reported[request_id] = min(1.0, max(0.0, float(value)))
+                reported[request_id] = _clamp(float(value))
         missing = [i for i in ids if i not in reported]
         extra = sorted(set(reported) - set(ids))
         if missing or extra:

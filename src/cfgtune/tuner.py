@@ -10,12 +10,14 @@ non-dominated evaluated configurations. Deterministic for a fixed seed.
 The search runs on genomes (see :mod:`cfgtune.space`): tuples of value
 indices, so crossover is tuple slicing, mutation is an index draw, and the
 memo and the archive hold small int tuples. A new genome is scored by index:
-:func:`~cfgtune.costs.genome_costs` for size and FLOPs, and a fitted
-surrogate's :meth:`~cfgtune.surrogate.SurrogateModel.genome_predictor` for
-effectiveness. A :class:`Configuration` is built only for an oracle or a
-callable indicator, once per new genome, and for the members of the final
-archive, when :func:`tune` returns. :attr:`TuneResult.evaluations` decodes
-the memo on each access. Sampling, variation and selection draw indices with
+:func:`~cfgtune.costs.genome_costs` for size and FLOPs, and the indicator's
+``genome_predictor`` (a fitted surrogate's, or the synthetic oracle's) for
+effectiveness. A :class:`Configuration` is built once per new genome only for
+an indicator without one (an external oracle, a callable) or with noise (the
+noisy synthetic oracle), and for the members of the final archive when
+:func:`tune` returns. :attr:`TuneResult.evaluations` decodes the memo on each
+access. Each record's hypervolume resumes the previous record's sweep.
+Sampling, variation and selection draw indices with
 :func:`~cfgtune.space.below`, which draws what ``randrange``, ``choice`` and
 ``shuffle`` would.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 from typing import Callable, NamedTuple
 
@@ -339,19 +342,47 @@ def reference_point(
     return (size, forward_gflops(corner), 0.0)
 
 
-def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, float]) -> float:
+class HypervolumeSweep:
+    """What :func:`hypervolume` resumes from: the reference and clipped, z-sorted
+    points of its last call and, at the first point of each level above the
+    lowest, ``(index, xs, ys, volume)``: the staircase of the points below it
+    and the volume of the lower levels but the adjacent one, added there."""
+
+    def __init__(self, reference=None):
+        self.reference, self.points, self.levels = reference, [], []
+
+
+def _staircase_area(xs: list[float], ys: list[float], rx: float, ry: float) -> float:
+    area = 0.0
+    for x0, x1, y0 in zip(xs, xs[1:] + [rx], ys):
+        area += (x1 - x0) * (ry - y0)
+    return area
+
+
+def hypervolume(
+    points: list[ObjectiveVector], reference: tuple[float, float, float], sweep: HypervolumeSweep | None = None
+) -> float:
     """Volume dominated by the point set within the reference box
     (3 objectives, minimization); points outside the box count for nothing.
     :func:`reference_point` gives the box :func:`tune` records against.
 
     A dimension sweep: points inside the box are inserted in ascending third
     coordinate into one 2-d staircase (x strictly ascending, y strictly
-    descending); after each distinct level, the staircase area times the gap
+    descending); when a level is complete, the staircase area times the gap
     to the next level (or the reference) is added. O(n log n) for the sort
     plus O(n) per level, so O(n^2) in all. The staircase and the
     left-to-right order of the area sums are those of rebuilding the
     staircase at every level, so the value equals that per-level definition
     exactly.
+
+    Given the ``sweep`` state of its last call (as :func:`tune` keeps one),
+    the sweep resumes from the last checkpoint at or before the first point
+    of the clipped, z-sorted list that is not the same object as last time.
+    The points below it are unchanged, so its staircase and volume are a
+    full sweep's there, and the same loop adds the same terms in the same
+    order from there: the value is bit for bit that of a sweep from no state.
+    Points are matched by identity, which, unlike ``==``, tells -0.0 from 0.0,
+    so they must be immutable; a reference that differs in any bit starts over.
 
     The area terms need no clamp at zero: x strictly ascends along the
     staircase and every point in it has x <= rx and y <= ry, so both factors
@@ -361,14 +392,22 @@ def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, fl
     same float, so the sum is bit for bit the clamped one.
     """
     rx, ry, rz = reference
-    clipped = sorted(
-        (p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz),
-        key=lambda p: p[2],
-    )
-    xs: list[float] = []
-    ys: list[float] = []
-    volume = 0.0
-    for idx, (x, y, z) in enumerate(clipped):
+    clipped = sorted([p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz], key=operator.itemgetter(2))
+    sweep = HypervolumeSweep() if sweep is None else sweep
+    if repr(sweep.reference) != repr((rx, ry, rz)):
+        sweep.__init__((rx, ry, rz))
+    same = list(map(operator.is_, sweep.points, clipped))
+    first = same.index(False) if False in same else len(same)
+    levels = sweep.levels
+    while levels and levels[-1][0] > first:
+        levels.pop()
+    start, xs, ys, volume = levels.pop() if levels else (0, [], [], 0.0)
+    below = clipped[start - 1][2] if start else None
+    for idx, (x, y, z) in enumerate(clipped[start:], start):
+        if z != below and idx:  # the level below is complete
+            levels.append((idx, xs[:], ys[:], volume))
+            volume += _staircase_area(xs, ys, rx, ry) * max(0.0, z - below)
+        below = z
         right = bisect.bisect_right(xs, x)
         # Skip a point weakly dominated by the staircase; the member with the
         # largest x' <= x has the smallest y' among those.
@@ -379,13 +418,9 @@ def hypervolume(points: list[ObjectiveVector], reference: tuple[float, float, fl
                 end += 1
             xs[left:end] = [x]
             ys[left:end] = [y]
-        if idx + 1 < len(clipped) and clipped[idx + 1][2] == z:
-            continue
-        upper = clipped[idx + 1][2] if idx + 1 < len(clipped) else rz
-        area = 0.0
-        for x0, x1, y0 in zip(xs, xs[1:] + [rx], ys):
-            area += (x1 - x0) * (ry - y0)
-        volume += area * max(0.0, upper - z)
+    if clipped:
+        volume += _staircase_area(xs, ys, rx, ry) * max(0.0, rz - clipped[-1][2])
+    sweep.points = clipped
     return volume
 
 
@@ -414,21 +449,18 @@ class TuneResult(NamedTuple):
 
 
 def _effectiveness_callable(indicator, space: ConfigurationSpace) -> Callable[[Genome], float]:
-    """``genome -> effectiveness`` for a fitted surrogate (anything with a
-    ``genome_predictor`` method), which builds no :class:`Configuration`, or
-    for an oracle (an ``evaluate`` method) or a plain callable, which receive
-    ``space.configuration(genome)``; an object with only ``predict_mean`` is
-    none of these."""
+    """``genome -> effectiveness``: the indicator's ``genome_predictor(space)``
+    (a fitted surrogate's, or the synthetic oracle's, which builds a
+    :class:`Configuration` only with noise), or else an oracle's ``evaluate``
+    or a plain callable, given ``space.configuration(genome)``; an object
+    with only ``predict_mean`` is none of these."""
     if hasattr(indicator, "genome_predictor"):
         return indicator.genome_predictor(space)
+    score = getattr(indicator, "evaluate", indicator)
+    if not callable(score):
+        raise TypeError("indicator must be a fitted surrogate, an oracle, or a callable")
     configuration = space.configuration
-    if hasattr(indicator, "evaluate"):
-        return lambda genome: indicator.evaluate(configuration(genome))
-    if callable(indicator):
-        return lambda genome: indicator(configuration(genome))
-    raise TypeError(
-        "indicator must be a fitted surrogate, an oracle, or a callable"
-    )
+    return lambda genome: score(configuration(genome))
 
 
 def tune(
@@ -481,6 +513,7 @@ def tune(
 
     archive = ParetoArchive()
     records: list[GenerationRecord] = []
+    sweep = HypervolumeSweep()
 
     def record_generation() -> None:
         snapshot = archive.objective_vectors()
@@ -488,7 +521,7 @@ def tune(
             GenerationRecord(
                 generation=len(records),
                 archive_size=len(snapshot),
-                hypervolume=hypervolume(snapshot, reference),
+                hypervolume=hypervolume(snapshot, reference, sweep),
                 best_size_mb=min((p[0] for p in snapshot), default=None),
                 best_gflops=min((p[1] for p in snapshot), default=None),
                 best_effectiveness=max((-p[2] for p in snapshot), default=None),

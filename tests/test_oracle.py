@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -256,6 +257,35 @@ def test_synthetic_oracle_equals_per_call_formula(
             truth, value = reference_evaluate(oracle, config)
             assert oracle.true_effectiveness(config) == truth
             assert oracle.evaluate(config) == value
+
+
+def test_synthetic_oracle_genome_predictor_equals_evaluate(
+    canonical_space, pruned_space, mini_space, constant_ramp_space
+):
+    rng = random.Random(31)
+
+    def sampled(space, count):
+        # Any index in every dimension, uncorrected: the score reads no pair.
+        return [tuple(rng.randrange(dim.size()) for dim in space.dimensions) for _ in range(count)]
+
+    def every(space):
+        return list(itertools.product(*[range(dim.size()) for dim in space.dimensions]))
+
+    pruned_64 = prune(canonical_space, SizeConstraint(64.0))
+    cases = [
+        (SyntheticCapacityOracle(mini_space), mini_space, every(mini_space)),
+        # A single tokenizer option, and every ramp constant 0.
+        (SyntheticCapacityOracle(constant_ramp_space), constant_ramp_space, every(constant_ramp_space)),
+        # The reference space's bounds, not the scored space's, set the ramps.
+        (SyntheticCapacityOracle(pruned_64), pruned_space, sampled(pruned_space, 1000)),
+        # Noise is keyed on the configuration, so this one builds it.
+        (SyntheticCapacityOracle(pruned_space, noise_sigma=0.05, seed=4), pruned_space, sampled(pruned_space, 500)),
+    ]
+    cases += [(SyntheticCapacityOracle(s), s, sampled(s, 5000)) for s in (canonical_space, pruned_space, pruned_64)]
+    for oracle, space, genomes in cases:
+        predict = oracle.genome_predictor(space)
+        for genome in genomes + genomes[:200]:  # each term computed, then looked up
+            assert predict(genome) == oracle.evaluate(space.configuration(genome))
 
 
 # --- external oracle ------------------------------------------------------

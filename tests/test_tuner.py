@@ -696,6 +696,56 @@ def test_hypervolume_monotone_under_additional_points():
         assert larger >= smaller - 1e-12
 
 
+signed_grid_coordinates = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def negative_zero_copy(point):
+    return vec(*(-0.0 if c == 0 else c for c in point))
+
+
+@settings(max_examples=300)
+@given(
+    data=st.data(),
+    coordinates=st.sampled_from([grid_coordinates, tenth_coordinates, unit_coordinates]),
+    reference=st.tuples(signed_grid_coordinates, signed_grid_coordinates, signed_grid_coordinates),
+)
+def test_resumed_hypervolume_equals_per_level_definition_at_every_step(data, coordinates, reference):
+    # One sweep state through a sequence of point sets, as tune drives it.
+    # Grid coordinates repeat z levels and land outside the box; a signed
+    # reference and -0.0 copies compare equal to their +0.0 twins.
+    sweep = tuner.HypervolumeSweep()
+    points = []
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        step = data.draw(st.sampled_from(["grow", "evict", "unchanged", "negative zero", "reference"]))
+        if step == "grow":
+            points = points + [vec(*p) for p in data.draw(point_lists(coordinates, 8))]
+        elif step == "evict" and points:
+            kept = data.draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+            points = [p for p, keep in zip(points, kept) if keep]
+        elif step == "negative zero" and points:
+            index = data.draw(st.integers(0, len(points) - 1))
+            points = points[:index] + [negative_zero_copy(points[index])] + points[index + 1:]
+        elif step == "reference":
+            reference = data.draw(st.sampled_from([negative_zero_copy(reference), (1.0, 1.0, 1.0), (0.5, 0.75, 0.75)]))
+        assert repr(hypervolume(points, reference, sweep)) == repr(per_level_hypervolume(points, reference))
+
+
+def test_resumed_hypervolume_equals_a_sweep_from_no_state_on_random_fronts():
+    # Large archive-like sequences: each step admits a few points and evicts
+    # those they dominate, so most steps resume partway up the levels; now
+    # and then the reference changes, which must start the sweep over.
+    rng = random.Random(23)
+    for trial in range(20):
+        sweep = tuner.HypervolumeSweep()
+        archive = ParetoArchive()
+        draw = rng.random if trial % 2 else lambda: rng.choice([k / 10 for k in range(11)])
+        for step in range(60):
+            update_archive(archive, [ind(draw(), draw(), -draw()) for _ in range(5)])
+            points = archive.objective_vectors()
+            reference = (0.9, 0.8, -0.1) if step % 7 == 6 else (1.0, 1.0, 0.0)
+            assert repr(hypervolume(points, reference, sweep)) == repr(hypervolume(points, reference))
+
+
 # --- the full loop -----------------------------------------------------------
 
 
