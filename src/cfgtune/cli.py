@@ -166,8 +166,22 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _pruned_for_mb(space_path: str, space) -> float:
+    """The budget of the report ``prune`` wrote beside ``space_path`` if it
+    describes ``space`` (the same pruned cardinality); else infinity."""
+    path = _derived_path(space_path, ".report.json")
+    report = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    same = report.get("pruned_cardinality") == str(space.cardinality())
+    return report["budget_mb"] if same and is_json_number(report.get("budget_mb")) else math.inf
+
+
 def cmd_tune(args) -> int:
     space = load_space(args.space)
+    # A larger budget would search a space pruned for a smaller one; a budget
+    # that is not positive and finite is left to ``tune``'s own check.
+    pruned_for = _pruned_for_mb(args.space, space)
+    if pruned_for < args.budget_mb < math.inf:
+        raise ValueError(f"--budget-mb {args.budget_mb} exceeds the {pruned_for} MB {args.space} was pruned for")
     model = SurrogateModel.load(args.model)
     if model.space_checksum != space.checksum():
         raise ChecksumMismatchError(

@@ -171,9 +171,10 @@ class SurrogateModel:
         """``genome -> predict_mean(space.encode_genome(genome))``, bit for bit.
 
         Feature j's term ``scaled_j * w_j`` depends on the genome's index j
-        alone, so each is computed once, when a genome first holds that
-        index, into a dict per feature keyed by index (so memory grows with
-        the genomes scored, not with the space's size); the mean adds a
+        alone. The terms are filled per position: the first genome that
+        holds index i at position j computes that one term, from the space's
+        codec, into position j's dict keyed by index (so memory grows with
+        the indices scored, not with the space's size); the mean adds a
         genome's terms left to right from 0.0, then the intercept. A model
         whose feature count is not the space's raises ``ValueError``.
         """
@@ -181,22 +182,20 @@ class SurrogateModel:
             raise ValueError(f"expected a flat vector of length {self.n_features}")
         lows, spans, weights = self._coefficients
         intercept = weights[-1]
-        tables: list[dict[int, float]] = [{} for _ in space.dimensions]
-
-        def fill(genome: Genome) -> None:
-            vector = space.encode_genome(genome)
-            for table, index, x, lo, span, w in zip(tables, genome, vector, lows, spans, weights):
-                if index not in table:
-                    table[index] = scale(x, lo, span) * w
+        columns = [
+            (components, lo, span, w) for (components, _, _), lo, span, w in zip(space._codec, lows, spans, weights)
+        ]
+        tables: list[dict[int, float]] = [{} for _ in columns]
 
         def predict(genome: Genome) -> float:
             acc = 0.0
-            for table, index in zip(tables, genome):
+            for table, index, column in zip(tables, genome, columns):
                 try:
                     acc += table[index]
                 except KeyError:
-                    fill(genome)
-                    acc += table[index]
+                    components, lo, span, w = column
+                    table[index] = term = scale(float(components[index]), lo, span) * w
+                    acc += term
             return acc + intercept
 
         return predict

@@ -164,11 +164,15 @@ def adaptive_random_init(
     distance (over normalized encodings) to the members chosen so far. All
     samples pass through correction, so every member validates.
 
-    A candidate's distances to the chosen members are scanned in C with
-    ``math.dist``. If ``nearest * (1 + _SLACK) <= best_score`` it loses;
-    otherwise its exact score, the :func:`_normalized_distance` minimum, is
-    taken over the members whose ``math.dist`` is at most ``nearest * (1 +
-    _SLACK) ** 2``, and only a score ``> best_score`` wins. Both distances
+    A candidate's distances ``d`` to the chosen members are scanned in C
+    with ``math.dist``, each taken as ``d * (1 + _SLACK)``. The scan stops
+    at the first member with ``d * (1 + _SLACK) <= best_score``, and the
+    candidate loses: ``nearest <= d`` and rounding is monotone, so ``nearest
+    * (1 + _SLACK) <= best_score`` too, the test a full scan would make. (It
+    is the product, not ``best_score / (1 + _SLACK)``, which rounds
+    differently.) Otherwise its exact score, the :func:`_normalized_distance`
+    minimum, is taken over the members within a factor ``(1 + _SLACK) ** 2``
+    of the nearest, and only a score ``> best_score`` wins. Both distances
     start from the same rounded component differences and are within about
     1e-15 relative of their true norm (``math.dist`` about 1 ulp on CPython
     3.10+, the 13-term sum and ``sqrt`` about 8 roundoffs), a margin of about
@@ -183,6 +187,7 @@ def adaptive_random_init(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     chosen = [space.sample_genome(rng)]
     encodings = [space.encode_genome(chosen[0], normalize=True)]
+    grow = (1 + _SLACK).__mul__
     while len(chosen) < n:
         best_genome = None
         best_encoding = None
@@ -190,14 +195,15 @@ def adaptive_random_init(
         for _ in range(CANDIDATE_POOL):
             candidate = space.sample_genome(rng)
             encoding = space.encode_genome(candidate, normalize=True)
-            distances = list(map(math.dist, itertools.repeat(encoding), encodings))
-            nearest = min(distances)
-            if nearest * (1 + _SLACK) <= best_score:
+            grown = list(itertools.takewhile(
+                best_score.__lt__, map(grow, map(math.dist, itertools.repeat(encoding), encodings))
+            ))
+            if len(grown) < len(encodings):
                 continue  # a clear loser
-            near = nearest * (1 + _SLACK) ** 2
+            near = min(grown) * (1 + _SLACK) ** 2
             score = min(
                 _normalized_distance(encoding, e)
-                for e, d in zip(encodings, distances) if d <= near
+                for e, g in zip(encodings, grown) if g <= near
             )
             if score > best_score:
                 best_genome, best_encoding, best_score = candidate, encoding, score
@@ -267,11 +273,11 @@ def boundary_random_mutation(
         raise ValueError("rate must be in [0, 1]")
     mutated = None
     draw, bits = rng.random, rng.getrandbits
-    for position, dim in enumerate(space.dimensions):
+    for position, domain in enumerate(space._domains):
         if draw() < rate:
             if mutated is None:
                 mutated = list(genome)
-            mutated[position] = below(bits, dim.size())
+            mutated[position] = below(bits, len(domain))
     return genome if mutated is None else tuple(mutated)
 
 
@@ -303,27 +309,49 @@ def tournament_select(pool: list, count: int, rng: random.Random) -> list:
     entries of the pool, whose entries (individuals, or the population
     members of :func:`tune`) carry ``objectives``. An entrant that dominates
     the other wins; otherwise the larger pool-level crowding distance wins;
-    an exact tie is broken uniformly at random."""
+    an exact tie is broken uniformly at random.
+
+    The draws are :func:`_distinct_pair`'s and ``rng.choice``'s, inline for
+    pools of more than 21 entries: ``a`` by :func:`below`'s loop, then ``b``
+    until it is in range and not ``a``. The pick draws ``getrandbits(1)``
+    until 0 for one finalist, ``getrandbits(2)`` until below 2 for two."""
     size = len(pool)
     if size < 2:
         raise ValueError("selection pool needs at least 2 entries")
-    crowding = crowding_distances([entry.objectives for entry in pool])
+    objectives = [entry.objectives for entry in pool]
+    crowding = crowding_distances(objectives)
     bits = rng.getrandbits
+    k = size.bit_length()
     winners = []
     for _ in range(count):
-        a, b = _distinct_pair(size, rng)
-        u, v = pool[a].objectives, pool[b].objectives
-        if dominates(u, v):
-            finalists = (a,)
-        elif dominates(v, u):
-            finalists = (b,)
-        elif crowding[a] != crowding[b]:
-            finalists = (a,) if crowding[a] > crowding[b] else (b,)
+        if size > 21:
+            a = bits(k)
+            while a >= size:
+                a = bits(k)
+            b = bits(k)
+            while b >= size or b == a:
+                b = bits(k)
         else:
-            finalists = (a, b)
-        # ``rng.choice(finalists)``, which draws from the stream even for
-        # one finalist; the golden fronts depend on that draw.
-        winners.append(pool[finalists[below(bits, len(finalists))]])
+            a, b = _distinct_pair(size, rng)
+        u0, u1, u2 = objectives[a]
+        v0, v1, v2 = objectives[b]
+        if u0 <= v0 and u1 <= v1 and u2 <= v2 and (u0 < v0 or u1 < v1 or u2 < v2):
+            winner = a
+        elif v0 <= u0 and v1 <= u1 and v2 <= u2 and (v0 < u0 or v1 < u1 or v2 < u2):
+            winner = b
+        elif crowding[a] != crowding[b]:
+            winner = a if crowding[a] > crowding[b] else b
+        else:
+            pick = bits(2)
+            while pick >= 2:
+                pick = bits(2)
+            winners.append(pool[b if pick else a])
+            continue
+        # ``rng.choice`` draws from the stream even for one finalist; the
+        # golden fronts depend on that draw.
+        while bits(1):
+            pass
+        winners.append(pool[winner])
     return winners
 
 
@@ -380,7 +408,8 @@ def hypervolume(
     of the clipped, z-sorted list that is not the same object as last time.
     The points below it are unchanged, so its staircase and volume are a
     full sweep's there, and the same loop adds the same terms in the same
-    order from there: the value is bit for bit that of a sweep from no state.
+    order from there: the value is bit for bit that of a sweep from no state,
+    which records no checkpoints.
     Points are matched by identity, which, unlike ``==``, tells -0.0 from 0.0,
     so they must be immutable; a reference that differs in any bit starts over.
 
@@ -393,7 +422,8 @@ def hypervolume(
     """
     rx, ry, rz = reference
     clipped = sorted([p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz], key=operator.itemgetter(2))
-    sweep = HypervolumeSweep() if sweep is None else sweep
+    resumable = sweep is not None  # only a kept state records checkpoints
+    sweep = sweep if resumable else HypervolumeSweep()
     if repr(sweep.reference) != repr((rx, ry, rz)):
         sweep.__init__((rx, ry, rz))
     same = list(map(operator.is_, sweep.points, clipped))
@@ -405,7 +435,8 @@ def hypervolume(
     below = clipped[start - 1][2] if start else None
     for idx, (x, y, z) in enumerate(clipped[start:], start):
         if z != below and idx:  # the level below is complete
-            levels.append((idx, xs[:], ys[:], volume))
+            if resumable:
+                levels.append((idx, xs[:], ys[:], volume))
             volume += _staircase_area(xs, ys, rx, ry) * max(0.0, z - below)
         below = z
         right = bisect.bisect_right(xs, x)
@@ -492,6 +523,7 @@ def tune(
     memo: dict[Genome, ObjectiveVector] = {}
 
     isfinite = math.isfinite
+    vector, member = ObjectiveVector._make, _Member._make  # a frame less than the constructors
 
     def evaluate(genome: Genome) -> _Member:
         cached = memo.get(genome)
@@ -501,9 +533,9 @@ def tune(
             # The raw effectiveness is checked: the clamp maps NaN to 0.0.
             if not (isfinite(size_mb) and isfinite(gflops) and isfinite(effectiveness)):
                 raise RuntimeError(f"non-finite objectives for {space.configuration(genome)}")
-            cached = ObjectiveVector(size_mb, gflops, -min(1.0, max(0.0, effectiveness)))
+            cached = vector((size_mb, gflops, -min(1.0, max(0.0, effectiveness))))
             memo[genome] = cached
-        return _Member(genome, cached)
+        return member((genome, cached))
 
     def archive_candidates(members: list[_Member]) -> list[_Member]:
         return [

@@ -564,6 +564,34 @@ def test_tune_non_positive_budget_exits_parse(pipeline, capsys, budget):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget, expected", [("64", EXIT_PARSE), ("3.0", EXIT_OK), ("1.5", EXIT_OK)])
+def test_tune_budget_above_the_pruned_one_exits_parse(pipeline, capsys, budget, expected):
+    # The space was pruned at 3 MB: a larger budget would search a space
+    # pruned for a smaller one, and stops before any evaluation or file.
+    before = sorted(p.name for p in pipeline["tmp"].iterdir())
+    code, out = run_tune(pipeline, "front.jsonl", budget=budget)
+    assert code == expected
+    if expected == EXIT_PARSE:
+        assert "exceeds the 3.0 MB" in capsys.readouterr().err
+        assert sorted(p.name for p in pipeline["tmp"].iterdir()) == before
+    else:
+        assert out.exists()
+
+
+@pytest.mark.parametrize("report", ["missing", "another space"])
+def test_tune_budget_is_free_without_the_spaces_report(pipeline, report):
+    report_path = pipeline["tmp"] / "pruned.report.json"
+    if report == "missing":
+        report_path.unlink()
+    else:
+        document = json.loads(report_path.read_text())
+        document["pruned_cardinality"] = str(int(document["pruned_cardinality"]) + 1)
+        report_path.write_text(json.dumps(document))
+    code, out = run_tune(pipeline, "front.jsonl", budget="64")
+    assert code == EXIT_OK
+    assert out.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "path",

@@ -447,6 +447,21 @@ def test_genome_predictor_equals_predict_mean_of_the_encoding(canonical_space, m
             assert repr(predict(genome)) == repr(model.predict_mean(space.encode_genome(genome)))
 
 
+@pytest.mark.parametrize("budget_mb", [None, 3.0, 64.0])
+def test_genome_predictor_is_independent_of_the_order_of_first_touch(canonical_space, budget_mb):
+    # Terms are filled per position as indices are first met; two fresh
+    # predictors that meet the genomes in opposite orders agree with the
+    # encoding's ``predict_mean`` on every genome.
+    space = canonical_space if budget_mb is None else cfgtune.prune(canonical_space, cfgtune.SizeConstraint(budget_mb))
+    model, _, _ = build_indicator(space, SyntheticCapacityOracle(reference_space=space), k=20, seed=3)
+    rng = random.Random(7)
+    genomes = [space.sample_genome(rng) for _ in range(2000)]
+    forward, backward = model.genome_predictor(space), model.genome_predictor(space)
+    expected = [repr(model.predict_mean(space.encode_genome(g))) for g in genomes]
+    assert [repr(forward(g)) for g in genomes] == expected
+    assert [repr(backward(g)) for g in reversed(genomes)] == expected[::-1]
+
+
 def test_genome_predictor_rejects_a_model_of_another_width(mini_space):
     model = fit([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="length 2"):

@@ -255,10 +255,10 @@ def full_minimum_init(space, n, rng, candidate_pool):
 def test_adaptive_init_equals_full_minimum(
     pruned_space, mini_space, point_space, two_value_space, n, candidate_pool, monkeypatch
 ):
-    # The ``math.dist`` scan and its exact recheck pick exactly the members
-    # the full minimum picks and leave the rng where the full minimum leaves
-    # it. The recheck runs, but on fewer (candidate, member) pairs than the
-    # full minimum scores.
+    # The ``math.dist`` scan, its early exit and its exact recheck pick
+    # exactly the members the full minimum picks and leave the rng where the
+    # full minimum leaves it. The recheck runs, but on fewer (candidate,
+    # member) pairs than the full minimum scores.
     calls = 0
 
     def counted(a, b):
@@ -266,11 +266,19 @@ def test_adaptive_init_equals_full_minimum(
         calls += 1
         return _normalized_distance(a, b)
 
+    dist, dist_calls = math.dist, 0
+
+    def counted_dist(a, b):
+        nonlocal dist_calls
+        dist_calls += 1
+        return dist(a, b)
+
     monkeypatch.setattr(tuner, "_normalized_distance", counted)
+    monkeypatch.setattr(math, "dist", counted_dist)
     seeds = range({1: 40, 2: 40, 20: 10, 200: 1}[n])
     pairs = candidate_pool * n * (n - 1) // 2 * len(seeds)
     for space in (pruned_space, mini_space, point_space, two_value_space):
-        calls = 0
+        calls = dist_calls = 0
         for seed in seeds:
             rng, reference_rng = random.Random(seed), random.Random(seed)
             population = adaptive_random_init(space, n, rng)
@@ -278,6 +286,11 @@ def test_adaptive_init_equals_full_minimum(
             assert rng.getstate() == reference_rng.getstate()
         if n > 1:
             assert 0 < calls < pairs
+        # The scan stops at a clear loser's first near member, so from 20
+        # members on it makes fewer ``math.dist`` calls than the full scan.
+        assert dist_calls <= pairs
+        if n >= 20:
+            assert dist_calls < pairs
 
 
 @pytest.mark.parametrize("budget_mb", [3.0, 64.0])
@@ -524,6 +537,46 @@ def k_way_tournament_select(pool, count, tournament_size, rng):
     return winners
 
 
+def stepwise_tournament_select(pool, count, rng):
+    """The binary tournament with its draws made by calls: the pair by
+    ``_distinct_pair``, dominance by ``dominates`` and the pick among the
+    finalists by ``below``, as ``rng.choice`` draws it."""
+    crowding = crowding_distances([entry.objectives for entry in pool])
+    bits = rng.getrandbits
+    winners = []
+    for _ in range(count):
+        a, b = _distinct_pair(len(pool), rng)
+        u, v = pool[a].objectives, pool[b].objectives
+        if dominates(u, v):
+            finalists = (a,)
+        elif dominates(v, u):
+            finalists = (b,)
+        elif crowding[a] != crowding[b]:
+            finalists = (a,) if crowding[a] > crowding[b] else (b,)
+        else:
+            finalists = (a, b)
+        winners.append(pool[finalists[below(bits, len(finalists))]])
+    return winners
+
+
+@pytest.mark.parametrize("size", [*range(2, 26), 400])
+def test_tournament_draws_what_the_stepwise_tournament_draws(size):
+    # Both pair paths (up to 21 entries and above) and both finalist picks:
+    # grid pools repeat vectors and tie exactly on crowding, and a pool of
+    # copies leaves every tournament to the two-finalist pick.
+    for seed in range(10):
+        rng = random.Random(seed)
+        grid = [(rng.randint(0, 3), rng.randint(0, 3), -rng.randint(0, 3)) for _ in range(size)]
+        spread = [(rng.random(), rng.random(), -rng.random()) for _ in range(size)]
+        for points in (grid, spread, [grid[0]] * size):
+            pool = [tuner._Member((i,), vec(*p)) for i, p in enumerate(points)]
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            winners = tournament_select(pool, 2 * size + 20, rng)
+            expected = stepwise_tournament_select(pool, 2 * size + 20, reference_rng)
+            assert all(w is e for w, e in zip(winners, expected, strict=True))
+            assert rng.getstate() == reference_rng.getstate()
+
+
 def assert_same_as_k_way(points, count, seed):
     pool = [ind(*p, tag=i) for i, p in enumerate(points)]
     rng, reference_rng = random.Random(seed), random.Random(seed)
@@ -759,6 +812,32 @@ def test_tune_zero_generations_archives_initial_front(mini_space, mini_oracle):
     expected = brute_force_front([tuple(p) for p in initial_points])
     assert {tuple(v) for v in result.archive.objective_vectors()} == expected
     assert len(result.records) == 1
+
+
+TRACED_TUNER_NAMES = (
+    "correct", "adaptive_random_init", "two_point_crossover", "boundary_random_mutation",
+    "update_archive", "tournament_select", "crowding_distances", "hypervolume",
+    "model_size_mb", "forward_gflops",
+)
+
+
+def test_tune_calls_every_traced_name_through_the_module(mini_space, mini_oracle, monkeypatch):
+    # perfbench's tracer times these layers by replacing the module-level
+    # names of ``cfgtune.tuner``; a layer that ``tune`` reaches another way
+    # (inlined, or bound before the call) reads 0 there. Without a budget,
+    # ``reference_point`` calls ``model_size_mb``.
+    counts = dict.fromkeys(TRACED_TUNER_NAMES, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in TRACED_TUNER_NAMES:
+        monkeypatch.setattr(tuner, name, counting(name, getattr(tuner, name)))
+    tune(mini_space, mini_oracle, TunerParams(population_size=8, generations=3, seed=4))
+    assert all(counts.values()), counts
 
 
 def test_tune_is_deterministic(mini_space, mini_oracle):
