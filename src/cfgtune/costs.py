@@ -12,6 +12,7 @@ the two call the same integer functions, so each formula is written once.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple
 
 from .space import CANONICAL_DIMENSIONS, Configuration, ConfigurationSpace, Genome
@@ -27,6 +28,9 @@ SIZE_RELEVANT_DIMENSIONS = (
     "intermediate_size",
     "max_sequence_length",
 )
+# The five values of a configuration, a genome or a tuple of dimensions at
+# those names' positions, in parameter_file_bytes' argument order.
+size_relevant = operator.itemgetter(*map(CANONICAL_DIMENSIONS.index, SIZE_RELEVANT_DIMENSIONS))
 
 # kg CO2 per kWh. Chosen so a 0.32 kWh training run emits 0.14 kg.
 DEFAULT_CARBON_INTENSITY = 0.4375
@@ -93,25 +97,12 @@ def parameter_file_bytes(
 
 
 def model_size_breakdown(config: Configuration) -> SizeBreakdown:
-    return SizeBreakdown(
-        embedding_bytes=embedding_bytes(
-            config.vocab_size, config.hidden_size, config.max_sequence_length
-        ),
-        transformer_bytes=transformer_bytes(
-            config.num_hidden_layers, config.hidden_size, config.intermediate_size
-        ),
-        classifier_bytes=classifier_bytes(config.hidden_size),
-    )
+    v, l, h, i, s = size_relevant(config)
+    return SizeBreakdown(embedding_bytes(v, h, s), transformer_bytes(l, h, i), classifier_bytes(h))
 
 
 def model_size_mb(config: Configuration) -> float:
-    return parameter_file_bytes(
-        config.vocab_size,
-        config.num_hidden_layers,
-        config.hidden_size,
-        config.intermediate_size,
-        config.max_sequence_length,
-    ) / MEGABYTE
+    return parameter_file_bytes(*size_relevant(config)) / MEGABYTE
 
 
 def dense_flops(l: int, h: int, i: int, s: int) -> int:
@@ -126,10 +117,8 @@ def dense_flops(l: int, h: int, i: int, s: int) -> int:
 
 
 def forward_pass_flops(config: Configuration) -> int:
-    return dense_flops(
-        config.num_hidden_layers, config.hidden_size, config.intermediate_size,
-        config.max_sequence_length,
-    )
+    _, l, h, i, s = size_relevant(config)
+    return dense_flops(l, h, i, s)
 
 
 def forward_gflops(config: Configuration) -> float:
@@ -140,9 +129,8 @@ def genome_costs(space: ConfigurationSpace) -> Callable[[Genome], tuple[float, f
     """``genome -> (model_size_mb(c), forward_gflops(c))`` for ``c =
     space.configuration(genome)``, bit for bit: the same integer functions
     on the same values, looked up by index, with no configuration built."""
-    positions = [CANONICAL_DIMENSIONS.index(name) for name in SIZE_RELEVANT_DIMENSIONS]
-    v, l, h, i, s = positions
-    vocab, layers, hidden, inter, seq = (space.dimensions[p].domain for p in positions)
+    v, l, h, i, s = size_relevant(range(len(CANONICAL_DIMENSIONS)))  # genome positions
+    vocab, layers, hidden, inter, seq = (dim.domain for dim in size_relevant(space.dimensions))
 
     def costs(genome: Genome) -> tuple[float, float]:
         n_v, n_l, n_h = vocab[genome[v]], layers[genome[l]], hidden[genome[h]]

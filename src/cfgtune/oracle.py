@@ -152,9 +152,7 @@ class SyntheticCapacityOracle:
         """The capacity term of (hidden size, layers), then the feed-forward,
         vocabulary and tokenizer terms, from the reference space; built once."""
         *numeric, tokenizer = _scored(self.reference_space.dimensions)
-        (h_lo, h_hi), (l_lo, l_hi), (i_lo, i_hi), (v_lo, v_hi) = [
-            (float(dim.min_value()), float(dim.max_value())) for dim in numeric
-        ]
+        (h_lo, h_hi), (l_lo, l_hi), (i_lo, i_hi), (v_lo, v_hi) = [(dim.lo, dim.hi) for dim in numeric]
         capacity, feed_forward, vocabulary = _ramp(h_lo * l_lo, h_hi * l_hi), _ramp(i_lo, i_hi), _ramp(v_lo, v_hi)
         options = tokenizer.options
         return (

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes
+from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes, size_relevant
 from .space import (
     DISCRETE_NUMERIC_SET,
     INTEGER_RANGE,
@@ -40,18 +40,10 @@ class SizeConstraint:
 
 def min_corner_bytes(space: ConfigurationSpace, dim_name: str, value) -> int:
     """Smallest achievable size (bytes) over configurations fixing dim=value."""
-    corner = {
-        name: space.dimension(name).min_value() for name in SIZE_RELEVANT_DIMENSIONS
-    }
+    corner = {dim.name: dim.min_value() for dim in size_relevant(space.dimensions)}
     if dim_name in corner:
         corner[dim_name] = value
-    return parameter_file_bytes(
-        vocab_size=corner["vocab_size"],
-        num_hidden_layers=corner["num_hidden_layers"],
-        hidden_size=corner["hidden_size"],
-        intermediate_size=corner["intermediate_size"],
-        max_sequence_length=corner["max_sequence_length"],
-    )
+    return parameter_file_bytes(**corner)
 
 
 def _cutoff(space: ConfigurationSpace, name: str, constraint: SizeConstraint):
@@ -60,7 +52,7 @@ def _cutoff(space: ConfigurationSpace, name: str, constraint: SizeConstraint):
     both ends always probed; monotone is whether the sizes at the probed
     values strictly increase with the value, as the bisection assumes."""
     dim = space.dimension(name)
-    values = dim.iter_values() if dim.kind == INTEGER_RANGE else sorted(dim.values)
+    values = dim.domain if dim.kind == INTEGER_RANGE else sorted(dim.domain)
     sizes: dict[int, int] = {}
 
     def fits(index: int) -> bool:
@@ -127,9 +119,7 @@ def prune(
 def _describe(dim: Dimension) -> str:
     if dim.kind == INTEGER_RANGE:
         return f"[{dim.lower}, {dim.upper}]"
-    if dim.kind == DISCRETE_NUMERIC_SET:
-        return "{" + ", ".join(str(v) for v in dim.values) + "}"
-    return "{" + ", ".join(dim.options) + "}"
+    return "{" + ", ".join(map(str, dim.domain)) + "}"
 
 
 def prune_report(

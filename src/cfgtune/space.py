@@ -116,8 +116,8 @@ class Dimension:
     ``domain[i]`` is the value at index i; for an integer range it is a
     ``range``, so no table grows with the range. ``lo`` and ``hi`` bound the
     encoding component: the value itself, or the option index for a
-    categorical dimension. Two dimensions are equal when their name, kind,
-    bounds, values and options are."""
+    categorical dimension. Two dimensions are equal when their name, kind and
+    domain are."""
 
     def __init__(
         self,
@@ -153,26 +153,22 @@ class Dimension:
             raise SpaceFormatError(
                 f"{name}: unknown dimension kind {kind!r}", dimension=name
             )
-        self.domain, self.lo, self.hi = domain, float(lo), float(hi)
+        self.domain, self._min, self._max = domain, lo, hi
+        self.lo, self.hi = float(lo), float(hi)
 
     def __eq__(self, other):
         if type(other) is not Dimension:
             return NotImplemented
-        return (self.name, self.kind, self.lower, self.upper, self.values, self.options) == (
-            other.name, other.kind, other.lower, other.upper, other.values, other.options
-        )
+        return (self.name, self.kind, self.domain) == (other.name, other.kind, other.domain)
 
     def size(self) -> int:
         return len(self.domain)
 
     def contains(self, value) -> bool:
-        if self.kind == INTEGER_RANGE:
-            return isinstance(value, int) and not isinstance(value, bool) and (
-                self.lower <= value <= self.upper
-            )
-        if self.kind == DISCRETE_NUMERIC_SET:
-            return value in self.values
-        return value in self.options
+        # 2.0 == 2 and True == 1, but neither is a value of an integer range.
+        if self.kind == INTEGER_RANGE and (isinstance(value, bool) or not isinstance(value, int)):
+            return False
+        return value in self.domain
 
     def iter_values(self):
         """The values in index order."""
@@ -184,26 +180,20 @@ class Dimension:
         return self.domain.index(value)
 
     def min_value(self):
-        if self.kind == INTEGER_RANGE:
-            return self.lower
-        if self.kind == DISCRETE_NUMERIC_SET:
-            return min(self.values)
-        raise TypeError(f"{self.name} is categorical; it has no numeric minimum")
+        if self.kind == CATEGORICAL:
+            raise TypeError(f"{self.name} is categorical; it has no numeric minimum")
+        return self._min
 
     def max_value(self):
-        if self.kind == INTEGER_RANGE:
-            return self.upper
-        if self.kind == DISCRETE_NUMERIC_SET:
-            return max(self.values)
-        raise TypeError(f"{self.name} is categorical; it has no numeric maximum")
+        if self.kind == CATEGORICAL:
+            raise TypeError(f"{self.name} is categorical; it has no numeric maximum")
+        return self._max
 
     def to_entry(self):
         """Entry in the JSON document form."""
         if self.kind == INTEGER_RANGE:
             return {"min": self.lower, "max": self.upper}
-        if self.kind == DISCRETE_NUMERIC_SET:
-            return list(self.values)
-        return list(self.options)
+        return list(self.domain)
 
 
 class ValidationResult(NamedTuple):

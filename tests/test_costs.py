@@ -88,12 +88,15 @@ def test_size_strictly_increasing_in_each_relevant_dimension():
     assert parameter_file_bytes(1000, 1, 16, 16, 257) > base
 
 
+def reference_flops(l, h, i, s):
+    """Inline re-derivation of the FLOPs model: per layer 8sh^2 + 4s^2h +
+    4shi, plus head 4h^2."""
+    return l * (8 * s * h * h + 4 * s * s * h + 4 * s * h * i) + 4 * h * h
+
+
 def test_forward_flops_frozen_value():
     config = make_config()
-    s, h, i, l = 512, 768, 3072, 12
-    # inline re-derivation: per layer 8sh^2 + 4s^2h + 4shi, plus head 4h^2
-    expected = l * (8 * s * h * h + 4 * s * s * h + 4 * s * h * i) + 4 * h * h
-    assert forward_pass_flops(config) == expected
+    assert forward_pass_flops(config) == reference_flops(12, 768, 3072, 512)
     assert forward_pass_flops(config) == 96_639_123_456
     assert forward_gflops(config) == 96.639123456
 
@@ -155,3 +158,19 @@ def test_genome_costs_equal_the_configuration_forms(canonical_space, mini_space,
         genome = space.sample_genome(rng)
         config = space.configuration(genome)
         assert costs(genome) == (model_size_mb(config), forward_gflops(config))
+
+
+@pytest.mark.parametrize("budget_mb", [None, 64.0], ids=["listing3", "64 MB"])
+def test_configuration_costs_equal_the_references_by_field_name(canonical_space, budget_mb):
+    # The cost models read their values through one getter; the references
+    # read each by field name, so a wrong order in the getter fails here.
+    space = canonical_space if budget_mb is None else prune(canonical_space, SizeConstraint(budget_mb))
+    for c in space.sample_uniform(500, seed=3):
+        size = reference_size_bytes(
+            c.vocab_size, c.num_hidden_layers, c.hidden_size, c.intermediate_size,
+            c.max_sequence_length,
+        )
+        assert model_size_mb(c) * MEGABYTE == model_size_breakdown(c).total_bytes == size
+        assert forward_pass_flops(c) == reference_flops(
+            c.num_hidden_layers, c.hidden_size, c.intermediate_size, c.max_sequence_length
+        )

@@ -11,15 +11,25 @@ from cfgtune import (
     Configuration,
     ConfigurationSpace,
     Dimension,
+    SizeConstraint,
     SpaceFormatError,
     UnsatisfiableSpaceError,
     correct,
     load_space,
     parse_space,
+    prune_report,
     save_space,
     space_from_mapping,
 )
-from cfgtune.space import INTEGER_DIMENSIONS, write_json, write_jsonl
+from cfgtune.space import (
+    CATEGORICAL,
+    DISCRETE_NUMERIC_SET,
+    INTEGER_DIMENSIONS,
+    INTEGER_RANGE,
+    _dimension_from_entry,
+    write_json,
+    write_jsonl,
+)
 from conftest import CANONICAL_SPACE_FILE, MINI_SPACE_DOCUMENT, make_config
 
 
@@ -349,6 +359,49 @@ def test_dimension_kind_validation():
         Dimension(name="x", kind="mystery")
     with pytest.raises(SpaceFormatError):
         Dimension(name="x", kind="integer_range", lower=5, upper=1)
+
+
+@pytest.mark.parametrize(
+    "dim, bounds, outsiders, changed, retained",
+    [
+        (
+            Dimension("num_hidden_layers", INTEGER_RANGE, lower=1, upper=8), (1, 8),
+            [True, 2.0, 0, 9], [dict(lower=2, upper=8), dict(lower=1, upper=9)], "[1, 8]",
+        ),
+        (
+            Dimension("hidden_dropout_prob", DISCRETE_NUMERIC_SET, values=(0.1, 0.2)), (0.1, 0.2),
+            [0.15, "0.1"], [dict(values=(0.1, 0.3))], "{0.1, 0.2}",
+        ),
+        (
+            Dimension("hidden_size", DISCRETE_NUMERIC_SET, values=(64, 16, 32)), (16, 64),
+            [48, 16.5], [dict(values=(64, 16)), dict(values=(64, 16, 48))], "{64, 16, 32}",
+        ),
+        (
+            Dimension("hidden_act", CATEGORICAL, options=("GELU", "ReLU")), None,
+            ["SiLU", 0, True], [dict(options=("GELU", "SiLU"))], "{GELU, ReLU}",
+        ),
+    ],
+    ids=["integer range", "value set", "unsorted value set", "categorical"],
+)
+def test_dimension_rules_per_kind(canonical_space, dim, bounds, outsiders, changed, retained):
+    if bounds is None:
+        for bound in (dim.min_value, dim.max_value):
+            with pytest.raises(TypeError, match="categorical"):
+                bound()
+    else:
+        assert (dim.min_value(), dim.max_value()) == bounds
+        assert (dim.lo, dim.hi) == tuple(map(float, bounds))
+    assert all(dim.contains(value) for value in dim.iter_values())
+    assert not any(dim.contains(value) for value in outsiders)
+    for fields in changed:
+        assert Dimension(dim.name, dim.kind, **fields) != dim
+    twin = _dimension_from_entry(dim.name, dim.to_entry())
+    assert twin == dim and twin is not dim
+    space = ConfigurationSpace(
+        tuple(dim if other.name == dim.name else other for other in canonical_space.dimensions)
+    )
+    report = prune_report(space, space, SizeConstraint())
+    assert {e["name"]: e["retained"] for e in report["dimensions"]}[dim.name] == retained
 
 
 def test_space_requires_canonical_order(canonical_space):
