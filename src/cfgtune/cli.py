@@ -168,9 +168,15 @@ def cmd_fit(args) -> int:
 
 def _pruned_for_mb(space_path: str, space) -> float:
     """The budget of the report ``prune`` wrote beside ``space_path`` if it
-    describes ``space`` (the same pruned cardinality); else infinity."""
+    describes ``space`` (the same pruned cardinality); else infinity. A
+    report that is not a JSON object raises ``ValueError`` naming it."""
     path = _derived_path(space_path, ".report.json")
-    report = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    try:
+        report = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    except json.JSONDecodeError as err:
+        raise ValueError(f"prune report {path} is not valid JSON: {err}") from err
+    if not isinstance(report, dict):
+        raise ValueError(f"prune report {path} is not a JSON object")
     same = report.get("pruned_cardinality") == str(space.cardinality())
     return report["budget_mb"] if same and is_json_number(report.get("budget_mb")) else math.inf
 

@@ -16,7 +16,9 @@ effectiveness. A :class:`Configuration` is built once per new genome only for
 an indicator without one (an external oracle, a callable) or with noise (the
 noisy synthetic oracle), and for the members of the final archive when
 :func:`tune` returns. :attr:`TuneResult.evaluations` decodes the memo on each
-access. Each record's hypervolume resumes the previous record's sweep.
+access. Each record's hypervolume carries over from the previous record's
+sweep every point whose 2-D staircase is unchanged, matching points by
+identity, and sweeps only the rest.
 Sampling, variation and selection draw indices with
 :func:`~cfgtune.space.below`, which draws what ``randrange``, ``choice`` and
 ``shuffle`` would.
@@ -25,6 +27,7 @@ Sampling, variation and selection draw indices with
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -371,13 +374,14 @@ def reference_point(
 
 
 class HypervolumeSweep:
-    """What :func:`hypervolume` resumes from: the reference and clipped, z-sorted
-    points of its last call and, at the first point of each level above the
-    lowest, ``(index, xs, ys, volume)``: the staircase of the points below it
-    and the volume of the lower levels but the adjacent one, added there."""
+    """What :func:`hypervolume` carries over from its last call: the reference,
+    the clipped, z-sorted points and, for each of them, the staircase after it
+    as ``(xs, ys)`` (lists replaced when they change, never edited, so they
+    are shared), that staircase's area once computed (else None), and the
+    term the point's level boundary added (0.0 if none)."""
 
     def __init__(self, reference=None):
-        self.reference, self.points, self.levels = reference, [], []
+        self.reference, self.points, self.stairs, self.areas, self.terms = reference, [], [], [], []
 
 
 def _staircase_area(xs: list[float], ys: list[float], rx: float, ry: float) -> float:
@@ -397,48 +401,67 @@ def hypervolume(
     A dimension sweep: points inside the box are inserted in ascending third
     coordinate into one 2-d staircase (x strictly ascending, y strictly
     descending); when a level is complete, the staircase area times the gap
-    to the next level (or the reference) is added. O(n log n) for the sort
-    plus O(n) per level, so O(n^2) in all. The staircase and the
-    left-to-right order of the area sums are those of rebuilding the
-    staircase at every level, so the value equals that per-level definition
-    exactly.
+    to the next level (or the reference) is added. From no state that is
+    O(n log n) for the sort plus O(n) per point, so O(n^2) in all, and the
+    value equals the per-level definition (the staircase rebuilt at every
+    level, the same left-to-right sums) exactly.
 
-    Given the ``sweep`` state of its last call (as :func:`tune` keeps one),
-    the sweep resumes from the last checkpoint at or before the first point
-    of the clipped, z-sorted list that is not the same object as last time.
-    The points below it are unchanged, so its staircase and volume are a
-    full sweep's there, and the same loop adds the same terms in the same
-    order from there: the value is bit for bit that of a sweep from no state,
-    which records no checkpoints.
-    Points are matched by identity, which, unlike ``==``, tells -0.0 from 0.0,
-    so they must be immutable; a reference that differs in any bit starts over.
+    Given the ``sweep`` state of its last call (as :func:`tune` keeps one), a
+    call sweeps only the points whose staircase differs from the last call's.
+    While the staircase equals the last call's after the same previous point,
+    the longest run of following points that are the same objects in the same
+    order is carried: staircases, areas and terms copied as slices, and the
+    terms added left to right as a sweep adds them. Any other point is swept
+    as from no state, and carrying starts again where the staircase after it
+    equals the last call's after the same object. A call costs O(n) list work
+    in C plus O(n) Python steps per swept point; :func:`tune` at 64 MB, pop
+    100 x 200 sweeps 6-8% of its records' points. The value is bit for bit a
+    sweep's from no state, which records nothing per point: staircases equal
+    by ``==`` have equal areas, as a -0.0 for a 0.0 only flips the sign of a
+    zero factor, and a zero product adds nothing to an area that starts at
+    +0.0. Points are matched by identity, which tells -0.0 from 0.0, so they
+    must be immutable; the state holds them, so no id among them is reused.
+    A reference that differs in any bit starts over.
 
-    The area terms need no clamp at zero: x strictly ascends along the
-    staircase and every point in it has x <= rx and y <= ry, so both factors
-    of every term are >= 0. With finite coordinates ``max(0.0, v)`` could
-    only turn a -0.0 (from ``rx - x`` or ``ry - y`` with signed zeros) into
-    +0.0, and adding either zero to an area that starts at +0.0 gives the
-    same float, so the sum is bit for bit the clamped one.
+    A point that completes no level adds a 0.0 term, and no factor needs a
+    clamp at zero: x strictly ascends along the staircase, z through the list,
+    and every clipped point has x <= rx, y <= ry and z <= rz. ``max(0.0, v)``
+    could only turn a -0.0 (``rx - x`` with signed zeros) into +0.0, and
+    either zero added to an area or volume that starts at +0.0 gives the same
+    float.
     """
     rx, ry, rz = reference
     clipped = sorted([p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz], key=operator.itemgetter(2))
-    resumable = sweep is not None  # only a kept state records checkpoints
-    sweep = sweep if resumable else HypervolumeSweep()
-    if repr(sweep.reference) != repr((rx, ry, rz)):
-        sweep.__init__((rx, ry, rz))
-    same = list(map(operator.is_, sweep.points, clipped))
-    first = same.index(False) if False in same else len(same)
-    levels = sweep.levels
-    while levels and levels[-1][0] > first:
-        levels.pop()
-    start, xs, ys, volume = levels.pop() if levels else (0, [], [], 0.0)
-    below = clipped[start - 1][2] if start else None
-    for idx, (x, y, z) in enumerate(clipped[start:], start):
-        if z != below and idx:  # the level below is complete
-            if resumable:
-                levels.append((idx, xs[:], ys[:], volume))
-            volume += _staircase_area(xs, ys, rx, ry) * max(0.0, z - below)
-        below = z
+    keep = sweep is not None  # only a kept state records per-point state
+    last = sweep if keep else HypervolumeSweep()
+    if repr(last.reference) != repr((rx, ry, rz)):
+        last.__init__((rx, ry, rz))
+    old, position = last.points, dict(zip(map(id, last.points), itertools.count()))
+    stairs, areas, terms = [], [], []
+    xs, ys, area, volume = [], [], None, 0.0
+    # Synced: clipped[i - 1] is old[j - 1] (or i == j == 0) and the
+    # staircase equals the last call's after it.
+    synced, i, j, n = True, 0, 0, len(clipped)
+    while i < n:
+        same = list(map(operator.is_, clipped[i:], old[j:])) if synced else []
+        m = same.index(False) if False in same else len(same)
+        if m:  # carry the run; the point after it is not old[j + m], so it is swept
+            stairs += last.stairs[j:j + m]
+            areas += last.areas[j:j + m]
+            terms += last.terms[j:j + m]
+            volume = functools.reduce(operator.add, last.terms[j:j + m], volume)
+            (xs, ys), area = stairs[-1], areas[-1]
+            i, synced = i + m, False
+            continue
+        x, y, z = point = clipped[i]
+        term = 0.0
+        if i and z != clipped[i - 1][2]:  # the level below is complete
+            if area is None:
+                area = _staircase_area(xs, ys, rx, ry)
+                if keep:
+                    areas[-1] = area
+            term = area * (z - clipped[i - 1][2])
+            volume += term
         right = bisect.bisect_right(xs, x)
         # Skip a point weakly dominated by the staircase; the member with the
         # largest x' <= x has the smallest y' among those.
@@ -447,11 +470,20 @@ def hypervolume(
             end = left
             while end < len(ys) and ys[end] >= y:
                 end += 1
-            xs[left:end] = [x]
-            ys[left:end] = [y]
+            xs, ys, area = xs[:left] + [x] + xs[end:], ys[:left] + [y] + ys[end:], None
+        if keep:
+            stairs.append((xs, ys))
+            areas.append(area)
+            terms.append(term)
+        j = position.get(id(point), -1) + 1
+        synced = j > 0 and last.stairs[j - 1] == (xs, ys)
+        i += 1
     if clipped:
-        volume += _staircase_area(xs, ys, rx, ry) * max(0.0, rz - clipped[-1][2])
-    sweep.points = clipped
+        if area is None:
+            area = _staircase_area(xs, ys, rx, ry)
+        volume += area * (rz - clipped[-1][2])
+    if keep:
+        last.points, last.stairs, last.areas, last.terms = clipped, stairs, areas, terms
     return volume
 
 

@@ -592,6 +592,23 @@ def test_tune_budget_is_free_without_the_spaces_report(pipeline, report):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "is not a JSON object"), ("{not json", "is not valid JSON")],
+    ids=["list", "not json"],
+)
+def test_tune_malformed_prune_report_exits_parse(pipeline, capsys, text, message):
+    # Valid JSON that is no object used to reach ``.get`` and exit 5.
+    report_path = pipeline["tmp"] / "pruned.report.json"
+    report_path.write_text(text)
+    before = sorted(p.name for p in pipeline["tmp"].iterdir())
+    code, out = run_tune(pipeline, "front.jsonl")
+    assert code == EXIT_PARSE
+    assert f"prune report {report_path} {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in pipeline["tmp"].iterdir()) == before
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "path",

@@ -769,9 +769,21 @@ def test_resumed_hypervolume_equals_per_level_definition_at_every_step(data, coo
     sweep = tuner.HypervolumeSweep()
     points = []
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
-        step = data.draw(st.sampled_from(["grow", "evict", "unchanged", "negative zero", "reference"]))
+        step = data.draw(st.sampled_from(
+            ["grow", "evict", "unchanged", "negative zero", "reference", "repeat", "equal copy"]
+        ))
         if step == "grow":
             points = points + [vec(*p) for p in data.draw(point_lists(coordinates, 8))]
+        elif step == "repeat" and points:
+            # The same object twice: a run carried by identity may meet it.
+            index = data.draw(st.integers(0, len(points) - 1))
+            at = data.draw(st.integers(0, len(points)))
+            points = points[:at] + [points[index]] + points[at:]
+        elif step == "equal copy" and points:
+            # A new object with the same values: not carried, but its
+            # staircase equals the last call's.
+            index = data.draw(st.integers(0, len(points) - 1))
+            points = points[:index] + [vec(*points[index])] + points[index + 1:]
         elif step == "evict" and points:
             kept = data.draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
             points = [p for p, keep in zip(points, kept) if keep]
@@ -797,6 +809,52 @@ def test_resumed_hypervolume_equals_a_sweep_from_no_state_on_random_fronts():
             points = archive.objective_vectors()
             reference = (0.9, 0.8, -0.1) if step % 7 == 6 else (1.0, 1.0, 0.0)
             assert repr(hypervolume(points, reference, sweep)) == repr(hypervolume(points, reference))
+
+
+def test_resumed_hypervolume_sweeps_only_points_whose_staircase_changed(monkeypatch):
+    # A 200-point front on the plane x + y + z = 0 (z ascending, as the
+    # archive's negated effectiveness): each swept point makes one
+    # ``bisect_right`` call; a carried point makes none.
+    rng = random.Random(31)
+    points = []
+    for _ in range(200):
+        x, y = rng.random() / 2, rng.random() / 2
+        points.append(vec(x, y, -(x + y)))
+    reference = (1.0, 1.0, 0.0)
+    calls = []
+    bisect_right = tuner.bisect.bisect_right
+    monkeypatch.setattr(tuner.bisect, "bisect_right", lambda *a: calls.append(a) or bisect_right(*a))
+
+    def swept(points, sweep):
+        calls.clear()
+        value = hypervolume(points, reference, sweep)
+        assert repr(value) == repr(per_level_hypervolume(points, reference))
+        return len(calls)
+
+    sweep = tuner.HypervolumeSweep()
+    assert swept(points, sweep) == 200
+    assert swept(list(points), sweep) == 0
+    top = max(range(200), key=lambda k: points[k][2])
+    points[top] = vec(points[top][0] / 2, points[top][1], points[top][2])
+    assert swept(points, sweep) == 1
+    # An equal copy of the lowest point is swept, and so is the point after
+    # it, whose staircase then matches the last call's again.
+    bottom = min(range(200), key=lambda k: points[k][2])
+    points[bottom] = vec(*points[bottom])
+    assert swept(points, sweep) == 2
+    assert swept(points, tuner.HypervolumeSweep()) == 200
+
+
+def test_resumed_hypervolume_uses_the_area_after_a_carried_run():
+    # b and c hide behind a's staircase, so the area computed at b's level
+    # stays current through c. Then d, carried, changes the staircase: the
+    # final term must use the area after d, not the one from before it.
+    a, b, c, d = vec(0.5, 0.5, 0.0), vec(0.6, 0.6, 0.25), vec(0.7, 0.7, 0.5), vec(0.1, 0.1, 0.75)
+    reference = (1.0, 1.0, 1.0)
+    sweep = tuner.HypervolumeSweep()
+    hypervolume([a, b, c, d], reference, sweep)
+    points = [a, vec(*b), c, d]
+    assert repr(hypervolume(points, reference, sweep)) == repr(per_level_hypervolume(points, reference))
 
 
 # --- the full loop -----------------------------------------------------------
