@@ -271,8 +271,15 @@ def _load_front(path: str) -> list[Individual]:
 def cmd_report(args) -> int:
     if not 0 < args.target_mb < math.inf:
         raise ValueError(f"--target-mb must be positive and finite, got {args.target_mb}")
-    estimate = args.runtime_hours is not None and args.power_kw is not None
-    if estimate:  # before any output: a rejected workload prints nothing
+    # Before any output: a rejected workload prints nothing.
+    for flag in ("runtime_hours", "power_kw", "carbon_intensity"):
+        value = getattr(args, flag)
+        if value is not None and not 0 <= value < math.inf:
+            raise ValueError(f"--{flag.replace('_', '-')} must be non-negative and finite, got {value}")
+    if (args.runtime_hours is None) != (args.power_kw is None):
+        raise ValueError("--runtime-hours and --power-kw must be given together")
+    estimate = args.runtime_hours is not None
+    if estimate:
         energy = training_energy_kwh(args.runtime_hours, args.power_kw)
         co2 = co2_emissions_kg(energy, args.carbon_intensity)
     front = _load_front(args.front)

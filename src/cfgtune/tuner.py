@@ -138,23 +138,6 @@ class TunerParams:
         self.population_size, self.generations, self.seed = population_size, generations, seed
 
 
-_SLACK = 1e-9  # relative; see :func:`adaptive_random_init`
-
-
-def _normalized_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    # One left-to-right expression, not ``sum``: since Python 3.12 ``sum`` of
-    # floats is compensated, which changes last bits and can flip a tie. It
-    # equals a loop from ``acc = 0.0``, as ``0.0 + t0 == t0`` exactly.
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = b
-    return math.sqrt(
-        (a0 - b0) ** 2 + (a1 - b1) ** 2 + (a2 - b2) ** 2 + (a3 - b3) ** 2
-        + (a4 - b4) ** 2 + (a5 - b5) ** 2 + (a6 - b6) ** 2 + (a7 - b7) ** 2
-        + (a8 - b8) ** 2 + (a9 - b9) ** 2 + (a10 - b10) ** 2 + (a11 - b11) ** 2
-        + (a12 - b12) ** 2
-    )
-
-
 def adaptive_random_init(
     space: ConfigurationSpace,
     n: int,
@@ -164,33 +147,23 @@ def adaptive_random_init(
 
     The first member is a plain uniform sample; each later member is the best
     of :data:`CANDIDATE_POOL` uniform samples, maximizing its minimum Euclidean
-    distance (over normalized encodings) to the members chosen so far. All
-    samples pass through correction, so every member validates.
+    distance (over normalized encodings) to the members chosen so far, the
+    earliest sample winning a tie. All samples pass through correction, so
+    every member validates.
 
-    A candidate's distances ``d`` to the chosen members are scanned in C
-    with ``math.dist``, each taken as ``d * (1 + _SLACK)``. The scan stops
-    at the first member with ``d * (1 + _SLACK) <= best_score``, and the
-    candidate loses: ``nearest <= d`` and rounding is monotone, so ``nearest
-    * (1 + _SLACK) <= best_score`` too, the test a full scan would make. (It
-    is the product, not ``best_score / (1 + _SLACK)``, which rounds
-    differently.) Otherwise its exact score, the :func:`_normalized_distance`
-    minimum, is taken over the members within a factor ``(1 + _SLACK) ** 2``
-    of the nearest, and only a score ``> best_score`` wins. Both distances
-    start from the same rounded component differences and are within about
-    1e-15 relative of their true norm (``math.dist`` about 1 ulp on CPython
-    3.10+, the 13-term sum and ``sqrt`` about 8 roundoffs), a margin of about
-    1e6 under ``_SLACK = 1e-9``: a clear loser's exact score is ``<=
-    best_score`` too, and the member at the exact minimum is always
-    rechecked, so every winner and score is that of the full minimum. Every
-    candidate is still sampled and encoded, so the ``rng`` stream is
-    unchanged.
+    A candidate's distances are scanned in C with ``math.dist``, which stops
+    at its first member no farther than the best score so far: the candidate
+    loses, since its minimum is no larger. A scan that reaches every member
+    wins with their minimum. ``math.dist`` is correctly rounded on CPython
+    3.10+, so each distance, and so the pick, does not depend on the
+    interpreter or on the order of the components. Every candidate is still
+    sampled and encoded, so the ``rng`` stream does not depend on the scan.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     chosen = [space.sample_genome(rng)]
     encodings = [space.encode_genome(chosen[0], normalize=True)]
-    grow = (1 + _SLACK).__mul__
     while len(chosen) < n:
         best_genome = None
         best_encoding = None
@@ -198,18 +171,11 @@ def adaptive_random_init(
         for _ in range(CANDIDATE_POOL):
             candidate = space.sample_genome(rng)
             encoding = space.encode_genome(candidate, normalize=True)
-            grown = list(itertools.takewhile(
-                best_score.__lt__, map(grow, map(math.dist, itertools.repeat(encoding), encodings))
+            distances = list(itertools.takewhile(
+                best_score.__lt__, map(math.dist, itertools.repeat(encoding), encodings)
             ))
-            if len(grown) < len(encodings):
-                continue  # a clear loser
-            near = min(grown) * (1 + _SLACK) ** 2
-            score = min(
-                _normalized_distance(encoding, e)
-                for e, g in zip(encodings, grown) if g <= near
-            )
-            if score > best_score:
-                best_genome, best_encoding, best_score = candidate, encoding, score
+            if len(distances) == len(encodings):
+                best_genome, best_encoding, best_score = candidate, encoding, min(distances)
         chosen.append(best_genome)
         encodings.append(best_encoding)
     return chosen
@@ -223,23 +189,18 @@ def crossover_at(g1: Genome, g2: Genome, x1: int, x2: int) -> tuple[Genome, Geno
 
 
 def _distinct_pair(n: int, rng: random.Random) -> tuple[int, int]:
-    """Two distinct indices in ``range(n)``, ``n >= 2``: exactly the pair
+    """Two distinct indices in ``range(n)``, ``2 <= n <= 21``: exactly the pair
     ``rng.sample(range(n), 2)`` returns, from the same ``randrange`` draws
     (by :func:`below`) in the same order, so the rng ends in the same state.
-    For ``n > 21`` ``sample`` redraws the second index on a collision; up to
-    21 it draws from a shrinking pool, where the first index's slot holds
-    ``n - 1``. ``tests/test_tuner.py::test_distinct_pair_draws_what_sample_draws``
+    Up to 21 ``sample`` draws from a shrinking pool, where the first index's
+    slot holds ``n - 1``; :func:`tournament_select` draws its own pair above
+    that. ``tests/test_tuner.py::test_distinct_pair_draws_what_sample_draws``
     pins this against the running interpreter's ``random.sample``."""
     bits = rng.getrandbits
     first = below(bits, n)
-    if n > 21:
-        second = below(bits, n)
-        while second == first:
-            second = below(bits, n)
-    else:
-        second = below(bits, n - 1)
-        if second == first:
-            second = n - 1
+    second = below(bits, n - 1)
+    if second == first:
+        second = n - 1
     return first, second
 
 
@@ -415,13 +376,14 @@ def hypervolume(
     as from no state, and carrying starts again where the staircase after it
     equals the last call's after the same object. A call costs O(n) list work
     in C plus O(n) Python steps per swept point; :func:`tune` at 64 MB, pop
-    100 x 200 sweeps 6-8% of its records' points. The value is bit for bit a
-    sweep's from no state, which records nothing per point: staircases equal
-    by ``==`` have equal areas, as a -0.0 for a 0.0 only flips the sign of a
-    zero factor, and a zero product adds nothing to an area that starts at
-    +0.0. Points are matched by identity, which tells -0.0 from 0.0, so they
-    must be immutable; the state holds them, so no id among them is reused.
-    A reference that differs in any bit starts over.
+    100 x 200 sweeps 6-8% of its records' points. A call without a state
+    sweeps into a fresh one and drops it. The value is bit for bit a sweep's
+    from no state: staircases equal by ``==`` have equal areas, as a -0.0
+    for a 0.0 only flips the sign of a zero factor, and a zero product adds
+    nothing to an area that starts at +0.0. Points are matched by identity,
+    which tells -0.0 from 0.0, so they must be immutable; the state holds
+    them, so no id among them is reused. A reference that differs in any bit
+    starts over.
 
     A point that completes no level adds a 0.0 term, and no factor needs a
     clamp at zero: x strictly ascends along the staircase, z through the list,
@@ -432,8 +394,7 @@ def hypervolume(
     """
     rx, ry, rz = reference
     clipped = sorted([p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz], key=operator.itemgetter(2))
-    keep = sweep is not None  # only a kept state records per-point state
-    last = sweep if keep else HypervolumeSweep()
+    last = HypervolumeSweep() if sweep is None else sweep
     if repr(last.reference) != repr((rx, ry, rz)):
         last.__init__((rx, ry, rz))
     old, position = last.points, dict(zip(map(id, last.points), itertools.count()))
@@ -458,8 +419,7 @@ def hypervolume(
         if i and z != clipped[i - 1][2]:  # the level below is complete
             if area is None:
                 area = _staircase_area(xs, ys, rx, ry)
-                if keep:
-                    areas[-1] = area
+                areas[-1] = area
             term = area * (z - clipped[i - 1][2])
             volume += term
         right = bisect.bisect_right(xs, x)
@@ -471,10 +431,9 @@ def hypervolume(
             while end < len(ys) and ys[end] >= y:
                 end += 1
             xs, ys, area = xs[:left] + [x] + xs[end:], ys[:left] + [y] + ys[end:], None
-        if keep:
-            stairs.append((xs, ys))
-            areas.append(area)
-            terms.append(term)
+        stairs.append((xs, ys))
+        areas.append(area)
+        terms.append(term)
         j = position.get(id(point), -1) + 1
         synced = j > 0 and last.stairs[j - 1] == (xs, ys)
         i += 1
@@ -482,8 +441,7 @@ def hypervolume(
         if area is None:
             area = _staircase_area(xs, ys, rx, ry)
         volume += area * (rz - clipped[-1][2])
-    if keep:
-        last.points, last.stairs, last.areas, last.terms = clipped, stairs, areas, terms
+    last.points, last.stairs, last.areas, last.terms = clipped, stairs, areas, terms
     return volume
 
 

@@ -799,20 +799,31 @@ def test_report_non_positive_target_exits_parse(pipeline, capsys, target):
 
 
 @pytest.mark.parametrize(
-    "workload",
-    [("nan", "0.4", "0.4375"), ("0.8", "inf", "0.4375"), ("0.8", "0.4", "nan")],
-    ids=["nan-runtime", "inf-power", "nan-intensity"],
+    "workload, message",
+    [
+        (["--runtime-hours", "nan", "--power-kw", "0.4", "--carbon-intensity", "0.4375"], "non-negative and finite"),
+        (["--runtime-hours", "0.8", "--power-kw", "inf", "--carbon-intensity", "0.4375"], "non-negative and finite"),
+        (["--runtime-hours", "0.8", "--power-kw", "0.4", "--carbon-intensity", "nan"], "non-negative and finite"),
+        (["--runtime-hours", "-1"], "non-negative and finite"),
+        (["--power-kw", "-0.5"], "non-negative and finite"),
+        (["--carbon-intensity", "nan"], "non-negative and finite"),
+        (["--carbon-intensity", "-1"], "non-negative and finite"),
+        (["--runtime-hours", "0.8"], "given together"),
+        (["--power-kw", "0.4"], "given together"),
+    ],
+    ids=[
+        "nan-runtime", "inf-power", "nan-intensity", "lone-negative-runtime", "lone-negative-power",
+        "lone-nan-intensity", "lone-negative-intensity", "lone-runtime", "lone-power",
+    ],
 )
-def test_report_non_finite_workload_exits_parse(pipeline, capsys, workload):
+def test_report_non_finite_workload_exits_parse(pipeline, capsys, workload, message):
+    # A negative or non-finite flag, or half of the pair, is a usage error:
+    # each flag is checked whenever it is given, before any output.
     _, front = run_tune(pipeline, "front.jsonl")
     capsys.readouterr()
-    hours, power, intensity = workload
-    assert main(
-        ["report", "--front", str(front), "--runtime-hours", hours, "--power-kw", power,
-         "--carbon-intensity", intensity]
-    ) == EXIT_PARSE
+    assert main(["report", "--front", str(front), *workload]) == EXIT_PARSE
     captured = capsys.readouterr()
-    assert "must be non-negative and finite" in captured.err
+    assert message in captured.err
     assert captured.out == ""
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +35,7 @@ from cfgtune import (
 )
 import cfgtune.tuner as tuner
 from cfgtune.space import below
-from cfgtune.tuner import _distinct_pair, _normalized_distance, _permutation
+from cfgtune.tuner import _distinct_pair, _permutation
 from conftest import CANONICAL_SPACE_FILE, make_config
 
 
@@ -232,6 +233,15 @@ def two_value_space():
     )
 
 
+def left_to_right_distance(a, b):
+    """The initializer's distance as first written: the 13 squared component
+    differences summed left to right, then ``math.sqrt``."""
+    total = 0.0
+    for x, y in zip(a, b, strict=True):
+        total += (x - y) ** 2
+    return math.sqrt(total)
+
+
 def full_minimum_init(space, n, rng, candidate_pool):
     """The initializer as first written: every candidate's minimum distance
     to the chosen members is computed in full."""
@@ -242,7 +252,7 @@ def full_minimum_init(space, n, rng, candidate_pool):
         for _ in range(candidate_pool):
             candidate = space.sample_genome(rng)
             encoding = space.encode_genome(candidate, normalize=True)
-            score = min(_normalized_distance(encoding, e) for e in encodings)
+            score = min(left_to_right_distance(encoding, e) for e in encodings)
             if score > best_score:
                 best_config, best_encoding, best_score = candidate, encoding, score
         chosen.append(best_config)
@@ -255,17 +265,8 @@ def full_minimum_init(space, n, rng, candidate_pool):
 def test_adaptive_init_equals_full_minimum(
     pruned_space, mini_space, point_space, two_value_space, n, candidate_pool, monkeypatch
 ):
-    # The ``math.dist`` scan, its early exit and its exact recheck pick
-    # exactly the members the full minimum picks and leave the rng where the
-    # full minimum leaves it. The recheck runs, but on fewer (candidate,
-    # member) pairs than the full minimum scores.
-    calls = 0
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return _normalized_distance(a, b)
-
+    # The ``math.dist`` scan and its early exit pick exactly the members the
+    # full left-to-right minimum picks and leave the rng where it leaves it.
     dist, dist_calls = math.dist, 0
 
     def counted_dist(a, b):
@@ -273,78 +274,55 @@ def test_adaptive_init_equals_full_minimum(
         dist_calls += 1
         return dist(a, b)
 
-    monkeypatch.setattr(tuner, "_normalized_distance", counted)
     monkeypatch.setattr(math, "dist", counted_dist)
     seeds = range({1: 40, 2: 40, 20: 10, 200: 1}[n])
     pairs = candidate_pool * n * (n - 1) // 2 * len(seeds)
     for space in (pruned_space, mini_space, point_space, two_value_space):
-        calls = dist_calls = 0
+        dist_calls = 0
         for seed in seeds:
             rng, reference_rng = random.Random(seed), random.Random(seed)
             population = adaptive_random_init(space, n, rng)
             assert population == full_minimum_init(space, n, reference_rng, candidate_pool)
             assert rng.getstate() == reference_rng.getstate()
-        if n > 1:
-            assert 0 < calls < pairs
-        # The scan stops at a clear loser's first near member, so from 20
-        # members on it makes fewer ``math.dist`` calls than the full scan.
+        # The scan stops at a loser's first member no farther than the best
+        # score, so from 20 members on it makes fewer ``math.dist`` calls
+        # than the full scan.
         assert dist_calls <= pairs
         if n >= 20:
             assert dist_calls < pairs
 
 
+def is_correctly_rounded_norm(value, a, b):
+    """Whether ``value`` is the float nearest the exact Euclidean norm of the
+    float differences ``x - y``: the squares of the half-ulp midpoints
+    around it bracket the exact sum of squares (inclusive, so a norm exactly
+    halfway between two floats accepts either)."""
+    exact = sum(Fraction(x - y) ** 2 for x, y in zip(a, b, strict=True))
+    low = (Fraction(value) + Fraction(math.nextafter(value, 0.0))) / 2
+    high = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+    return low * low <= exact <= high * high
+
+
 @pytest.mark.parametrize("budget_mb", [3.0, 64.0])
-def test_math_dist_agrees_with_normalized_distance(canonical_space, budget_mb):
-    # The fast scan in ``adaptive_random_init`` rests on this: the two
-    # distances agree to far within ``_SLACK`` on the running interpreter.
+def test_math_dist_is_the_correctly_rounded_norm(canonical_space, budget_mb):
+    # ``adaptive_random_init`` rests on this: on the running interpreter
+    # each distance is exact up to one rounding, so its picks depend on
+    # neither the interpreter nor the order of the components.
     space = prune(canonical_space, SizeConstraint(budget_mb))
     rng = random.Random(0)
     encodings = [
-        space.encode_genome(space.sample_genome(rng), normalize=True) for _ in range(3000)
+        space.encode_genome(space.sample_genome(rng), normalize=True) for _ in range(2000)
     ]
     pairs = list(zip(encodings, encodings[1:]))
     for a, b in zip(encodings[:500], encodings[500:1000]):
         position = rng.randrange(13)  # differ in this component alone
         pairs.append((a, a[:position] + b[position:position + 1] + a[position + 1:]))
-    for a in encodings[:100]:
-        assert math.dist(a, a) == _normalized_distance(a, a) == 0.0
+    pairs += [(a, a) for a in encodings[:100]]
     for a, b in pairs:
-        exact = _normalized_distance(a, b)
-        assert abs(math.dist(a, b) - exact) <= 1e-12 * exact
-    assert 1e-12 < tuner._SLACK
-
-
-def neumaier_sum(values, start=0.0):
-    """The compensated float ``sum`` of Python 3.12 and later."""
-    total, compensation = float(start), 0.0
-    for x in values:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    return total + compensation
-
-
-def test_normalized_distance_sums_left_to_right_on_every_python(pruned_space, monkeypatch):
-    # The distances must not depend on the interpreter's ``sum``: with a
-    # compensated one patched in, they still equal the left-to-right sum.
-    monkeypatch.setattr(tuner, "sum", neumaier_sum, raising=False)
-    rng = random.Random(0)
-    encodings = [
-        pruned_space.encode_genome(pruned_space.sample_genome(rng), normalize=True)
-        for _ in range(200)
-    ]
-    compensated_differs = False
-    for a, b in zip(encodings, encodings[1:]):
-        left_to_right = 0.0
-        for x, y in zip(a, b):
-            left_to_right += (x - y) ** 2
-        assert _normalized_distance(a, b) == math.sqrt(left_to_right)
-        squares = [(x - y) ** 2 for x, y in zip(a, b)]
-        compensated_differs |= neumaier_sum(squares) != left_to_right
-    assert compensated_differs  # the sample tells the two sums apart
+        assert is_correctly_rounded_norm(math.dist(a, b), a, b)
+    # The test tells a rounding apart: a neighbouring float fails it.
+    a, b = encodings[0], encodings[1]
+    assert not is_correctly_rounded_norm(math.nextafter(math.dist(a, b), math.inf), a, b)
 
 
 def test_space_document_round_trip_checksum(mini_space):
@@ -389,9 +367,9 @@ def test_crossover_children_take_values_from_parents(pruned_space):
 
 
 def test_distinct_pair_draws_what_sample_draws():
-    # Pins ``_distinct_pair`` to the running interpreter's ``random.sample``:
-    # both sides of its n <= 21 switch, the same pair and the same rng state.
-    for n in range(2, 65):
+    # Pins ``_distinct_pair`` to the running interpreter's ``random.sample``
+    # on every n it serves: the same pair and the same rng state.
+    for n in range(2, 22):
         for seed in range(6):
             rng, reference = random.Random(seed), random.Random(seed)
             for _ in range(30):
@@ -539,13 +517,13 @@ def k_way_tournament_select(pool, count, tournament_size, rng):
 
 def stepwise_tournament_select(pool, count, rng):
     """The binary tournament with its draws made by calls: the pair by
-    ``_distinct_pair``, dominance by ``dominates`` and the pick among the
+    ``rng.sample``, dominance by ``dominates`` and the pick among the
     finalists by ``below``, as ``rng.choice`` draws it."""
     crowding = crowding_distances([entry.objectives for entry in pool])
     bits = rng.getrandbits
     winners = []
     for _ in range(count):
-        a, b = _distinct_pair(len(pool), rng)
+        a, b = rng.sample(range(len(pool)), 2)
         u, v = pool[a].objectives, pool[b].objectives
         if dominates(u, v):
             finalists = (a,)
