@@ -38,8 +38,9 @@ class SizeConstraint:
         return size_bytes <= self.budget_mb * MEGABYTE
 
 
-def min_corner_bytes(space: ConfigurationSpace, dim_name: str, value) -> int:
-    """Smallest achievable size (bytes) over configurations fixing dim=value."""
+def min_corner_bytes(space: ConfigurationSpace, dim_name: str | None = None, value=None) -> int:
+    """Smallest achievable size (bytes) over the configurations of the space,
+    or over those fixing dim=value."""
     corner = {dim.name: dim.min_value() for dim in size_relevant(space.dimensions)}
     if dim_name in corner:
         corner[dim_name] = value

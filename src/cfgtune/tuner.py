@@ -20,8 +20,10 @@ access. Each record's hypervolume carries over from the previous record's
 sweep every point whose 2-D staircase is unchanged, matching points by
 identity, and sweeps only the rest.
 Sampling, variation and selection draw indices with
-:func:`~cfgtune.space.below`, which draws what ``randrange``, ``choice`` and
-``shuffle`` would.
+:func:`~cfgtune.space.below`, which draws what ``randrange`` would. Every
+distinct pair, crossover's cut points and a tournament's entrants alike,
+comes from one rule (:func:`_distinct_pair`), and a decided tournament draws
+nothing more.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import random
 from typing import Callable, NamedTuple
 
 from .costs import forward_gflops, genome_costs, model_size_mb
+from .pruning import EmptyFeasibleSpaceError, SizeConstraint, min_corner_bytes
 from .space import Configuration, ConfigurationSpace, Genome, below, correct
 
 
@@ -189,18 +192,14 @@ def crossover_at(g1: Genome, g2: Genome, x1: int, x2: int) -> tuple[Genome, Geno
 
 
 def _distinct_pair(n: int, rng: random.Random) -> tuple[int, int]:
-    """Two distinct indices in ``range(n)``, ``2 <= n <= 21``: exactly the pair
-    ``rng.sample(range(n), 2)`` returns, from the same ``randrange`` draws
-    (by :func:`below`) in the same order, so the rng ends in the same state.
-    Up to 21 ``sample`` draws from a shrinking pool, where the first index's
-    slot holds ``n - 1``; :func:`tournament_select` draws its own pair above
-    that. ``tests/test_tuner.py::test_distinct_pair_draws_what_sample_draws``
-    pins this against the running interpreter's ``random.sample``."""
+    """Two distinct indices in ``range(n)``, ``n >= 2``, every ordered pair
+    equally likely: the first by :func:`below` over ``n``, the second by
+    :func:`below` over the ``n - 1`` others, shifted past the first. Two draws
+    for every ``n``; :func:`tournament_select` makes the same draws inline."""
     bits = rng.getrandbits
     first = below(bits, n)
     second = below(bits, n - 1)
-    if second == first:
-        second = n - 1
+    second += second >= first
     return first, second
 
 
@@ -273,30 +272,20 @@ def tournament_select(pool: list, count: int, rng: random.Random) -> list:
     entries of the pool, whose entries (individuals, or the population
     members of :func:`tune`) carry ``objectives``. An entrant that dominates
     the other wins; otherwise the larger pool-level crowding distance wins;
-    an exact tie is broken uniformly at random.
-
-    The draws are :func:`_distinct_pair`'s and ``rng.choice``'s, inline for
-    pools of more than 21 entries: ``a`` by :func:`below`'s loop, then ``b``
-    until it is in range and not ``a``. The pick draws ``getrandbits(1)``
-    until 0 for one finalist, ``getrandbits(2)`` until below 2 for two."""
+    an exact tie is broken by ``below(2)``. The pair is
+    :func:`_distinct_pair`'s, drawn inline; a decided tournament draws
+    nothing more."""
     size = len(pool)
     if size < 2:
         raise ValueError("selection pool needs at least 2 entries")
     objectives = [entry.objectives for entry in pool]
     crowding = crowding_distances(objectives)
     bits = rng.getrandbits
-    k = size.bit_length()
     winners = []
     for _ in range(count):
-        if size > 21:
-            a = bits(k)
-            while a >= size:
-                a = bits(k)
-            b = bits(k)
-            while b >= size or b == a:
-                b = bits(k)
-        else:
-            a, b = _distinct_pair(size, rng)
+        a = below(bits, size)
+        b = below(bits, size - 1)
+        b += b >= a
         u0, u1, u2 = objectives[a]
         v0, v1, v2 = objectives[b]
         if u0 <= v0 and u1 <= v1 and u2 <= v2 and (u0 < v0 or u1 < v1 or u2 < v2):
@@ -306,15 +295,7 @@ def tournament_select(pool: list, count: int, rng: random.Random) -> list:
         elif crowding[a] != crowding[b]:
             winner = a if crowding[a] > crowding[b] else b
         else:
-            pick = bits(2)
-            while pick >= 2:
-                pick = bits(2)
-            winners.append(pool[b if pick else a])
-            continue
-        # ``rng.choice`` draws from the stream even for one finalist; the
-        # golden fronts depend on that draw.
-        while bits(1):
-            pass
+            winner = b if below(bits, 2) else a
         winners.append(pool[winner])
     return winners
 
@@ -496,16 +477,20 @@ def tune(
     surrogate, oracle, or callable). When ``size_budget_mb`` is given, only
     individuals within the budget may enter the archive, so every front
     member honors the size constraint even where single-dimension pruning
-    cannot exclude a combination. A budget that is not positive and
-    finite (NaN included) raises ``ValueError`` before any evaluation.
+    cannot exclude a combination. Before any evaluation, a budget that is not
+    positive and finite (NaN included) raises ``ValueError``, and one that
+    the space's all-minimum corner exceeds raises
+    :class:`~cfgtune.pruning.EmptyFeasibleSpaceError`.
 
     Each :class:`GenerationRecord` follows one archive update (the initial
     population's, then each generation's). Its hypervolume is taken against
     :func:`reference_point`, so the series never decreases and compares
     across seeds and runs.
     """
-    if size_budget_mb is not None and not 0 < size_budget_mb < math.inf:
-        raise ValueError(f"size_budget_mb must be positive and finite, got {size_budget_mb}")
+    if size_budget_mb is not None and not SizeConstraint(size_budget_mb).admits(min_corner_bytes(space)):
+        raise EmptyFeasibleSpaceError(
+            f"no configuration fits {size_budget_mb} MB; even the all-minimum corner exceeds the budget"
+        )
     reference = reference_point(space, size_budget_mb)
     effectiveness_of = _effectiveness_callable(indicator, space)
     costs_of = genome_costs(space)

@@ -551,9 +551,14 @@ def test_tune_null_checksum_exits_constraint(pipeline):
     assert not out.exists()
 
 
-def test_tune_impossible_budget_exits_constraint(pipeline):
+def test_tune_impossible_budget_exits_constraint(pipeline, capsys):
+    # Below the space's all-minimum corner no configuration fits: tune stops
+    # before its search and writes no front, run log or manifest.
+    before = sorted(p.name for p in pipeline["tmp"].iterdir())
     code, _ = run_tune(pipeline, "front.jsonl", budget="0.0001")
     assert code == EXIT_CONSTRAINT
+    assert "all-minimum corner exceeds" in capsys.readouterr().err
+    assert sorted(p.name for p in pipeline["tmp"].iterdir()) == before
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
@@ -669,7 +674,7 @@ def _reject_constant(token):
 
 def test_tune_artifacts_are_strict_json_while_the_archive_is_empty(tmp_path):
     # At README defaults with the seed-11 model, tune seed 0 archives nothing
-    # in its first four generations; those run-log lines have no best member.
+    # in its first three generations; those run-log lines have no best member.
     pruned, model, front = tmp_path / "pruned.json", tmp_path / "model.json", tmp_path / "front.jsonl"
     for stage in (
         ["prune", "--space", str(CANONICAL_SPACE_FILE), "--budget-mb", "3.0", "--out", str(pruned)],
@@ -682,7 +687,7 @@ def test_tune_artifacts_are_strict_json_while_the_archive_is_empty(tmp_path):
         json.loads(line, parse_constant=_reject_constant)
         for line in (tmp_path / "front.runlog.jsonl").read_text().splitlines()
     ]
-    assert [row["archive_size"] == 0 for row in runlog[:5]] == [True] * 4 + [False]
+    assert [row["archive_size"] == 0 for row in runlog[:4]] == [True] * 3 + [False]
     for row in runlog:
         best = [row["best_size_mb"], row["best_gflops"], row["best_effectiveness"]]
         assert best == [None] * 3 if row["archive_size"] == 0 else None not in best
@@ -891,20 +896,20 @@ def test_missing_subcommand_is_usage_error():
 # --- the README quickstart ---------------------------------------------------
 
 # sha256 of every artifact and of each stage's stdout of the README quickstart
-# (seed 11), as written before the artifact writers were shared. The
-# manifest's digest is taken without its written_at line.
+# (seed 11, an 8-member front). The manifest's digest is taken without its
+# written_at line.
 QUICKSTART_DIGESTS = {
     "pruned.json": "6837f3c05c4c27d00edfaa153d919560c47de18b1356125105b1515409707947",
     "pruned.report.json": "daa1033d3200aeb3bd43dbabf1b8f8151d6e4dcea5fea298be967b0404a02e47",
     "model.json": "473a4d0f14c2cb28322c5f4d880c2238aa5a16be74cea2ff47e77f5c1adb0574",
     "model.table.jsonl": "3bf592a890c71349dc6979da6e82b0105cd5b733d4925f26b6f8a07a67c1140d",
-    "front.jsonl": "60b15a2432b3d3e6c4a8ac2b4cbfa0936797f9225e09ef08575ca54295d19252",
-    "front.runlog.jsonl": "8a398fa68c26629df804a8f87f3c6d74d88ecf3e2d621be40b0f354a0f01190b",
-    "front.manifest.json": "3244313ca227d12972e5e900309a3157aea0aa0f7a9cec00ff1e810b0a87d699",
+    "front.jsonl": "1dfc34f8e4fd30df5a5948a115e106a35bd313198a175adef2e9607f7c87fdb7",
+    "front.runlog.jsonl": "96e0ca7e67c4099f818d031cbf1e8ea22f98f2ed0863bcee2a0e3cba250a18f1",
+    "front.manifest.json": "878ba6b3b852e7973158897ebd289cc252221f11e9d3469e8d98af0e13bec067",
     "prune stdout": "aa6edd48d5c5b63b6a439934483dc2f452e0d79ade18770be5dccef6f889d433",
     "fit stdout": "29c13c93657f4449d83b7e456e7280250a00a60de2b7e7374ed2e0107a729e8f",
-    "tune stdout": "209d4687a3e18e31c7f4b489810cca440c1ae1dc2e4cf5254812cdf071c02897",
-    "report stdout": "aff76eff214e591790d5ad1f383430ebf40c223f972260b1a9b07a812ffb4c67",
+    "tune stdout": "fc735ada0a6e2c78e3cb0b27905120b1dbe71485100af8a196a021a843813f7d",
+    "report stdout": "48e238c3b2594603b9283f9cae5b034a20368947adaa32f69cdd531cd3ac2107",
 }
 
 

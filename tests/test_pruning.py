@@ -365,6 +365,7 @@ def test_prune_is_idempotent(canonical_space, pruned_space):
 
 def test_min_corner_bytes_anchor(canonical_space):
     assert min_corner_bytes(canonical_space, "vocab_size", 1000) == 87_938
+    assert min_corner_bytes(canonical_space) == 87_938  # vocab_size's minimum is 1000
 
 
 def test_size_constraint_validation():

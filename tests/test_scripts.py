@@ -54,15 +54,16 @@ def test_run_pipeline_writes_the_cli_stages_artifacts(tmp_path):
 
 
 def test_run_pipeline_sweeps_tune_seeds_against_one_fixed_reference(tmp_path):
-    # At this size tune seed 1 finds no configuration within 3 MB (tune exits 3).
+    # At this size tune seed 2 finds a front and tune seed 1 finds no
+    # configuration within 3 MB (tune exits 3).
     out_dir = tmp_path / "sweep"
     proc = run_script(
-        "run_pipeline.py", "--seed", "0", "--tune-seeds", "0", "1", *SMALL_SEARCH,
+        "run_pipeline.py", "--seed", "0", "--tune-seeds", "2", "1", *SMALL_SEARCH,
         "--out-dir", str(out_dir),
     )
 
     rows = [json.loads(line) for line in (out_dir / "seeds.jsonl").read_text().splitlines()]
-    assert [row["seed"] for row in rows] == [0, 1]
+    assert [row["seed"] for row in rows] == [2, 1]
     assert rows[1] == {"seed": 1, "front_size": 0, "evaluations": None, "hypervolume": 0.0}
 
     pruned = load_space(out_dir / "pruned.json")
@@ -70,13 +71,13 @@ def test_run_pipeline_sweeps_tune_seeds_against_one_fixed_reference(tmp_path):
     corner = Configuration.from_dict(
         {d.name: d.options[0] if d.options else d.max_value() for d in pruned.dimensions}
     )
-    manifest = json.loads((out_dir / "front_seed0.manifest.json").read_text())
+    manifest = json.loads((out_dir / "front_seed2.manifest.json").read_text())
     reference = manifest["hypervolume_reference"]
     assert reference == [3.0, forward_gflops(corner), 0.0]
-    params = TunerParams(population_size=8, generations=5, seed=derive_seed(0, "tune"))
+    params = TunerParams(population_size=8, generations=5, seed=derive_seed(2, "tune"))
     result = tune(pruned, model, params, size_budget_mb=3.0)
     assert rows[0] == {
-        "seed": 0,
+        "seed": 2,
         "front_size": len(result.archive),
         "evaluations": len(result.genome_evaluations),
         "hypervolume": hypervolume(result.archive.objective_vectors(), tuple(reference)),

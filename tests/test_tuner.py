@@ -34,6 +34,8 @@ from cfgtune import (
     update_archive,
 )
 import cfgtune.tuner as tuner
+from cfgtune.cli import _front_sort_key
+from cfgtune.pruning import EmptyFeasibleSpaceError
 from cfgtune.space import below
 from cfgtune.tuner import _distinct_pair, _permutation
 from conftest import CANONICAL_SPACE_FILE, make_config
@@ -366,15 +368,25 @@ def test_crossover_children_take_values_from_parents(pruned_space):
             assert c2[position] in options
 
 
-def test_distinct_pair_draws_what_sample_draws():
-    # Pins ``_distinct_pair`` to the running interpreter's ``random.sample``
-    # on every n it serves: the same pair and the same rng state.
-    for n in range(2, 22):
-        for seed in range(6):
-            rng, reference = random.Random(seed), random.Random(seed)
-            for _ in range(30):
-                assert _distinct_pair(n, rng) == tuple(reference.sample(range(n), 2))
-            assert rng.getstate() == reference.getstate()
+@given(n=st.integers(2, 2**40), seed=st.integers(0, 2**32))
+@example(n=2, seed=0)
+@example(n=2**32 + 1, seed=1)
+def test_distinct_pair_is_two_below_draws(n, seed):
+    # Two distinct indices in range, from exactly one ``below(n)`` and one
+    # ``below(n - 1)``: the same rng state after them.
+    rng, reference = random.Random(seed), random.Random(seed)
+    first, second = _distinct_pair(n, rng)
+    assert 0 <= first < n and 0 <= second < n and first != second
+    below(reference.getrandbits, n)
+    below(reference.getrandbits, n - 1)
+    assert rng.getstate() == reference.getstate()
+
+
+def test_distinct_pair_reaches_every_ordered_pair():
+    for n in range(2, 26):
+        rng = random.Random(n)
+        pairs = {_distinct_pair(n, rng) for _ in range(30 * n * n)}
+        assert pairs == set(itertools.permutations(range(n), 2))
 
 
 def test_below_draws_what_randrange_draws():
@@ -389,14 +401,6 @@ def test_below_draws_what_randrange_draws():
             assert rng.getstate() == reference.getstate()
 
 
-def test_finalist_pick_draws_what_choice_draws():
-    for finalists in ((3,), (3, 8)):
-        for seed in range(50):
-            rng, reference = random.Random(seed), random.Random(seed)
-            assert finalists[below(rng.getrandbits, len(finalists))] == reference.choice(finalists)
-            assert rng.getstate() == reference.getstate()
-
-
 def test_permutation_draws_what_shuffle_draws():
     for n in range(301):
         rng, reference = random.Random(n), random.Random(n)
@@ -406,11 +410,11 @@ def test_permutation_draws_what_shuffle_draws():
         assert rng.getstate() == reference.getstate()
 
 
-def test_crossover_cut_points_are_the_sorted_sample():
+def test_crossover_cut_points_are_the_sorted_distinct_pair():
     g1, g2 = tuple(range(13)), tuple(range(100, 113))  # differ at every position
     for seed in range(200):
         rng, reference = random.Random(seed), random.Random(seed)
-        x1, x2 = sorted(reference.sample(range(14), 2))
+        x1, x2 = sorted(_distinct_pair(14, reference))
         assert two_point_crossover(g1, g2, rng) == crossover_at(g1, g2, x1, x2)
         assert rng.getstate() == reference.getstate()
 
@@ -493,13 +497,16 @@ def test_tournament_requires_pool():
 
 def k_way_tournament_select(pool, count, tournament_size, rng):
     """The tournament as first written, for any size: dominated entrants
-    lose, the largest crowding distance among the rest wins, and ``choice``
-    breaks what is left."""
+    lose, the largest crowding distance among the rest wins, and ``below``
+    picks among what is left, drawing nothing for one finalist. The i-th
+    entrant is ``below(n - i)``-th of the indices not yet drawn, ascending."""
     crowding = crowding_distances([entry.objectives for entry in pool])
     k = min(tournament_size, len(pool))
+    bits = rng.getrandbits
     winners = []
     for _ in range(count):
-        entrant_indices = rng.sample(range(len(pool)), k)
+        undrawn = list(range(len(pool)))
+        entrant_indices = [undrawn.pop(below(bits, len(undrawn))) for _ in range(k)]
         non_dominated = [
             i
             for i in entrant_indices
@@ -511,35 +518,35 @@ def k_way_tournament_select(pool, count, tournament_size, rng):
         ]
         best_crowding = max(crowding[i] for i in non_dominated)
         finalists = [i for i in non_dominated if crowding[i] == best_crowding]
-        winners.append(pool[rng.choice(finalists)])
+        pick = below(bits, len(finalists)) if len(finalists) > 1 else 0
+        winners.append(pool[finalists[pick]])
     return winners
 
 
 def stepwise_tournament_select(pool, count, rng):
     """The binary tournament with its draws made by calls: the pair by
-    ``rng.sample``, dominance by ``dominates`` and the pick among the
-    finalists by ``below``, as ``rng.choice`` draws it."""
+    :func:`_distinct_pair`, dominance by ``dominates``, no draw for one
+    finalist and ``below(2)`` between two."""
     crowding = crowding_distances([entry.objectives for entry in pool])
-    bits = rng.getrandbits
     winners = []
     for _ in range(count):
-        a, b = rng.sample(range(len(pool)), 2)
+        a, b = _distinct_pair(len(pool), rng)
         u, v = pool[a].objectives, pool[b].objectives
         if dominates(u, v):
-            finalists = (a,)
+            winner = a
         elif dominates(v, u):
-            finalists = (b,)
+            winner = b
         elif crowding[a] != crowding[b]:
-            finalists = (a,) if crowding[a] > crowding[b] else (b,)
+            winner = a if crowding[a] > crowding[b] else b
         else:
-            finalists = (a, b)
-        winners.append(pool[finalists[below(bits, len(finalists))]])
+            winner = (a, b)[below(rng.getrandbits, 2)]
+        winners.append(pool[winner])
     return winners
 
 
 @pytest.mark.parametrize("size", [*range(2, 26), 400])
 def test_tournament_draws_what_the_stepwise_tournament_draws(size):
-    # Both pair paths (up to 21 entries and above) and both finalist picks:
+    # The same pairs as ``_distinct_pair`` at every size, and both outcomes:
     # grid pools repeat vectors and tie exactly on crowding, and a pool of
     # copies leaves every tournament to the two-finalist pick.
     for seed in range(10):
@@ -922,6 +929,18 @@ def test_tune_rejects_non_positive_budget_before_evaluating(mini_space, budget_m
         tune(mini_space, indicator, TunerParams(seed=4), size_budget_mb=budget_mb)
 
 
+def test_tune_rejects_a_budget_below_the_min_corner_before_evaluating(pruned_space):
+    # The 3 MB space's all-minimum corner is 87,938 bytes (0.084 MB).
+    def indicator(config):
+        raise AssertionError("evaluated although nothing fits")
+
+    with pytest.raises(EmptyFeasibleSpaceError, match="all-minimum corner"):
+        tune(pruned_space, indicator, TunerParams(seed=4), size_budget_mb=87_937 / 2**20)
+    # The corner itself fits a budget of exactly its size, so the search runs.
+    result = tune(pruned_space, lambda config: 0.5, TunerParams(2, 0, seed=4), size_budget_mb=87_938 / 2**20)
+    assert len(result.records) == 1
+
+
 def test_tune_effectiveness_stays_in_unit_range(mini_space, mini_oracle):
     result = tune(mini_space, mini_oracle, TunerParams(seed=4))
     for point in result.evaluations.values():
@@ -960,30 +979,30 @@ def test_tune_evaluations_are_the_memo_decoded_in_order(pruned_space):
     assert all(evaluations[m.config] == m.objectives for m in result.archive)
 
 
-# sha256 digests of pop 40 x 30 runs on listing3, scored by the pure-Python
-# oracle so no BLAS build can move them: first the front (configuration JSON
-# plus the repr of the objectives, in archive order), then the repr of every
-# GenerationRecord, whose hypervolume is taken against ``reference_point``.
-# The front digests were computed with the full-minimum initializer; kept
-# apart from the records, they stay pinned when only the telemetry changes.
-# A digest changes only with an intended change of the search or its
-# telemetry; regenerate it then by printing ``front_digest`` or
-# ``records_digest`` of the runs below.
+# sha256 digests of pop 40 x 30 runs on listing3 (12 and 66 members), scored
+# by the pure-Python oracle so no BLAS build can move them: first the front
+# (configuration JSON plus the repr of the objectives, in the order the front
+# file is written, so the archive's own order is free), then the repr of
+# every GenerationRecord, whose hypervolume is taken against
+# ``reference_point``. Kept apart, the front digest stays pinned when only
+# the telemetry changes. A digest changes only with an intended change of
+# the search or its telemetry; regenerate it then by printing
+# ``front_digest`` or ``records_digest`` of the runs below.
 GOLDEN_TUNE_DIGESTS = {
     3.0: (
-        "a6cd917d0a14ca0ad1f1dfdd4c946b696a04c0a98cc852fc0ad02e909cd0774d",
-        "14466a3f3a5e917d4f6d992f2be620126c7d07ddf915dc083bfc285c477e9ed9",
+        "9f9f497788c7c5c2d0f0027256bae957299de188f20415ed90ef71ddc754e9d3",
+        "f68db53a6cdeb7bb4740824f294d695578e9d4f172e18469bf4c74525274801d",
     ),
     64.0: (
-        "16841a85d90a434b0af183ef8d678bb6a57ddbf902fb41a2293351f9946d443a",
-        "c5144950ff32d0fc5276429a02a1891a936237c21d630950bab864101d5a08bd",
+        "e9d09b5c5d16a1e54c724585560d5e8d8c7a6f4fcaa8d3205b134b7fb743f0a1",
+        "6da18c09b855c4a9d8c5d7287d9f27de54b59a1bbc7a8fdabd3eaf25632c199d",
     ),
 }
 
 
 def front_digest(result):
     digest = hashlib.sha256()
-    for member in result.archive:
+    for member in sorted(result.archive, key=_front_sort_key):
         digest.update(json.dumps(member.config.as_dict(), sort_keys=True).encode())
         digest.update(repr(tuple(member.objectives)).encode())
     return digest.hexdigest()
@@ -1009,10 +1028,10 @@ def test_tune_reproduces_golden_fronts(canonical_space, budget_mb):
 
 
 # The same digests of a tune-wide-sized run (64 MB, pop 100 x 200), whose
-# archive grows to 279 members; the runs above stay far smaller.
+# archive grows to 255 members; the runs above stay far smaller.
 GOLDEN_LARGE_ARCHIVE_DIGESTS = (
-    "9a3e6a2f0853569638617508406eab5686f1b686630ec4942a22723aa93c519e",
-    "8cf7e20c637503f08b4c8f7b56c231dae8be1fadbcce13501cc1acceff45c862",
+    "2ee46393e87ffcf3b7451b3c5b7bd979b1fbed8c73fd598f45800c56322d627b",
+    "81e4b262587dabfd705a68fcd52f69f9d788f8ab63036faf7614ff9a1ea68f56",
 )
 
 
@@ -1024,7 +1043,7 @@ def test_tune_reproduces_golden_large_archive(canonical_space):
         TunerParams(population_size=100, generations=200, seed=7),
         size_budget_mb=64.0,
     )
-    assert len(result.archive) == 279
+    assert len(result.archive) == 255
     assert (front_digest(result), records_digest(result)) == GOLDEN_LARGE_ARCHIVE_DIGESTS
 
 
@@ -1032,8 +1051,8 @@ def test_tune_reproduces_golden_large_archive(canonical_space):
 # a surrogate fitted on 20 oracle samples, as ``tune`` runs from the CLI;
 # the fit is pure Python too, so no BLAS build can move them either.
 GOLDEN_SURROGATE_DIGESTS = (
-    "b50f8379a99e79b7756a1ff830d71271e2d3475cf2ecaecb84a1df9ab0a80f9a",
-    "20421760cdc3c763d7644af26d6d680fdaf88b2f995ce494bb4996fb635bdb58",
+    "93796fb2763101f95f552cfed16212d0a2aa74c851d92162dede8a1f2a540501",
+    "ae1b9ec4eca85060f6e6d788b7d09768b90895a8a9f9a85d3b89d8043b5d8e59",
 )
 
 
@@ -1046,7 +1065,7 @@ def test_tune_reproduces_golden_surrogate_front(pruned_space):
         TunerParams(population_size=200, generations=100, seed=7),
         size_budget_mb=3.0,
     )
-    assert len(result.archive) == 28
+    assert len(result.archive) == 58
     assert (front_digest(result), records_digest(result)) == GOLDEN_SURROGATE_DIGESTS
 
 
