@@ -15,12 +15,7 @@ from __future__ import annotations
 import math
 
 from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes, size_relevant
-from .space import (
-    DISCRETE_NUMERIC_SET,
-    INTEGER_RANGE,
-    ConfigurationSpace,
-    Dimension,
-)
+from .space import ConfigurationSpace, Dimension
 
 
 class EmptyFeasibleSpaceError(ValueError):
@@ -53,7 +48,7 @@ def _cutoff(space: ConfigurationSpace, name: str, constraint: SizeConstraint):
     both ends always probed; monotone is whether the sizes at the probed
     values strictly increase with the value, as the bisection assumes."""
     dim = space.dimension(name)
-    values = dim.domain if dim.kind == INTEGER_RANGE else sorted(dim.domain)
+    values = dim.domain if isinstance(dim.domain, range) else sorted(dim.domain)
     sizes: dict[int, int] = {}
 
     def fits(index: int) -> bool:
@@ -109,17 +104,16 @@ def prune(
         cutoff = cutoffs.get(dim.name)
         if cutoff is None:
             new_dims.append(dim)
-        elif dim.kind == INTEGER_RANGE:
-            new_dims.append(Dimension(dim.name, INTEGER_RANGE, lower=dim.lower, upper=cutoff))
+        elif isinstance(dim.domain, range):
+            new_dims.append(Dimension(dim.name, range(dim.domain.start, cutoff + 1)))
         else:
-            kept = tuple(v for v in dim.values if v <= cutoff)
-            new_dims.append(Dimension(dim.name, DISCRETE_NUMERIC_SET, values=kept))
+            new_dims.append(Dimension(dim.name, tuple(v for v in dim.domain if v <= cutoff)))
     return ConfigurationSpace(tuple(new_dims))
 
 
 def _describe(dim: Dimension) -> str:
-    if dim.kind == INTEGER_RANGE:
-        return f"[{dim.lower}, {dim.upper}]"
+    if isinstance(dim.domain, range):
+        return f"[{dim.domain.start}, {dim.domain[-1]}]"
     return "{" + ", ".join(map(str, dim.domain)) + "}"
 
 

@@ -7,15 +7,18 @@ from JSON documents, configurations are validated against them, and every
 configuration can be encoded to a 13-component numeric vector for distance
 computations and regression.
 
-Inside the search a configuration is a *genome*: a 13-tuple holding, per
-dimension, the index of its value in the dimension's ``domain``. Sampling,
-repair and encoding work on genomes. A :class:`Configuration`, a named tuple
-of the values, is built from one by :meth:`ConfigurationSpace.configuration`
-only where its values are needed: in ``tune``, for an oracle or callable
-indicator when a genome is first scored, and for the members of the final
-archive. The cost models (:func:`cfgtune.costs.genome_costs`) and a fitted
-surrogate (:meth:`cfgtune.surrogate.SurrogateModel.genome_predictor`) read
-the genome's indices instead.
+A dimension is its domain: a ``range`` of integers, a tuple of numbers or a
+tuple of option strings, whose order fixes each value's index. Inside the
+search a configuration is a *genome*: a 13-tuple holding, per dimension, the
+index of its value in the dimension's domain. Sampling, repair and encoding
+work on genomes, and sampling and repair draw every index by :func:`below`.
+A :class:`Configuration`, a named tuple of the values, is built from one by
+:meth:`ConfigurationSpace.configuration` only where its values are needed: in
+``tune``, for an oracle or callable indicator when a genome is first scored,
+and for the members of the final archive. The cost models
+(:func:`cfgtune.costs.genome_costs`) and a fitted surrogate
+(:meth:`cfgtune.surrogate.SurrogateModel.genome_predictor`) read the genome's
+indices instead.
 
 The package's artifacts are written by :func:`write_json` and
 :func:`write_jsonl` alone, which raise ``ValueError`` on a NaN or an infinity
@@ -109,64 +112,46 @@ class UnsatisfiableSpaceError(ValueError):
 
 
 class Dimension:
-    """One tunable setting: an inclusive integer range, a fixed set of numbers,
-    or a list of named options. Option/value order is fixed and defines the
-    index of each entry.
+    """One tunable setting, given by its domain: ``domain[i]`` is the value
+    at index i, and that order is fixed. The domain is a ``range`` with step
+    1 (an integer range; no table grows with it), a tuple of numbers, or a
+    tuple of option strings (a categorical dimension, whose ``options`` it
+    is; ``options`` is ``()`` otherwise). ``kind`` and the bounds are derived
+    from it: ``lo`` and ``hi`` bound the encoding component, the value itself
+    or the option index for a categorical dimension. Two dimensions are equal
+    when their name and domain are."""
 
-    ``domain[i]`` is the value at index i; for an integer range it is a
-    ``range``, so no table grows with the range. ``lo`` and ``hi`` bound the
-    encoding component: the value itself, or the option index for a
-    categorical dimension. Two dimensions are equal when their name, kind and
-    domain are."""
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        lower: int = 0,
-        upper: int = 0,
-        values: tuple = (),
-        options: tuple[str, ...] = (),
-    ):
-        self.name, self.kind = name, kind
-        self.lower, self.upper, self.values, self.options = lower, upper, values, options
-        if kind == INTEGER_RANGE:
-            if lower > upper:
-                raise SpaceFormatError(
-                    f"{name}: range lower bound {lower} exceeds upper bound {upper}",
-                    dimension=name,
-                )
-            domain, lo, hi = range(lower, upper + 1), lower, upper
-        elif kind == DISCRETE_NUMERIC_SET:
-            if not values:
-                raise SpaceFormatError(f"{name}: empty value set", dimension=name)
-            if len(set(values)) != len(values):
-                raise SpaceFormatError(f"{name}: duplicate values", dimension=name)
-            domain, lo, hi = values, min(values), max(values)
-        elif kind == CATEGORICAL:
-            if not options:
-                raise SpaceFormatError(f"{name}: empty option list", dimension=name)
-            if len(set(options)) != len(options):
-                raise SpaceFormatError(f"{name}: duplicate options", dimension=name)
-            domain, lo, hi = options, 0, len(options) - 1
+    def __init__(self, name: str, domain):
+        if not domain:
+            raise SpaceFormatError(f"{name}: empty domain", dimension=name)
+        if isinstance(domain, range):
+            if domain.step != 1:
+                raise SpaceFormatError(f"{name}: an integer range has step 1", dimension=name)
+            kind, lo, hi = INTEGER_RANGE, domain[0], domain[-1]
+        elif len(set(domain)) != len(domain):
+            raise SpaceFormatError(f"{name}: duplicate values", dimension=name)
+        elif all(isinstance(v, str) for v in domain):
+            kind, lo, hi = CATEGORICAL, 0, len(domain) - 1
         else:
-            raise SpaceFormatError(
-                f"{name}: unknown dimension kind {kind!r}", dimension=name
-            )
-        self.domain, self._min, self._max = domain, lo, hi
+            kind, lo, hi = DISCRETE_NUMERIC_SET, min(domain), max(domain)
+        self.name, self.domain, self.kind, self._min, self._max = name, domain, kind, lo, hi
         self.lo, self.hi = float(lo), float(hi)
+        self.options = domain if kind == CATEGORICAL else ()
+        # A counted value must be an int, as the parser requires.
+        self._integral = kind == INTEGER_RANGE or name in INTEGER_DIMENSIONS
 
     def __eq__(self, other):
         if type(other) is not Dimension:
             return NotImplemented
-        return (self.name, self.kind, self.domain) == (other.name, other.kind, other.domain)
+        return (self.name, self.domain) == (other.name, other.domain)
 
     def size(self) -> int:
         return len(self.domain)
 
     def contains(self, value) -> bool:
-        # 2.0 == 2 and True == 1, but neither is a value of an integer range.
-        if self.kind == INTEGER_RANGE and (isinstance(value, bool) or not isinstance(value, int)):
+        # 2.0 == 2 and True == 1, but a bool is no dimension's value and a
+        # float no value of a counting dimension or an integer range.
+        if isinstance(value, bool) or (self._integral and not isinstance(value, int)):
             return False
         return value in self.domain
 
@@ -180,19 +165,19 @@ class Dimension:
         return self.domain.index(value)
 
     def min_value(self):
-        if self.kind == CATEGORICAL:
+        if self.options:
             raise TypeError(f"{self.name} is categorical; it has no numeric minimum")
         return self._min
 
     def max_value(self):
-        if self.kind == CATEGORICAL:
+        if self.options:
             raise TypeError(f"{self.name} is categorical; it has no numeric maximum")
         return self._max
 
     def to_entry(self):
         """Entry in the JSON document form."""
         if self.kind == INTEGER_RANGE:
-            return {"min": self.lower, "max": self.upper}
+            return {"min": self._min, "max": self._max}
         return list(self.domain)
 
 
@@ -216,6 +201,8 @@ class ConfigurationSpace:
                 f"order; got {names}"
             )
         self.dimensions = dimensions
+        # hidden_size value -> in-range head indices dividing it; see correct.
+        self._head_divisors: dict[int, tuple[int, ...]] = {}
 
     def __eq__(self, other):
         if type(other) is not ConfigurationSpace:
@@ -235,12 +222,6 @@ class ConfigurationSpace:
     @functools.cached_property
     def _domains(self) -> tuple:
         return tuple(dim.domain for dim in self.dimensions)
-
-    @functools.cached_property
-    def _head_divisors(self) -> dict[int, tuple[int, ...]]:
-        """hidden_size value -> in-range head indices dividing it; see
-        :func:`correct`."""
-        return {}
 
     def dimension(self, name: str) -> Dimension:
         for dim in self.dimensions:
@@ -320,9 +301,10 @@ class ConfigurationSpace:
 
 
 def below(getrandbits, n: int) -> int:
-    """``rng.randrange(n)``, ``n >= 1``, from ``getrandbits = rng.getrandbits``:
-    the same draws as CPython 3.10-3.13, without its two Python frames
-    (``tests/test_tuner.py`` pins it to the running interpreter)."""
+    """What ``randrange`` draws for ``n >= 1``, from ``getrandbits =
+    rng.getrandbits``: the same draws as CPython 3.10-3.13, without its two
+    Python frames (``tests/test_tuner.py`` pins it to the running
+    interpreter). ``choice`` picks ``seq[below(bits, len(seq))]``."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -360,7 +342,7 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
                 f"{name}: expected a non-empty array of option strings",
                 dimension=name,
             )
-        return Dimension(name=name, kind=CATEGORICAL, options=tuple(entry))
+        return Dimension(name, tuple(entry))
     if isinstance(entry, dict):
         if set(entry) != {"min", "max"}:
             raise SpaceFormatError(
@@ -372,6 +354,8 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
             raise SpaceFormatError(
                 f"{name}: range bounds must be integers that fit a float", dimension=name
             )
+        if lower > upper:
+            raise SpaceFormatError(f"{name}: range min {lower} exceeds max {upper}", dimension=name)
         if upper - lower >= sys.maxsize:  # len(range) would overflow
             raise SpaceFormatError(
                 f"{name}: range has too many values to index", dimension=name
@@ -380,7 +364,7 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
             raise SpaceFormatError(
                 f"{name}: values must be positive integers", dimension=name
             )
-        return Dimension(name=name, kind=INTEGER_RANGE, lower=lower, upper=upper)
+        return Dimension(name, range(lower, upper + 1))
     if isinstance(entry, list):
         if not entry or not all(map(is_json_number, entry)):
             raise SpaceFormatError(
@@ -390,7 +374,7 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
             raise SpaceFormatError(
                 f"{name}: values must be positive integers", dimension=name
             )
-        return Dimension(name=name, kind=DISCRETE_NUMERIC_SET, values=tuple(entry))
+        return Dimension(name, tuple(entry))
     raise SpaceFormatError(
         f"{name}: entry must be a range object or an array", dimension=name
     )
@@ -497,34 +481,27 @@ def correct(genome: Genome, space: ConfigurationSpace, rng: random.Random) -> Ge
     a uniformly drawn in-range head count that has a multiple in range. A
     genome that needs no repair is returned as the same object.
     """
-    hidden_dim = space.dimensions[_HIDDEN]
-    hidden = hidden_dim.domain[genome[_HIDDEN]]
-    if hidden % space.dimensions[_HEADS].domain[genome[_HEADS]] == 0:
+    hiddens, heads = space.dimensions[_HIDDEN].domain, space.dimensions[_HEADS].domain
+    hidden = hiddens[genome[_HIDDEN]]
+    if hidden % heads[genome[_HEADS]] == 0:
         return genome
+    bits = rng.getrandbits
     divisors = _heads_dividing(space, hidden)
     if not divisors:
-        heads = space.dimensions[_HEADS].domain
-        head_choices = [i for i, h in enumerate(heads) if _has_multiple_in(hidden_dim, h)]
-        if not head_choices:
+        factors = [h for h in heads if _multiples(hiddens, h)]
+        if not factors:
             raise UnsatisfiableSpaceError(
                 "no hidden_size in range is divisible by any in-range head count"
             )
-        hidden_index = _sample_multiple(hidden_dim, heads[rng.choice(head_choices)], rng)
+        multiples = _multiples(hiddens, factors[below(bits, len(factors))])
+        hidden_index = multiples[below(bits, len(multiples))]
         genome = genome[:_HIDDEN] + (hidden_index,) + genome[_HIDDEN + 1:]
-        divisors = _heads_dividing(space, hidden_dim.domain[hidden_index])
-    return genome[:_HEADS] + (rng.choice(divisors),) + genome[_HEADS + 1:]
+        divisors = _heads_dividing(space, hiddens[hidden_index])
+    return genome[:_HEADS] + (divisors[below(bits, len(divisors))],) + genome[_HEADS + 1:]
 
 
-def _has_multiple_in(dim: Dimension, factor: int) -> bool:
-    if dim.kind == INTEGER_RANGE:
-        return (dim.lower + factor - 1) // factor * factor <= dim.upper
-    return any(v % factor == 0 for v in dim.values)
-
-
-def _sample_multiple(dim: Dimension, factor: int, rng: random.Random) -> int:
-    """Index of a uniformly drawn multiple of ``factor`` in the dimension."""
-    if dim.kind == INTEGER_RANGE:
-        first = (dim.lower + factor - 1) // factor
-        last = dim.upper // factor
-        return factor * rng.randint(first, last) - dim.lower
-    return rng.choice([i for i, v in enumerate(dim.values) if v % factor == 0])
+def _multiples(domain, factor: int):
+    """Indices of the multiples of ``factor`` in the domain, ascending."""
+    if isinstance(domain, range):
+        return range(-domain.start % factor, len(domain), factor)
+    return [i for i, v in enumerate(domain) if v % factor == 0]

@@ -19,7 +19,7 @@ noisy synthetic oracle), and for the members of the final archive when
 access. Each record's hypervolume carries over from the previous record's
 sweep every point whose 2-D staircase is unchanged, matching points by
 identity, and sweeps only the rest.
-Sampling, variation and selection draw indices with
+Sampling, repair, variation and selection draw indices with
 :func:`~cfgtune.space.below`, which draws what ``randrange`` would. Every
 distinct pair, crossover's cut points and a tournament's entrants alike,
 comes from one rule (:func:`_distinct_pair`), and a decided tournament draws

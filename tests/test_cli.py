@@ -130,7 +130,7 @@ def test_prune_failing_write_keeps_previous_artifacts(
     if failing_dump == 1:
         assert after["pruned.json"] == before["pruned.json"]
     else:  # the space was written whole before the report failed
-        assert load_space(tmp_path / "pruned.json").dimension("vocab_size").values == (1000,)
+        assert load_space(tmp_path / "pruned.json").dimension("vocab_size").domain == (1000,)
 
 
 def test_prune_malformed_json_exits_parse(tmp_path):

@@ -5,21 +5,28 @@ the same state."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from cfgtune import (
     Configuration,
+    ObjectiveVector,
     SizeConstraint,
     SyntheticCapacityOracle,
     TunerParams,
     UnsatisfiableSpaceError,
+    adaptive_random_init,
+    boundary_random_mutation,
     build_indicator,
     correct,
     prune,
     space_from_mapping,
+    tournament_select,
     tune,
+    two_point_crossover,
 )
+from cfgtune import tuner
 from conftest import MINI_SPACE_DOCUMENT, make_config
 from test_pruning import downscaled_space
 from test_space import _mini_member
@@ -36,8 +43,8 @@ def space(request, canonical_space):
 def reference_sample(dim, rng):
     """A value draw as first written."""
     if dim.kind == "integer_range":
-        return rng.randint(dim.lower, dim.upper)
-    return rng.choice(dim.values if dim.kind == "discrete_numeric_set" else dim.options)
+        return rng.randint(dim.min_value(), dim.max_value())
+    return rng.choice(dim.domain)
 
 
 def reference_encode(space, config, normalize):
@@ -80,9 +87,10 @@ def reference_correct(config, space, rng):
             raise UnsatisfiableSpaceError("unsatisfiable")
         head = rng.choice(head_choices)
         if hidden_dim.kind == "integer_range":
-            hidden = head * rng.randint(-(-hidden_dim.lower // head), hidden_dim.upper // head)
+            low, high = hidden_dim.min_value(), hidden_dim.max_value()
+            hidden = head * rng.randint(-(-low // head), high // head)
         else:
-            hidden = rng.choice([v for v in hidden_dim.values if v % head == 0])
+            hidden = rng.choice([v for v in hidden_dim.domain if v % head == 0])
     raise AssertionError("the repair loop always returns by its second pass")
 
 
@@ -150,6 +158,45 @@ def test_genome_repair_equals_configuration_repair(canonical_space):
                     assert space.configuration(repaired) == expected
                     assert (repaired is genome) == (expected is config)
                     assert rng.getstate() == reference_rng.getstate()
+
+
+class _BelowOnlyRandom(random.Random):
+    """A generator whose Python-level draw methods raise, so only
+    ``getrandbits`` (through ``below``) and ``random()`` can draw."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the search drew through a random.Random draw method")
+
+    choice = randint = randrange = shuffle = sample = _refuse
+
+
+def test_search_draws_only_through_getrandbits_and_random(canonical_space, monkeypatch):
+    rng = _BelowOnlyRandom(0)
+    branches = set()  # whether a repair had to redraw hidden_size
+    for space, base in _repair_spaces(canonical_space):
+        for hidden in space.dimension("hidden_size").iter_values():
+            for heads in space.dimension("num_attention_heads").iter_values():
+                genome = space.genome(base._replace(hidden_size=hidden, num_attention_heads=heads))
+                repaired = space.configuration(correct(genome, space, rng))
+                assert space.validate(repaired)
+                if repaired.num_attention_heads != heads:
+                    branches.add(repaired.hidden_size != hidden)
+    assert branches == {False, True}  # the divisor branch and the fallback
+    pruned = prune(canonical_space, SizeConstraint(3.0))
+    genomes = adaptive_random_init(pruned, 6, rng)
+    for first, second in zip(genomes, genomes[1:]):
+        for child in two_point_crossover(first, second, rng):
+            assert pruned.validate(pruned.configuration(correct(
+                boundary_random_mutation(child, pruned, 0.5, rng), pruned, rng
+            )))
+    points = [(1, 1, 1), (1, 1, 1), (2, 0, 1), (0, 2, 1), (3, 3, 3), (2, 2, 2)]
+    pool = [SimpleNamespace(objectives=ObjectiveVector(*p)) for p in points]
+    assert len(tournament_select(pool, 200, rng)) == 200
+    # The whole loop, on a generator of the same class.
+    monkeypatch.setattr(tuner, "random", SimpleNamespace(Random=_BelowOnlyRandom))
+    oracle = SyntheticCapacityOracle(reference_space=pruned, seed=3)
+    params = TunerParams(population_size=12, generations=4, seed=5)
+    assert tune(pruned, oracle, params, size_budget_mb=3.0).archive
 
 
 def test_genome_repair_unsatisfiable_like_configuration_repair():

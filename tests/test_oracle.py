@@ -136,9 +136,9 @@ def test_synthetic_oracle_documented_maximum(pruned_space):
     oracle = SyntheticCapacityOracle(reference_space=pruned_space)
     top = make_config(
         tokenizer=pruned_space.dimension("tokenizer").options[0],
-        vocab_size=pruned_space.dimension("vocab_size").upper,
+        vocab_size=pruned_space.dimension("vocab_size").max_value(),
         num_hidden_layers=12,
-        hidden_size=pruned_space.dimension("hidden_size").upper,
+        hidden_size=pruned_space.dimension("hidden_size").max_value(),
         intermediate_size=3072,
         num_attention_heads=1,
     )

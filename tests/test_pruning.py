@@ -103,15 +103,9 @@ def scan_prune(space, constraint, scanned):
         elif dim.kind == INTEGER_RANGE:
             lower, upper = min(values), max(values)
             assert upper - lower + 1 == len(values), f"{dim.name}: survivors not contiguous"
-            dims.append(Dimension(name=dim.name, kind=INTEGER_RANGE, lower=lower, upper=upper))
+            dims.append(Dimension(dim.name, range(lower, upper + 1)))
         else:
-            dims.append(
-                Dimension(
-                    name=dim.name,
-                    kind=dim.kind,
-                    values=tuple(v for v in dim.values if v in values),
-                )
-            )
+            dims.append(Dimension(dim.name, tuple(v for v in dim.domain if v in values)))
     return ConfigurationSpace(tuple(dims))
 
 
@@ -278,15 +272,15 @@ def test_prune_partition_invariance_full_space(canonical_space):
 def test_prune_full_space_known_bounds(canonical_space, pruned_space):
     vocab = pruned_space.dimension("vocab_size")
     hidden = pruned_space.dimension("hidden_size")
-    assert vocab.upper < 50265  # the top of the vocabulary range cannot fit
-    assert vocab.lower == 1000
-    assert hidden.upper < 768
+    assert vocab.max_value() < 50265  # the top of the vocabulary range cannot fit
+    assert vocab.min_value() == 1000
+    assert hidden.max_value() < 768
     # boundary witnesses: retained uppers fit, the next value would not
     budget_bytes = 3.0 * MEGABYTE
     for name in ("vocab_size", "hidden_size"):
         dim = pruned_space.dimension(name)
-        assert min_corner_bytes(canonical_space, name, dim.upper) <= budget_bytes
-        assert min_corner_bytes(canonical_space, name, dim.upper + 1) > budget_bytes
+        assert min_corner_bytes(canonical_space, name, dim.max_value()) <= budget_bytes
+        assert min_corner_bytes(canonical_space, name, dim.max_value() + 1) > budget_bytes
     # these dimensions survive whole
     for name in ("num_hidden_layers", "intermediate_size", "max_sequence_length"):
         assert pruned_space.dimension(name) == canonical_space.dimension(name)

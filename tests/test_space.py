@@ -135,6 +135,20 @@ def test_validate_flags_out_of_range(canonical_space):
     assert any("vocab_size" in v for v in result.violations)
 
 
+def test_validate_rejects_a_float_or_bool_for_a_counted_value_set():
+    # 64.0 == 64 and True == 1, but the parser would reject both here.
+    with open(CANONICAL_SPACE_FILE) as handle:
+        doc = dict(json.load(handle), hidden_size=[64, 128], num_attention_heads=[1, 2, 4, 8])
+    space = space_from_mapping(doc)
+    assert space.validate(make_config(hidden_size=64, num_attention_heads=1))
+    for outsider in (dict(hidden_size=64.0), dict(hidden_size=64, num_attention_heads=True)):
+        config = make_config(**{"hidden_size": 64, "num_attention_heads": 1, **outsider})
+        result = space.validate(config)
+        assert not result.valid and len(result.violations) == 1
+        with pytest.raises(ValueError, match="not in dimension"):
+            space.genome(config)
+
+
 def test_validate_flags_head_divisibility(canonical_space):
     result = canonical_space.validate(make_config(hidden_size=100, num_attention_heads=8))
     assert not result.valid
@@ -354,36 +368,50 @@ def test_configuration_contract():
         config.extra = 1
 
 
-def test_dimension_kind_validation():
-    with pytest.raises(SpaceFormatError):
-        Dimension(name="x", kind="mystery")
-    with pytest.raises(SpaceFormatError):
-        Dimension(name="x", kind="integer_range", lower=5, upper=1)
+@pytest.mark.parametrize(
+    "domain",
+    [(), range(5, 1), (0.1, 0.2, 0.1), ("GELU", "GELU"), range(1, 9, 2)],
+    ids=["empty", "empty range", "duplicate values", "duplicate options", "step 2"],
+)
+def test_dimension_domain_validation(domain):
+    with pytest.raises(SpaceFormatError) as err:
+        Dimension("x", domain)
+    assert err.value.dimension == "x"
+
+
+def test_dimension_equality_is_name_and_domain():
+    dim = Dimension("batch_size", (16, 32))
+    assert dim == Dimension("batch_size", (16, 32)) and dim.kind == DISCRETE_NUMERIC_SET
+    assert dim != Dimension("batch_size", (32, 16))
+    assert dim != Dimension("learning_rate", (16, 32))
+    assert Dimension("batch_size", range(16, 18)) != Dimension("batch_size", (16, 17))
 
 
 @pytest.mark.parametrize(
-    "dim, bounds, outsiders, changed, retained",
+    "dim, kind, bounds, outsiders, changed, retained",
     [
         (
-            Dimension("num_hidden_layers", INTEGER_RANGE, lower=1, upper=8), (1, 8),
-            [True, 2.0, 0, 9], [dict(lower=2, upper=8), dict(lower=1, upper=9)], "[1, 8]",
+            Dimension("num_hidden_layers", range(1, 9)), INTEGER_RANGE, (1, 8),
+            [True, 2.0, 0, 9], [range(2, 9), range(1, 10)], "[1, 8]",
         ),
         (
-            Dimension("hidden_dropout_prob", DISCRETE_NUMERIC_SET, values=(0.1, 0.2)), (0.1, 0.2),
-            [0.15, "0.1"], [dict(values=(0.1, 0.3))], "{0.1, 0.2}",
+            Dimension("hidden_dropout_prob", (0.1, 0.2)), DISCRETE_NUMERIC_SET, (0.1, 0.2),
+            [0.15, "0.1", True], [(0.1, 0.3)], "{0.1, 0.2}",
         ),
         (
-            Dimension("hidden_size", DISCRETE_NUMERIC_SET, values=(64, 16, 32)), (16, 64),
-            [48, 16.5], [dict(values=(64, 16)), dict(values=(64, 16, 48))], "{64, 16, 32}",
+            Dimension("hidden_size", (64, 1, 32)), DISCRETE_NUMERIC_SET, (1, 64),
+            [48, 16.5, 64.0, 1.0, True], [(64, 1), (64, 1, 48)], "{64, 1, 32}",
         ),
         (
-            Dimension("hidden_act", CATEGORICAL, options=("GELU", "ReLU")), None,
-            ["SiLU", 0, True], [dict(options=("GELU", "SiLU"))], "{GELU, ReLU}",
+            Dimension("hidden_act", ("GELU", "ReLU")), CATEGORICAL, None,
+            ["SiLU", 0, True], [("GELU", "SiLU")], "{GELU, ReLU}",
         ),
     ],
     ids=["integer range", "value set", "unsorted value set", "categorical"],
 )
-def test_dimension_rules_per_kind(canonical_space, dim, bounds, outsiders, changed, retained):
+def test_dimension_rules_per_kind(canonical_space, dim, kind, bounds, outsiders, changed, retained):
+    assert dim.kind == kind
+    assert dim.options == (dim.domain if kind == CATEGORICAL else ())
     if bounds is None:
         for bound in (dim.min_value, dim.max_value):
             with pytest.raises(TypeError, match="categorical"):
@@ -393,8 +421,8 @@ def test_dimension_rules_per_kind(canonical_space, dim, bounds, outsiders, chang
         assert (dim.lo, dim.hi) == tuple(map(float, bounds))
     assert all(dim.contains(value) for value in dim.iter_values())
     assert not any(dim.contains(value) for value in outsiders)
-    for fields in changed:
-        assert Dimension(dim.name, dim.kind, **fields) != dim
+    for domain in changed:
+        assert Dimension(dim.name, domain) != dim
     twin = _dimension_from_entry(dim.name, dim.to_entry())
     assert twin == dim and twin is not dim
     space = ConfigurationSpace(
@@ -412,7 +440,7 @@ def test_space_requires_canonical_order(canonical_space):
 
 
 def test_categorical_numeric_helpers_raise():
-    dim = Dimension(name="tokenizer", kind="categorical", options=("a", "b"))
+    dim = Dimension("tokenizer", ("a", "b"))
     with pytest.raises(TypeError):
         dim.min_value()
     # Categorical entries encode as their option index.
