@@ -189,7 +189,8 @@ def cmd_tune(args) -> int:
     if pruned_for < args.budget_mb < math.inf:
         raise ValueError(f"--budget-mb {args.budget_mb} exceeds the {pruned_for} MB {args.space} was pruned for")
     model = SurrogateModel.load(args.model)
-    if model.space_checksum != space.checksum():
+    checksum = space.checksum()
+    if model.space_checksum != checksum:
         raise ChecksumMismatchError(
             "surrogate model does not name this space's checksum; "
             "refit or pass the matching space file"
@@ -213,7 +214,7 @@ def cmd_tune(args) -> int:
     manifest_path = _derived_path(args.out, ".manifest.json")
     manifest = {
         "tool_version": __version__,
-        "space_checksum": space.checksum(),
+        "space_checksum": checksum,
         "size_budget_mb": args.budget_mb,
         "surrogate_file": str(args.model),
         "tuner_params": {

@@ -423,7 +423,11 @@ def atomic_open(path):
         os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp"
     )
     try:
-        with open(temporary, "w", encoding="utf-8") as handle:
+        handle = open(temporary, "w", encoding="utf-8")
+    except OSError as err:  # name the path asked for, not the temporary file
+        raise OSError(err.errno, err.strerror, path) from None
+    try:
+        with handle:
             yield handle
         os.replace(temporary, path)
     except BaseException:

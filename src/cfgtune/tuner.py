@@ -79,10 +79,11 @@ class ParetoArchive:
     """Mutually non-dominated entries that carry ``objectives`` (individuals,
     or the population members of :func:`tune`), one per objective vector.
 
-    A candidate enters iff no member dominates it and no member already has
-    an identical objective vector (first insert wins); entering candidates
-    evict every member they dominate. The final vector set is independent of
-    insertion order for a fixed candidate multiset.
+    A candidate is rejected by the first member <= it in every objective,
+    an equal vector included (first insert wins), and that member moves to
+    the front. An admitted candidate evicts every member it is <= in every
+    objective, none equal to it and so each dominated. The final vector set
+    does not depend on insertion order; iteration order is not contractual.
     """
 
     def __init__(self):
@@ -99,24 +100,18 @@ class ParetoArchive:
 
     def insert(self, candidate: Individual) -> bool:
         """Returns True iff the candidate was admitted."""
-        cu0, cu1, cu2 = candidate.objectives
-        survivors = []
-        for member in self._members:
+        c0, c1, c2 = candidate.objectives
+        members = self._members
+        for i, member in enumerate(members):
             m0, m1, m2 = member.objectives
-            if (
-                m0 <= cu0 and m1 <= cu1 and m2 <= cu2
-                and (m0 < cu0 or m1 < cu1 or m2 < cu2)
-            ):
-                return False  # dominated by an existing member
-            if m0 == cu0 and m1 == cu1 and m2 == cu2:
-                return False  # objective duplicate: first insert wins
-            if not (
-                cu0 <= m0 and cu1 <= m1 and cu2 <= m2
-                and (cu0 < m0 or cu1 < m1 or cu2 < m2)
-            ):
-                survivors.append(member)
-        survivors.append(candidate)
-        self._members = survivors
+            if m0 <= c0 and m1 <= c1 and m2 <= c2:
+                members.insert(0, members.pop(i))
+                return False
+        self._members = [
+            m for m in members for m0, m1, m2 in (m.objectives,)
+            if not (c0 <= m0 and c1 <= m1 and c2 <= m2)
+        ]
+        self._members.append(candidate)
         return True
 
 

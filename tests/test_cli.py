@@ -214,6 +214,15 @@ def test_prune_missing_file_exits_internal(tmp_path):
     ) == EXIT_INTERNAL
 
 
+def test_prune_missing_out_directory_names_the_out_path(tmp_path, space_file, capsys):
+    out = tmp_path / "nodir" / "p.json"
+    assert main(["prune", "--space", str(space_file), "--out", str(out)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
+
+
 def test_prune_impossible_budget_exits_constraint(tmp_path, space_file):
     assert main(
         [

@@ -110,12 +110,15 @@ def test_archive_rejects_objective_duplicates_keeps_first():
 
 
 def test_archive_reinsertion_is_stable():
+    # Each re-offered member rejects itself and moves to the front, so the
+    # order changes; the members do not.
     archive = ParetoArchive()
     members = [ind(1, 3, -0.2, 1), ind(2, 2, -0.4, 2), ind(3, 1, -0.6, 3)]
     update_archive(archive, members)
     before = list(archive)
-    update_archive(archive, before)
-    assert list(archive) == before
+    assert [archive.insert(m) for m in before] == [False] * len(before)
+    assert sorted(map(id, archive)) == sorted(map(id, before))
+    assert set(archive.objective_vectors()) == {m.objectives for m in before}
 
 
 def test_archive_matches_brute_force_on_random_streams():
@@ -133,6 +136,28 @@ def test_archive_matches_brute_force_on_random_streams():
             archive, [ind(*p, tag=i) for i, p in enumerate(shuffled)]
         )
         assert {tuple(v) for v in archive.objective_vectors()} == expected
+
+
+def test_archive_keeps_first_insert_per_vector_on_tie_heavy_streams():
+    # Few distinct values, so most candidates tie a member in some objective
+    # or equal one outright; -0.0 and 0.0 are the same value.
+    rng = random.Random(7)
+    points = [
+        (rng.randrange(3), rng.randrange(3), rng.choice((-1.0, -0.5, -0.0, 0.0)))
+        for _ in range(60)
+    ]
+    points += rng.choices(points, k=30)  # exact duplicates
+    expected = brute_force_front(points)
+    for order_seed in range(6):
+        shuffled = [ind(*p, tag=i) for i, p in enumerate(points)]
+        random.Random(order_seed).shuffle(shuffled)
+        archive = ParetoArchive()
+        update_archive(archive, shuffled)
+        assert {tuple(v) for v in archive.objective_vectors()} == expected
+        first = {}
+        for candidate in shuffled:
+            first.setdefault(tuple(candidate.objectives), candidate)
+        assert all(first[tuple(m.objectives)] is m for m in archive)
 
 
 def test_archive_members_mutually_non_dominated_invariant():
