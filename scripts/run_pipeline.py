@@ -47,8 +47,8 @@ def run(stage) -> int:
 
 def seed_row(seed: int, front: Path) -> dict:
     """One tune seed's row, read back from the artifacts its tune wrote."""
-    manifest = json.loads(cli._derived_path(front, ".manifest.json").read_text())
-    runlog = cli._derived_path(front, ".runlog.jsonl").read_text().splitlines()
+    manifest = json.loads(cli._derived_path(front, ".manifest.json").read_text(encoding="utf-8"))
+    runlog = cli._derived_path(front, ".runlog.jsonl").read_text(encoding="utf-8").splitlines()
     return {
         "seed": seed,
         "front_size": manifest["front_size"],

@@ -169,7 +169,8 @@ def cmd_fit(args) -> int:
 def _pruned_for_mb(space_path: str, space) -> float:
     """The budget of the report ``prune`` wrote beside ``space_path`` if it
     describes ``space`` (the same pruned cardinality); else infinity. A
-    report that is not a JSON object raises ``ValueError`` naming it."""
+    report that is not a JSON object, or that describes ``space`` without a
+    number for its budget, raises ``ValueError`` naming it."""
     path = _derived_path(space_path, ".report.json")
     try:
         report = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -177,8 +178,11 @@ def _pruned_for_mb(space_path: str, space) -> float:
         raise ValueError(f"prune report {path} is not valid JSON: {err}") from err
     if not isinstance(report, dict):
         raise ValueError(f"prune report {path} is not a JSON object")
-    same = report.get("pruned_cardinality") == str(space.cardinality())
-    return report["budget_mb"] if same and is_json_number(report.get("budget_mb")) else math.inf
+    if report.get("pruned_cardinality") != str(space.cardinality()):
+        return math.inf
+    if not is_json_number(report.get("budget_mb")):
+        raise ValueError(f"prune report {path} has a budget_mb that is not a finite number")
+    return report["budget_mb"]
 
 
 def cmd_tune(args) -> int:

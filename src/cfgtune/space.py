@@ -94,13 +94,10 @@ _HEADS = CANONICAL_DIMENSIONS.index("num_attention_heads")
 
 Genome = tuple[int, ...]
 
-INTEGER_RANGE = "integer_range"
-DISCRETE_NUMERIC_SET = "discrete_numeric_set"
-CATEGORICAL = "categorical"
-
 
 class SpaceFormatError(ValueError):
-    """A space document is malformed. ``dimension`` names the offending entry."""
+    """A space document or a :class:`Dimension` breaks a rule. ``dimension``
+    names the offending entry."""
 
     def __init__(self, message: str, dimension: str | None = None):
         super().__init__(message)
@@ -114,31 +111,44 @@ class UnsatisfiableSpaceError(ValueError):
 class Dimension:
     """One tunable setting, given by its domain: ``domain[i]`` is the value
     at index i, and that order is fixed. The domain is a ``range`` with step
-    1 (an integer range; no table grows with it), a tuple of numbers, or a
-    tuple of option strings (a categorical dimension, whose ``options`` it
-    is; ``options`` is ``()`` otherwise). ``kind`` and the bounds are derived
-    from it: ``lo`` and ``hi`` bound the encoding component, the value itself
-    or the option index for a categorical dimension. Two dimensions are equal
-    when their name and domain are."""
+    1 (an integer range; no table grows with it) or a tuple, and its name
+    decides what it holds, whether it is read from a space document or built
+    in Python: option strings for the :data:`CATEGORICAL_DIMENSIONS` (its
+    ``options``; ``options`` is ``()`` otherwise), positive ints for the
+    :data:`INTEGER_DIMENSIONS`, and numbers that pass
+    :func:`is_json_number` for the rest. No domain is empty or repeats a
+    value. A domain that breaks a rule raises :class:`SpaceFormatError`
+    naming the dimension. ``lo`` and ``hi`` bound the encoding component,
+    the value itself or the option index for a categorical dimension. Two
+    dimensions are equal when their name and domain are."""
 
     def __init__(self, name: str, domain):
-        if not domain:
-            raise SpaceFormatError(f"{name}: empty domain", dimension=name)
+        # A range is checked by its two ends, never by scanning its values.
+        checked = (domain[0], domain[-1]) if isinstance(domain, range) and domain else domain
+        if name in CATEGORICAL_DIMENSIONS:
+            if not domain or not all(isinstance(v, str) for v in domain):
+                raise SpaceFormatError(
+                    f"{name}: expected a non-empty array of option strings", dimension=name
+                )
+            lo, hi = 0, len(domain) - 1
+        elif not domain or not all(map(is_json_number, checked)):
+            raise SpaceFormatError(
+                f"{name}: expected a non-empty array of finite numbers", dimension=name
+            )
+        else:
+            lo, hi = min(checked), max(checked)
+            if name in INTEGER_DIMENSIONS and (lo < 1 or not all(isinstance(v, int) for v in checked)):
+                raise SpaceFormatError(f"{name}: values must be positive integers", dimension=name)
         if isinstance(domain, range):
             if domain.step != 1:
                 raise SpaceFormatError(f"{name}: an integer range has step 1", dimension=name)
-            kind, lo, hi = INTEGER_RANGE, domain[0], domain[-1]
         elif len(set(domain)) != len(domain):
             raise SpaceFormatError(f"{name}: duplicate values", dimension=name)
-        elif all(isinstance(v, str) for v in domain):
-            kind, lo, hi = CATEGORICAL, 0, len(domain) - 1
-        else:
-            kind, lo, hi = DISCRETE_NUMERIC_SET, min(domain), max(domain)
-        self.name, self.domain, self.kind, self._min, self._max = name, domain, kind, lo, hi
-        self.lo, self.hi = float(lo), float(hi)
-        self.options = domain if kind == CATEGORICAL else ()
-        # A counted value must be an int, as the parser requires.
-        self._integral = kind == INTEGER_RANGE or name in INTEGER_DIMENSIONS
+        self.name, self.domain = name, domain
+        self.options = domain if name in CATEGORICAL_DIMENSIONS else ()
+        self._min, self._max, self.lo, self.hi = lo, hi, float(lo), float(hi)
+        # A counted value must be an int, as its domain's values are.
+        self._integral = isinstance(domain, range) or name in INTEGER_DIMENSIONS
 
     def __eq__(self, other):
         if type(other) is not Dimension:
@@ -176,7 +186,7 @@ class Dimension:
 
     def to_entry(self):
         """Entry in the JSON document form."""
-        if self.kind == INTEGER_RANGE:
+        if isinstance(self.domain, range):
             return {"min": self._min, "max": self._max}
         return list(self.domain)
 
@@ -215,7 +225,7 @@ class ConfigurationSpace:
         """Per dimension: the sequence whose index-th entry is the raw
         encoding component, its lower bound, and its span."""
         return tuple(
-            (range(dim.size()) if dim.kind == CATEGORICAL else dim.domain, dim.lo, dim.hi - dim.lo)
+            (range(dim.size()) if dim.options else dim.domain, dim.lo, dim.hi - dim.lo)
             for dim in self.dimensions
         )
 
@@ -334,50 +344,28 @@ def is_json_number(value) -> bool:
 
 
 def _dimension_from_entry(name: str, entry) -> Dimension:
-    if name in CATEGORICAL_DIMENSIONS:
-        if not isinstance(entry, list) or not entry or not all(
-            isinstance(x, str) for x in entry
-        ):
-            raise SpaceFormatError(
-                f"{name}: expected a non-empty array of option strings",
-                dimension=name,
-            )
-        return Dimension(name, tuple(entry))
-    if isinstance(entry, dict):
-        if set(entry) != {"min", "max"}:
-            raise SpaceFormatError(
-                f"{name}: range object must have exactly 'min' and 'max'",
-                dimension=name,
-            )
-        lower, upper = entry["min"], entry["max"]
-        if not all(isinstance(bound, int) and is_json_number(bound) for bound in (lower, upper)):
-            raise SpaceFormatError(
-                f"{name}: range bounds must be integers that fit a float", dimension=name
-            )
-        if lower > upper:
-            raise SpaceFormatError(f"{name}: range min {lower} exceeds max {upper}", dimension=name)
-        if upper - lower >= sys.maxsize:  # len(range) would overflow
-            raise SpaceFormatError(
-                f"{name}: range has too many values to index", dimension=name
-            )
-        if name in INTEGER_DIMENSIONS and lower < 1:
-            raise SpaceFormatError(
-                f"{name}: values must be positive integers", dimension=name
-            )
-        return Dimension(name, range(lower, upper + 1))
-    if isinstance(entry, list):
-        if not entry or not all(map(is_json_number, entry)):
-            raise SpaceFormatError(
-                f"{name}: expected a non-empty array of finite numbers", dimension=name
-            )
-        if name in INTEGER_DIMENSIONS and not all(isinstance(x, int) and x >= 1 for x in entry):
-            raise SpaceFormatError(
-                f"{name}: values must be positive integers", dimension=name
-            )
-        return Dimension(name, tuple(entry))
-    raise SpaceFormatError(
-        f"{name}: entry must be a range object or an array", dimension=name
-    )
+    """The dimension a space document's entry describes: an array is read as
+    a tuple and a range object as a ``range``. Only the JSON shape is checked
+    here; :class:`Dimension` checks the values."""
+    if isinstance(entry, list) or name in CATEGORICAL_DIMENSIONS:
+        # A categorical entry that is no array holds no option strings.
+        return Dimension(name, tuple(entry) if isinstance(entry, list) else ())
+    if not isinstance(entry, dict):
+        raise SpaceFormatError(f"{name}: entry must be a range object or an array", dimension=name)
+    if set(entry) != {"min", "max"}:
+        raise SpaceFormatError(
+            f"{name}: range object must have exactly 'min' and 'max'", dimension=name
+        )
+    lower, upper = entry["min"], entry["max"]
+    if not all(isinstance(bound, int) and is_json_number(bound) for bound in (lower, upper)):
+        raise SpaceFormatError(
+            f"{name}: range bounds must be integers that fit a float", dimension=name
+        )
+    if lower > upper:
+        raise SpaceFormatError(f"{name}: range min {lower} exceeds max {upper}", dimension=name)
+    if upper - lower >= sys.maxsize:  # len(range) would overflow
+        raise SpaceFormatError(f"{name}: range has too many values to index", dimension=name)
+    return Dimension(name, range(lower, upper + 1))
 
 
 def space_from_mapping(document: dict) -> ConfigurationSpace:
@@ -423,16 +411,15 @@ def atomic_open(path):
         os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp"
     )
     try:
-        handle = open(temporary, "w", encoding="utf-8")
-    except OSError as err:  # name the path asked for, not the temporary file
-        raise OSError(err.errno, err.strerror, path) from None
-    try:
-        with handle:
+        with open(temporary, "w", encoding="utf-8") as handle:
             yield handle
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as err:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temporary)
+        if isinstance(err, OSError) and err.filename == temporary:
+            # open or os.replace failed: name the path asked for, not the temporary file
+            raise OSError(err.errno, err.strerror, path) from None
         raise
 
 

@@ -223,6 +223,24 @@ def test_prune_missing_out_directory_names_the_out_path(tmp_path, space_file, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
 
 
+@pytest.mark.parametrize("stage", ["prune", "tune"])
+def test_out_path_that_is_a_directory_names_the_out_path(pipeline, capsys, stage):
+    # os.replace's error used to name the hidden temporary file.
+    out = pipeline["tmp"] / "outdir"
+    out.mkdir()
+    before = sorted(p.name for p in pipeline["tmp"].iterdir())
+    if stage == "prune":
+        code = main(["prune", "--space", str(pipeline["space"]), "--out", str(out)])
+    else:
+        code, _ = run_tune(pipeline, out.name)
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert f"Is a directory: '{out}'" in err
+    assert ".tmp" not in err
+    assert sorted(p.name for p in pipeline["tmp"].iterdir()) == before
+    assert list(out.iterdir()) == []
+
+
 def test_prune_impossible_budget_exits_constraint(tmp_path, space_file):
     assert main(
         [
@@ -607,14 +625,26 @@ def test_tune_budget_is_free_without_the_spaces_report(pipeline, report):
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [("[1, 2]", "is not a JSON object"), ("{not json", "is not valid JSON")],
-    ids=["list", "not json"],
+    "edit, message",
+    [
+        (lambda report: "[1, 2]", "is not a JSON object"),
+        (lambda report: "{not json", "is not valid JSON"),
+        (
+            lambda report: json.dumps({**report, "budget_mb": "3.0"}),
+            "has a budget_mb that is not a finite number",
+        ),
+        (
+            lambda report: json.dumps({**report, "budget_mb": math.nan}),
+            "has a budget_mb that is not a finite number",
+        ),
+    ],
+    ids=["list", "not json", "string budget", "nan budget"],
 )
-def test_tune_malformed_prune_report_exits_parse(pipeline, capsys, text, message):
-    # Valid JSON that is no object used to reach ``.get`` and exit 5.
+def test_tune_malformed_prune_report_exits_parse(pipeline, capsys, edit, message):
+    # Valid JSON that is no object used to reach ``.get`` and exit 5, and a
+    # report of this space without a numeric budget was ignored.
     report_path = pipeline["tmp"] / "pruned.report.json"
-    report_path.write_text(text)
+    report_path.write_text(edit(json.loads(report_path.read_text())))
     before = sorted(p.name for p in pipeline["tmp"].iterdir())
     code, out = run_tune(pipeline, "front.jsonl")
     assert code == EXIT_PARSE

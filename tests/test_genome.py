@@ -42,7 +42,7 @@ def space(request, canonical_space):
 
 def reference_sample(dim, rng):
     """A value draw as first written."""
-    if dim.kind == "integer_range":
+    if isinstance(dim.domain, range):
         return rng.randint(dim.min_value(), dim.max_value())
     return rng.choice(dim.domain)
 
@@ -52,7 +52,7 @@ def reference_encode(space, config, normalize):
     vector = []
     for dim in space.dimensions:
         value = getattr(config, dim.name)
-        if dim.kind == "categorical":
+        if dim.options:
             component = float(dim.options.index(value))
             lo, hi = 0.0, float(len(dim.options) - 1)
         else:
@@ -86,7 +86,7 @@ def reference_correct(config, space, rng):
         if not head_choices:
             raise UnsatisfiableSpaceError("unsatisfiable")
         head = rng.choice(head_choices)
-        if hidden_dim.kind == "integer_range":
+        if isinstance(hidden_dim.domain, range):
             low, high = hidden_dim.min_value(), hidden_dim.max_value()
             hidden = head * rng.randint(-(-low // head), high // head)
         else:

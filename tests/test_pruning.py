@@ -21,7 +21,6 @@ from cfgtune import (
 )
 from cfgtune import load_space, pruning
 from cfgtune.cli import EXIT_OK, main
-from cfgtune.space import INTEGER_RANGE
 from conftest import MINI_SPACE_DOCUMENT
 
 
@@ -100,7 +99,7 @@ def scan_prune(space, constraint, scanned):
             dims.append(dim)
         elif not values:
             raise EmptyFeasibleSpaceError(f"{dim.name}: no value fits")
-        elif dim.kind == INTEGER_RANGE:
+        elif isinstance(dim.domain, range):
             lower, upper = min(values), max(values)
             assert upper - lower + 1 == len(values), f"{dim.name}: survivors not contiguous"
             dims.append(Dimension(dim.name, range(lower, upper + 1)))
@@ -222,7 +221,7 @@ def test_prune_space_without_integer_range(tmp_path):
         "num_attention_heads": [1, 2, 4],
     }
     space = space_from_mapping(document)
-    assert all(d.kind != INTEGER_RANGE for d in space.dimensions)
+    assert not any(isinstance(d.domain, range) for d in space.dimensions)
     space_file = tmp_path / "space.json"
     space_file.write_text(json.dumps(document))
     for budget in (0.1, 0.35, 1.0, 8.0):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cfgtune import (
     CANONICAL_DIMENSIONS,
+    CATEGORICAL_DIMENSIONS,
     Configuration,
     ConfigurationSpace,
     Dimension,
@@ -22,10 +23,7 @@ from cfgtune import (
     space_from_mapping,
 )
 from cfgtune.space import (
-    CATEGORICAL,
-    DISCRETE_NUMERIC_SET,
     INTEGER_DIMENSIONS,
-    INTEGER_RANGE,
     _dimension_from_entry,
     write_json,
     write_jsonl,
@@ -369,49 +367,118 @@ def test_configuration_contract():
 
 
 @pytest.mark.parametrize(
-    "domain",
-    [(), range(5, 1), (0.1, 0.2, 0.1), ("GELU", "GELU"), range(1, 9, 2)],
-    ids=["empty", "empty range", "duplicate values", "duplicate options", "step 2"],
+    "name, domain, message",
+    [
+        ("hidden_dropout_prob", (), "non-empty"),
+        ("vocab_size", range(5, 1), "non-empty"),
+        ("hidden_dropout_prob", (0.1, 0.2, 0.1), "duplicate values"),
+        ("hidden_act", ("GELU", "GELU"), "duplicate values"),
+        ("num_hidden_layers", range(1, 9, 2), "step 1"),
+        # Each of these used to build: the first two then crashed in
+        # sampling, and the others gave a space that prune, sampling or
+        # validate accepted.
+        ("num_attention_heads", range(0, 4), "positive integers"),
+        ("hidden_size", (64.5, 128), "positive integers"),
+        ("vocab_size", range(-5, 100), "positive integers"),
+        ("learning_rate", (math.nan, 0.1), "finite numbers"),
+        ("batch_size", (True, 2), "finite numbers"),
+    ],
+    ids=[
+        "empty", "empty range", "duplicate values", "duplicate options", "step 2",
+        "zero heads", "float hidden size", "negative vocab", "nan rate", "bool batch",
+    ],
 )
-def test_dimension_domain_validation(domain):
-    with pytest.raises(SpaceFormatError) as err:
-        Dimension("x", domain)
-    assert err.value.dimension == "x"
+def test_dimension_domain_validation(name, domain, message):
+    with pytest.raises(SpaceFormatError, match=message) as err:
+        Dimension(name, domain)
+    assert err.value.dimension == name
+
+
+def valid_tuples(name):
+    """Value sets that the rules for ``name`` admit."""
+    if name in CATEGORICAL_DIMENSIONS:
+        members = st.text(max_size=8)
+    elif name in INTEGER_DIMENSIONS:
+        members = st.integers(1, 2**53)
+    else:
+        members = st.integers(-(2**53), 2**53) | st.floats(allow_nan=False, allow_infinity=False)
+    return st.lists(members, min_size=1, max_size=6, unique=True).map(tuple)
+
+
+def valid_domains(name):
+    """Domains that the rules for ``name`` admit; a range of numbers may be
+    long, since only its ends are checked."""
+    if name in CATEGORICAL_DIMENSIONS:
+        return valid_tuples(name)
+    low = 1 if name in INTEGER_DIMENSIONS else -(2**53)
+    ranges = st.builds(
+        lambda start, count: range(start, start + count),
+        st.integers(low, 2**53),
+        st.integers(1, 2**40),
+    )
+    return ranges | valid_tuples(name)
+
+
+def bad_members(name):
+    if name in CATEGORICAL_DIMENSIONS:
+        return st.integers() | st.floats()
+    if name in INTEGER_DIMENSIONS:
+        return st.sampled_from([0, -1, 2.5, True])
+    return st.sampled_from([math.nan, math.inf, -math.inf, True, "0.1"])
+
+
+@pytest.mark.parametrize("name", CANONICAL_DIMENSIONS)
+@given(data=st.data())
+def test_valid_domain_round_trips_through_its_entry(name, data):
+    dim = Dimension(name, data.draw(valid_domains(name)))
+    twin = _dimension_from_entry(name, json.loads(json.dumps(dim.to_entry())))
+    assert twin == dim and twin is not dim
+
+
+@pytest.mark.parametrize("name", CANONICAL_DIMENSIONS)
+@given(data=st.data())
+def test_one_bad_member_fails_the_domain_and_its_entry(name, data):
+    members = list(data.draw(valid_tuples(name)))
+    members.insert(data.draw(st.integers(0, len(members))), data.draw(bad_members(name)))
+    for build, domain in ((Dimension, tuple(members)), (_dimension_from_entry, members)):
+        with pytest.raises(SpaceFormatError, match=f"^{name}: ") as err:
+            build(name, domain)
+        assert err.value.dimension == name
 
 
 def test_dimension_equality_is_name_and_domain():
     dim = Dimension("batch_size", (16, 32))
-    assert dim == Dimension("batch_size", (16, 32)) and dim.kind == DISCRETE_NUMERIC_SET
+    assert dim == Dimension("batch_size", (16, 32)) and not dim.options
     assert dim != Dimension("batch_size", (32, 16))
     assert dim != Dimension("learning_rate", (16, 32))
     assert Dimension("batch_size", range(16, 18)) != Dimension("batch_size", (16, 17))
 
 
 @pytest.mark.parametrize(
-    "dim, kind, bounds, outsiders, changed, retained",
+    "dim, bounds, outsiders, changed, retained",
     [
         (
-            Dimension("num_hidden_layers", range(1, 9)), INTEGER_RANGE, (1, 8),
+            Dimension("num_hidden_layers", range(1, 9)), (1, 8),
             [True, 2.0, 0, 9], [range(2, 9), range(1, 10)], "[1, 8]",
         ),
         (
-            Dimension("hidden_dropout_prob", (0.1, 0.2)), DISCRETE_NUMERIC_SET, (0.1, 0.2),
+            Dimension("hidden_dropout_prob", (0.1, 0.2)), (0.1, 0.2),
             [0.15, "0.1", True], [(0.1, 0.3)], "{0.1, 0.2}",
         ),
         (
-            Dimension("hidden_size", (64, 1, 32)), DISCRETE_NUMERIC_SET, (1, 64),
+            Dimension("hidden_size", (64, 1, 32)), (1, 64),
             [48, 16.5, 64.0, 1.0, True], [(64, 1), (64, 1, 48)], "{64, 1, 32}",
         ),
         (
-            Dimension("hidden_act", ("GELU", "ReLU")), CATEGORICAL, None,
+            Dimension("hidden_act", ("GELU", "ReLU")), None,
             ["SiLU", 0, True], [("GELU", "SiLU")], "{GELU, ReLU}",
         ),
     ],
     ids=["integer range", "value set", "unsorted value set", "categorical"],
 )
-def test_dimension_rules_per_kind(canonical_space, dim, kind, bounds, outsiders, changed, retained):
-    assert dim.kind == kind
-    assert dim.options == (dim.domain if kind == CATEGORICAL else ())
+def test_dimension_rules_per_kind(canonical_space, dim, bounds, outsiders, changed, retained):
+    # A categorical dimension has no bounds, and its domain is its options.
+    assert dim.options == (dim.domain if bounds is None else ())
     if bounds is None:
         for bound in (dim.min_value, dim.max_value):
             with pytest.raises(TypeError, match="categorical"):
