@@ -228,7 +228,7 @@ def cmd_tune(args) -> int:
         },
         "hypervolume_reference": list(result.reference_point),
         "master_seed": args.seed,
-        "evaluations": len(result.genome_evaluations),
+        "evaluations": len(result.memo),
         "front_size": len(records),
         "written_at": _utc_now(),
     }

@@ -135,6 +135,9 @@ class Dimension:
             raise SpaceFormatError(
                 f"{name}: expected a non-empty array of finite numbers", dimension=name
             )
+        elif isinstance(domain, range) and (domain[-1] - domain[0]) // domain.step >= sys.maxsize:
+            # len(domain) - 1 >= sys.maxsize: len() would overflow
+            raise SpaceFormatError(f"{name}: range has too many values to index", dimension=name)
         else:
             lo, hi = min(checked), max(checked)
             if name in INTEGER_DIMENSIONS and (lo < 1 or not all(isinstance(v, int) for v in checked)):
@@ -363,8 +366,6 @@ def _dimension_from_entry(name: str, entry) -> Dimension:
         )
     if lower > upper:
         raise SpaceFormatError(f"{name}: range min {lower} exceeds max {upper}", dimension=name)
-    if upper - lower >= sys.maxsize:  # len(range) would overflow
-        raise SpaceFormatError(f"{name}: range has too many values to index", dimension=name)
     return Dimension(name, range(lower, upper + 1))
 
 

@@ -9,16 +9,21 @@ non-dominated evaluated configurations. Deterministic for a fixed seed.
 
 The search runs on genomes (see :mod:`cfgtune.space`): tuples of value
 indices, so crossover is tuple slicing, mutation is an index draw, and the
-memo and the archive hold small int tuples. A new genome is scored by index:
-:func:`~cfgtune.costs.genome_costs` for size and FLOPs, and the indicator's
-``genome_predictor`` (a fitted surrogate's, or the synthetic oracle's) for
-effectiveness. A :class:`Configuration` is built once per new genome only for
-an indicator without one (an external oracle, a callable) or with noise (the
-noisy synthetic oracle), and for the members of the final archive when
-:func:`tune` returns. :attr:`TuneResult.evaluations` decodes the memo on each
-access. Each record's hypervolume carries over from the previous record's
-sweep every point whose 2-D staircase is unchanged, matching points by
-identity, and sweeps only the rest.
+population and the archive hold small int tuples. The memo, the one structure
+that grows with the evaluations, holds each genome and its objective vector
+packed into bytes (:func:`_genome_struct`, :data:`_VECTOR`). A new genome is
+scored by index: :func:`~cfgtune.costs.genome_costs` for size and FLOPs, and
+the indicator's ``genome_predictor`` (a fitted surrogate's, or the synthetic
+oracle's) for effectiveness. A :class:`Configuration` is built once per new
+genome only for an indicator without one (an external oracle, a callable) or
+with noise (the noisy synthetic oracle), and for the members of the final
+archive when :func:`tune` returns. :attr:`TuneResult.genome_evaluations` and
+:attr:`TuneResult.evaluations` decode the memo on each access. Each record's
+hypervolume carries over from the previous record's sweep every point whose
+2-D staircase is unchanged, matching points by identity, and sweeps only the
+rest. A memo hit gives a new vector equal to the stored one, and the archive
+rejects a vector equal to a member's, so the sweep's points stay the objects
+first inserted.
 Sampling, repair, variation and selection draw indices with
 :func:`~cfgtune.space.below`, which draws what ``randrange`` would. Every
 distinct pair, crossover's cut points and a tournament's entrants alike,
@@ -34,6 +39,7 @@ import itertools
 import math
 import operator
 import random
+import struct
 from typing import Callable, NamedTuple
 
 from .costs import forward_gflops, genome_costs, model_size_mb
@@ -430,17 +436,34 @@ class GenerationRecord(NamedTuple):
     best_effectiveness: float | None
 
 
+_VECTOR = struct.Struct("<3d")  # unpacks every double bit for bit, -0.0 included
+
+
+def _genome_struct(space: ConfigurationSpace) -> struct.Struct:
+    """The memo's key layout for ``space``: 13 unsigned ints of the narrowest
+    of ``B``/``H``/``I``/``Q`` that holds every index of the space."""
+    bits = (max(map(len, space._domains)) - 1).bit_length()
+    return struct.Struct("<13" + next(c for c in "BHIQ" if bits <= 8 * struct.calcsize("<" + c)))
+
+
 class TuneResult(NamedTuple):
     archive: ParetoArchive
     records: list[GenerationRecord]
     reference_point: tuple[float, float, float]
     space: ConfigurationSpace
-    genome_evaluations: dict[Genome, ObjectiveVector]
+    memo: dict[bytes, bytes]  # packed genome -> packed objective vector
+
+    @property
+    def genome_evaluations(self) -> dict[Genome, ObjectiveVector]:
+        """Every distinct evaluated genome in evaluation order, decoded from
+        ``memo`` on each access."""
+        genome, objectives = _genome_struct(self.space).unpack, _VECTOR.unpack
+        return {genome(k): ObjectiveVector._make(objectives(v)) for k, v in self.memo.items()}
 
     @property
     def evaluations(self) -> dict[Configuration, ObjectiveVector]:
         """Every distinct evaluated configuration in evaluation order,
-        decoded from ``genome_evaluations`` on each access."""
+        decoded from ``memo`` on each access."""
         configuration = self.space.configuration
         return {configuration(g): v for g, v in self.genome_evaluations.items()}
 
@@ -490,22 +513,25 @@ def tune(
     effectiveness_of = _effectiveness_callable(indicator, space)
     costs_of = genome_costs(space)
     rng = random.Random(params.seed)
-    memo: dict[Genome, ObjectiveVector] = {}
+    memo: dict[bytes, bytes] = {}
 
     isfinite = math.isfinite
     vector, member = ObjectiveVector._make, _Member._make  # a frame less than the constructors
+    key_of, pack, unpack = _genome_struct(space).pack, _VECTOR.pack, _VECTOR.unpack
 
     def evaluate(genome: Genome) -> _Member:
-        cached = memo.get(genome)
-        if cached is None:
-            effectiveness = float(effectiveness_of(genome))
-            size_mb, gflops = costs_of(genome)
-            # The raw effectiveness is checked: the clamp maps NaN to 0.0.
-            if not (isfinite(size_mb) and isfinite(gflops) and isfinite(effectiveness)):
-                raise RuntimeError(f"non-finite objectives for {space.configuration(genome)}")
-            cached = vector((size_mb, gflops, -min(1.0, max(0.0, effectiveness))))
-            memo[genome] = cached
-        return member((genome, cached))
+        key = key_of(*genome)
+        cached = memo.get(key)
+        if cached is not None:
+            return member((genome, vector(unpack(cached))))
+        effectiveness = float(effectiveness_of(genome))
+        size_mb, gflops = costs_of(genome)
+        # The raw effectiveness is checked: the clamp maps NaN to 0.0.
+        if not (isfinite(size_mb) and isfinite(gflops) and isfinite(effectiveness)):
+            raise RuntimeError(f"non-finite objectives for {space.configuration(genome)}")
+        neg_effectiveness = -min(1.0, max(0.0, effectiveness))
+        memo[key] = pack(size_mb, gflops, neg_effectiveness)
+        return member((genome, vector((size_mb, gflops, neg_effectiveness))))
 
     def archive_candidates(members: list[_Member]) -> list[_Member]:
         return [

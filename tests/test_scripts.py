@@ -79,7 +79,7 @@ def test_run_pipeline_sweeps_tune_seeds_against_one_fixed_reference(tmp_path):
     assert rows[0] == {
         "seed": 2,
         "front_size": len(result.archive),
-        "evaluations": len(result.genome_evaluations),
+        "evaluations": len(result.memo),
         "hypervolume": hypervolume(result.archive.objective_vectors(), tuple(reference)),
     }
     params = TunerParams(population_size=8, generations=5, seed=derive_seed(1, "tune"))

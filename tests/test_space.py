@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -382,16 +383,31 @@ def test_configuration_contract():
         ("vocab_size", range(-5, 100), "positive integers"),
         ("learning_rate", (math.nan, 0.1), "finite numbers"),
         ("batch_size", (True, 2), "finite numbers"),
+        # Both ends fit a float, but len() of the range overflows.
+        ("learning_rate", range(0, 2**63 + 1), "too many values to index"),
+        ("vocab_size", range(0, 10**300 + 1), "too many values to index"),
     ],
     ids=[
         "empty", "empty range", "duplicate values", "duplicate options", "step 2",
         "zero heads", "float hidden size", "negative vocab", "nan rate", "bool batch",
+        "unindexable rate range", "unindexable vocab range",
     ],
 )
 def test_dimension_domain_validation(name, domain, message):
     with pytest.raises(SpaceFormatError, match=message) as err:
         Dimension(name, domain)
     assert err.value.dimension == name
+
+
+def test_range_length_rule_sits_in_the_dimension():
+    # The longest indexable range builds and has a size; one value more is
+    # refused by the dimension, and the document reader gives the same
+    # message even for a range that starts below 1.
+    assert Dimension("learning_rate", range(0, sys.maxsize)).size() == sys.maxsize
+    with pytest.raises(SpaceFormatError, match="too many values to index"):
+        Dimension("learning_rate", range(0, sys.maxsize + 1))
+    with pytest.raises(SpaceFormatError, match="^vocab_size: range has too many values to index"):
+        _dimension_from_entry("vocab_size", {"min": 0, "max": 10**300})
 
 
 def valid_tuples(name):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -35,6 +36,7 @@ from cfgtune import (
 )
 import cfgtune.tuner as tuner
 from cfgtune.cli import _front_sort_key
+from cfgtune.costs import genome_costs
 from cfgtune.pruning import EmptyFeasibleSpaceError
 from cfgtune.space import below
 from cfgtune.tuner import _distinct_pair, _permutation
@@ -1004,6 +1006,56 @@ def test_tune_evaluations_are_the_memo_decoded_in_order(pruned_space):
     assert all(evaluations[m.config] == m.objectives for m in result.archive)
 
 
+def batch_range_space(batch_max):
+    """listing3 pruned to 3 MB with ``batch_size`` over ``range(1, batch_max
+    + 1)``; no cost formula reads batch_size, so pruning keeps all of it."""
+    document = json.loads(CANONICAL_SPACE_FILE.read_text())
+    document["batch_size"] = {"min": 1, "max": batch_max}
+    return prune(space_from_mapping(document), SizeConstraint(3.0))
+
+
+class RecordingIndicator:
+    """A fitted surrogate whose genome predictor records each genome it scores."""
+
+    def __init__(self, model):
+        self.model, self.genomes = model, []
+
+    def genome_predictor(self, space):
+        predict = self.model.genome_predictor(space)
+
+        def scored(genome):
+            self.genomes.append(genome)
+            return predict(genome)
+        return scored
+
+
+@pytest.mark.parametrize("space_name, width", [("mini", "B"), ("3 MB", "H"), ("batch 1e10", "Q")])
+def test_tune_memo_decodes_to_a_fresh_scoring_in_evaluation_order(mini_space, pruned_space, space_name, width):
+    # The memo key packs each index in the narrowest width that holds the
+    # space's largest index: at most 256 values per dimension for B,
+    # 47,778 vocabulary sizes at 3 MB for H, 10**10 batch sizes for Q.
+    space = {"mini": mini_space, "3 MB": pruned_space}.get(space_name) or batch_range_space(10**10)
+    model, _, _ = build_indicator(space, SyntheticCapacityOracle(reference_space=space), k=20, seed=0)
+    indicator = RecordingIndicator(model)
+    result = tune(space, indicator, TunerParams(population_size=10, generations=5, seed=1))
+    assert tuner._genome_struct(space).format == "<13" + width
+    assert list(result.genome_evaluations) == indicator.genomes  # each new genome scored once
+    costs_of, predict = genome_costs(space), model.genome_predictor(space)
+    rescored = [
+        repr(ObjectiveVector(*costs_of(g), -min(1.0, max(0.0, float(predict(g))))))
+        for g in indicator.genomes
+    ]
+    # repr tells a -0.0 (a zero effectiveness, negated) from a 0.0.
+    assert list(map(repr, result.genome_evaluations.values())) == rescored
+    assert len(result.memo) == len(rescored)
+
+
+def test_tune_memo_keeps_the_sign_of_a_zero_effectiveness(mini_space):
+    result = tune(mini_space, lambda config: 0.0, TunerParams(population_size=4, generations=2, seed=0))
+    assert all(repr(v.neg_effectiveness) == "-0.0" for v in result.genome_evaluations.values())
+    assert all(repr(m.objectives.neg_effectiveness) == "-0.0" for m in result.archive)
+
+
 # sha256 digests of pop 40 x 30 runs on listing3 (12 and 66 members), scored
 # by the pure-Python oracle so no BLAS build can move them: first the front
 # (configuration JSON plus the repr of the objectives, in the order the front
@@ -1191,11 +1243,9 @@ def test_select_deployment_single_and_empty():
 
 @pytest.mark.parametrize("batch_max", [10**6, 10**10])
 def test_tune_surrogate_memory_grows_with_evaluations_not_range_sizes(batch_max):
-    # No cost formula reads batch_size, so pruning keeps its whole range; a
-    # surrogate's per-index terms must not take a slot per value of it.
-    document = json.loads(CANONICAL_SPACE_FILE.read_text())
-    document["batch_size"] = {"min": 1, "max": batch_max}
-    space = prune(space_from_mapping(document), SizeConstraint(3.0))
+    # Pruning keeps batch_size's whole range; a surrogate's per-index terms
+    # must not take a slot per value of it.
+    space = batch_range_space(batch_max)
     assert space.dimensions[-1].size() == batch_max
     model, _, _ = build_indicator(space, SyntheticCapacityOracle(reference_space=space), k=20, seed=0)
     tracemalloc.start()
@@ -1206,3 +1256,22 @@ def test_tune_surrogate_memory_grows_with_evaluations_not_range_sizes(batch_max)
         tracemalloc.stop()
     assert len(result.archive) > 0
     assert peak < 2_000_000
+
+
+def test_tune_memo_retains_under_200_bytes_per_evaluation(pruned_space):
+    # Each entry is a packed key (13 two-byte indices at 3 MB) and a packed
+    # vector (three doubles): about 150 B with the dict's slot. A 13-int
+    # tuple key with a named tuple of three floats takes about 330 B.
+    oracle = SyntheticCapacityOracle(reference_space=pruned_space)
+    tracemalloc.start()
+    try:
+        memo = tune(pruned_space, oracle, TunerParams(population_size=100, generations=50, seed=1)).memo
+        gc.collect()
+        held, count = tracemalloc.get_traced_memory()[0], len(memo)
+        del memo
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count > 4000
+    assert 100 < retained / count < 200
