@@ -146,7 +146,10 @@ def genome_costs(space: ConfigurationSpace) -> Callable[[Genome], tuple[float, f
 def training_energy_kwh(runtime_hours: float, average_power_kw: float) -> float:
     if not (0 <= runtime_hours < math.inf and 0 <= average_power_kw < math.inf):
         raise ValueError("runtime and power must be non-negative and finite")
-    return runtime_hours * average_power_kw
+    energy = runtime_hours * average_power_kw
+    if energy == math.inf:
+        raise ValueError(f"runtime x power overflows: {runtime_hours} h x {average_power_kw} kW")
+    return energy
 
 
 def co2_emissions_kg(
@@ -154,4 +157,7 @@ def co2_emissions_kg(
 ) -> float:
     if not (0 <= energy_kwh < math.inf and 0 <= carbon_intensity < math.inf):
         raise ValueError("energy and carbon intensity must be non-negative and finite")
-    return energy_kwh * carbon_intensity
+    co2 = energy_kwh * carbon_intensity
+    if co2 == math.inf:
+        raise ValueError(f"energy x carbon intensity overflows: {energy_kwh} kWh x {carbon_intensity} kg/kWh")
+    return co2

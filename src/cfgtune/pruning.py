@@ -5,9 +5,10 @@ containing it fits the byte budget. The size model is strictly increasing in
 each size-relevant dimension, so that minimum is attained at the all-minimum
 corner of the remaining dimensions and the survivors are the values up to a
 cutoff, found by bisection: O(log range) closed-form evaluations per
-dimension, no solver needed. The sizes at the probed values must strictly
-increase with the value, else ``RuntimeError``; values between probes are not
-evaluated. Each dimension is bisected once, on the whole space.
+dimension, no solver needed. The space's all-minimum corner is sized once: if
+it fits, some configuration does, and it is every bisection's lowest probe.
+The sizes at the probed values must strictly increase with the value, else
+``RuntimeError``; values between probes are not evaluated.
 """
 
 from __future__ import annotations
@@ -42,14 +43,27 @@ def min_corner_bytes(space: ConfigurationSpace, dim_name: str | None = None, val
     return parameter_file_bytes(**corner)
 
 
-def _cutoff(space: ConfigurationSpace, name: str, constraint: SizeConstraint):
+def feasible_min_corner_bytes(space: ConfigurationSpace, constraint: SizeConstraint) -> int:
+    """The all-minimum corner's size in bytes, or :class:`EmptyFeasibleSpaceError`
+    if it is over budget, as then no configuration fits."""
+    corner_bytes = min_corner_bytes(space)
+    if not constraint.admits(corner_bytes):
+        raise EmptyFeasibleSpaceError(
+            f"no configuration fits {constraint.budget_mb} MB; even the "
+            f"all-minimum corner exceeds the budget"
+        )
+    return corner_bytes
+
+
+def _cutoff(space: ConfigurationSpace, name: str, constraint: SizeConstraint, corner_bytes: int):
     """(cutoff, monotone): the largest value of the dimension whose min-corner
-    size fits (None if none does), by bisection over the ascending values with
-    both ends always probed; monotone is whether the sizes at the probed
-    values strictly increase with the value, as the bisection assumes."""
+    size fits, by bisection over the ascending values with both ends probed,
+    the lowest at ``corner_bytes``, the fitting all-minimum corner's size;
+    monotone is whether the sizes at the probed values strictly increase with
+    the value, as the bisection assumes."""
     dim = space.dimension(name)
     values = dim.domain if isinstance(dim.domain, range) else sorted(dim.domain)
-    sizes: dict[int, int] = {}
+    sizes = {0: corner_bytes}
 
     def fits(index: int) -> bool:
         if index not in sizes:
@@ -57,22 +71,16 @@ def _cutoff(space: ConfigurationSpace, name: str, constraint: SizeConstraint):
         return constraint.admits(sizes[index])
 
     lo, hi = 0, len(values) - 1
-    top_fits = fits(hi)
-    if not fits(lo):
-        cutoff = None
-    elif top_fits:
-        cutoff = values[hi]
-    else:
-        # Invariant: values[lo] fits and values[hi] does not.
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
-        cutoff = values[lo]
+    if fits(hi):
+        lo = hi
+    while hi - lo > 1:  # values[lo] fits and values[hi] does not
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
     probed = [sizes[index] for index in sorted(sizes)]
-    return cutoff, all(a < b for a, b in zip(probed, probed[1:]))
+    return values[lo], all(a < b for a, b in zip(probed, probed[1:]))
 
 
 def prune(
@@ -86,18 +94,14 @@ def prune(
     acceptance tests and the benchmark runner pass it."""
     if partitions < 1:
         raise ValueError("partition count must be >= 1")
+    corner_bytes = feasible_min_corner_bytes(space, constraint)
     cutoffs, not_monotone = {}, []
     for name in SIZE_RELEVANT_DIMENSIONS:
-        cutoffs[name], monotone = _cutoff(space, name, constraint)
+        cutoffs[name], monotone = _cutoff(space, name, constraint, corner_bytes)
         if not monotone:
             not_monotone.append(name)
     if not_monotone:
         raise RuntimeError(f"size model not strictly increasing in {', '.join(not_monotone)}")
-    if None in cutoffs.values():
-        raise EmptyFeasibleSpaceError(
-            f"no configuration fits {constraint.budget_mb} MB; even the "
-            f"all-minimum corner exceeds the budget"
-        )
 
     new_dims = []
     for dim in space.dimensions:

@@ -43,7 +43,7 @@ import struct
 from typing import Callable, NamedTuple
 
 from .costs import forward_gflops, genome_costs, model_size_mb
-from .pruning import EmptyFeasibleSpaceError, SizeConstraint, min_corner_bytes
+from .pruning import SizeConstraint, feasible_min_corner_bytes
 from .space import Configuration, ConfigurationSpace, Genome, below, correct
 
 
@@ -319,12 +319,12 @@ def reference_point(
 class HypervolumeSweep:
     """What :func:`hypervolume` carries over from its last call: the reference,
     the clipped, z-sorted points and, for each of them, the staircase after it
-    as ``(xs, ys)`` (lists replaced when they change, never edited, so they
-    are shared), that staircase's area once computed (else None), and the
-    term the point's level boundary added (0.0 if none)."""
+    stored with its area as ``(xs, ys, area)`` (lists replaced when they
+    change, never edited, so they are shared), and the term the point's level
+    boundary added (0.0 if none)."""
 
     def __init__(self, reference=None):
-        self.reference, self.points, self.stairs, self.areas, self.terms = reference, [], [], [], []
+        self.reference, self.points, self.stairs, self.terms = reference, [], [], []
 
 
 def _staircase_area(xs: list[float], ys: list[float], rx: float, ry: float) -> float:
@@ -353,19 +353,19 @@ def hypervolume(
     call sweeps only the points whose staircase differs from the last call's.
     While the staircase equals the last call's after the same previous point,
     the longest run of following points that are the same objects in the same
-    order is carried: staircases, areas and terms copied as slices, and the
-    terms added left to right as a sweep adds them. Any other point is swept
-    as from no state, and carrying starts again where the staircase after it
-    equals the last call's after the same object. A call costs O(n) list work
-    in C plus O(n) Python steps per swept point; :func:`tune` at 64 MB, pop
-    100 x 200 sweeps 6-8% of its records' points. A call without a state
-    sweeps into a fresh one and drops it. The value is bit for bit a sweep's
-    from no state: staircases equal by ``==`` have equal areas, as a -0.0
-    for a 0.0 only flips the sign of a zero factor, and a zero product adds
-    nothing to an area that starts at +0.0. Points are matched by identity,
-    which tells -0.0 from 0.0, so they must be immutable; the state holds
-    them, so no id among them is reused. A reference that differs in any bit
-    starts over.
+    order is carried: staircases with their areas, and terms, copied as
+    slices, and the terms added left to right as a sweep adds them. Any other
+    point is swept as from no state, and carrying starts again where the
+    staircase after it equals the last call's after the same object. A call
+    costs O(n) list work in C plus O(n) Python steps per swept point;
+    :func:`tune` at 64 MB, pop 100 x 200 sweeps 6-8% of its records' points.
+    A call without a state sweeps into a fresh one and drops it. The value is
+    bit for bit a sweep's from no state: staircases equal by ``==`` have equal
+    areas, as a -0.0 for a 0.0 only flips the sign of a zero factor, and a
+    zero product adds nothing to an area that starts at +0.0. Points are
+    matched by identity, which tells -0.0 from 0.0, so they must be
+    immutable; the state holds them, so no id among them is reused. A
+    reference that differs in any bit starts over.
 
     A point that completes no level adds a 0.0 term, and no factor needs a
     clamp at zero: x strictly ascends along the staircase, z through the list,
@@ -380,8 +380,8 @@ def hypervolume(
     if repr(last.reference) != repr((rx, ry, rz)):
         last.__init__((rx, ry, rz))
     old, position = last.points, dict(zip(map(id, last.points), itertools.count()))
-    stairs, areas, terms = [], [], []
-    xs, ys, area, volume = [], [], None, 0.0
+    stairs, terms = [], []
+    xs, ys, area, volume = [], [], 0.0, 0.0
     # Synced: clipped[i - 1] is old[j - 1] (or i == j == 0) and the
     # staircase equals the last call's after it.
     synced, i, j, n = True, 0, 0, len(clipped)
@@ -390,18 +390,14 @@ def hypervolume(
         m = same.index(False) if False in same else len(same)
         if m:  # carry the run; the point after it is not old[j + m], so it is swept
             stairs += last.stairs[j:j + m]
-            areas += last.areas[j:j + m]
             terms += last.terms[j:j + m]
             volume = functools.reduce(operator.add, last.terms[j:j + m], volume)
-            (xs, ys), area = stairs[-1], areas[-1]
+            xs, ys, area = stairs[-1]
             i, synced = i + m, False
             continue
         x, y, z = point = clipped[i]
         term = 0.0
         if i and z != clipped[i - 1][2]:  # the level below is complete
-            if area is None:
-                area = _staircase_area(xs, ys, rx, ry)
-                areas[-1] = area
             term = area * (z - clipped[i - 1][2])
             volume += term
         right = bisect.bisect_right(xs, x)
@@ -412,18 +408,16 @@ def hypervolume(
             end = left
             while end < len(ys) and ys[end] >= y:
                 end += 1
-            xs, ys, area = xs[:left] + [x] + xs[end:], ys[:left] + [y] + ys[end:], None
-        stairs.append((xs, ys))
-        areas.append(area)
+            xs, ys = xs[:left] + [x] + xs[end:], ys[:left] + [y] + ys[end:]
+            area = _staircase_area(xs, ys, rx, ry)
+        stairs.append((xs, ys, area))
         terms.append(term)
         j = position.get(id(point), -1) + 1
-        synced = j > 0 and last.stairs[j - 1] == (xs, ys)
+        synced = j > 0 and last.stairs[j - 1] == stairs[-1]
         i += 1
     if clipped:
-        if area is None:
-            area = _staircase_area(xs, ys, rx, ry)
         volume += area * (rz - clipped[-1][2])
-    last.points, last.stairs, last.areas, last.terms = clipped, stairs, areas, terms
+    last.points, last.stairs, last.terms = clipped, stairs, terms
     return volume
 
 
@@ -505,10 +499,8 @@ def tune(
     :func:`reference_point`, so the series never decreases and compares
     across seeds and runs.
     """
-    if size_budget_mb is not None and not SizeConstraint(size_budget_mb).admits(min_corner_bytes(space)):
-        raise EmptyFeasibleSpaceError(
-            f"no configuration fits {size_budget_mb} MB; even the all-minimum corner exceeds the budget"
-        )
+    if size_budget_mb is not None:
+        feasible_min_corner_bytes(space, SizeConstraint(size_budget_mb))
     reference = reference_point(space, size_budget_mb)
     effectiveness_of = _effectiveness_callable(indicator, space)
     costs_of = genome_costs(space)

@@ -3,6 +3,7 @@ exhaustively enumerable space with brute-forced ground truth."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from pathlib import Path
 
@@ -27,6 +28,17 @@ settings.load_profile("default")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CANONICAL_SPACE_FILE = REPO_ROOT / "spaces" / "listing3.json"
+
+
+def load_perfbench_tracing():
+    """The benchmark's layer tracer, ``perfbench/tracing.py``, loaded by path
+    (``perfbench`` is no package) as a fresh module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 # Small space for exhaustive ground-truth checks: 144 valid configurations,
 # 72 distinct objective vectors. Objective-irrelevant dimensions are pinned

@@ -854,15 +854,21 @@ def test_report_non_positive_target_exits_parse(pipeline, capsys, target):
         (["--carbon-intensity", "-1"], "non-negative and finite"),
         (["--runtime-hours", "0.8"], "given together"),
         (["--power-kw", "0.4"], "given together"),
+        (["--runtime-hours", "1e308", "--power-kw", "10"], "runtime x power overflows"),
+        (
+            ["--runtime-hours", "1e200", "--power-kw", "1e100", "--carbon-intensity", "1e10"],
+            "energy x carbon intensity overflows",
+        ),
     ],
     ids=[
         "nan-runtime", "inf-power", "nan-intensity", "lone-negative-runtime", "lone-negative-power",
         "lone-nan-intensity", "lone-negative-intensity", "lone-runtime", "lone-power",
+        "overflowing-energy", "overflowing-co2",
     ],
 )
 def test_report_non_finite_workload_exits_parse(pipeline, capsys, workload, message):
-    # A negative or non-finite flag, or half of the pair, is a usage error:
-    # each flag is checked whenever it is given, before any output.
+    # A negative or non-finite flag, half of the pair, or finite flags whose
+    # energy or CO2 overflows is a usage error, reported before any output.
     _, front = run_tune(pipeline, "front.jsonl")
     capsys.readouterr()
     assert main(["report", "--front", str(front), *workload]) == EXIT_PARSE

@@ -236,13 +236,14 @@ def test_prune_space_without_integer_range(tmp_path):
             assert list(pruned.dimension(name).iter_values()) == expected[name], (budget, name)
 
 
-@pytest.mark.parametrize("budget_mb, calls", [(3.0, 36), (64.0, 10)])
+@pytest.mark.parametrize("budget_mb, calls", [(3.0, 32), (64.0, 6)])
 @pytest.mark.parametrize("partitions", [1, 13])
 def test_prune_bisects_each_dimension_once(
     monkeypatch, canonical_space, budget_mb, calls, partitions
 ):
-    """At most ceil(log2 n) + 2 min-corner sizes per size dimension of n
-    values: both ends, then the bisection. The keyword changes nothing."""
+    """At most one min-corner size for the shared all-minimum corner, then
+    ceil(log2 n) + 1 per size dimension of n values: the top, then the
+    bisection. The keyword changes nothing."""
     counted = []
     original = pruning.min_corner_bytes
 
@@ -252,8 +253,8 @@ def test_prune_bisects_each_dimension_once(
 
     monkeypatch.setattr(pruning, "min_corner_bytes", counting)
     pruned = prune(canonical_space, SizeConstraint(budget_mb), partitions=partitions)
-    bound = sum(
-        math.ceil(math.log2(canonical_space.dimension(name).size())) + 2
+    bound = 1 + sum(
+        math.ceil(math.log2(canonical_space.dimension(name).size())) + 1
         for name in SIZE_RELEVANT_DIMENSIONS
     )
     assert len(counted) == calls <= bound

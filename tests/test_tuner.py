@@ -40,7 +40,7 @@ from cfgtune.costs import genome_costs
 from cfgtune.pruning import EmptyFeasibleSpaceError
 from cfgtune.space import below
 from cfgtune.tuner import _distinct_pair, _permutation
-from conftest import CANONICAL_SPACE_FILE, make_config
+from conftest import CANONICAL_SPACE_FILE, load_perfbench_tracing, make_config
 
 
 def vec(a, b, c):
@@ -884,10 +884,8 @@ def test_tune_zero_generations_archives_initial_front(mini_space, mini_oracle):
     assert len(result.records) == 1
 
 
-TRACED_TUNER_NAMES = (
-    "correct", "adaptive_random_init", "two_point_crossover", "boundary_random_mutation",
-    "update_archive", "tournament_select", "crowding_distances", "hypervolume",
-    "model_size_mb", "forward_gflops",
+TRACED_TUNER_NAMES = tuple(
+    attr for owner, attr, _, _ in load_perfbench_tracing()._targets() if owner is tuner
 )
 
 
@@ -966,6 +964,15 @@ def test_tune_rejects_a_budget_below_the_min_corner_before_evaluating(pruned_spa
     # The corner itself fits a budget of exactly its size, so the search runs.
     result = tune(pruned_space, lambda config: 0.5, TunerParams(2, 0, seed=4), size_budget_mb=87_938 / 2**20)
     assert len(result.records) == 1
+
+
+def test_prune_and_tune_reject_a_budget_below_the_min_corner_alike(canonical_space):
+    constraint = SizeConstraint(87_937 / 2**20)  # one byte under the corner
+    with pytest.raises(EmptyFeasibleSpaceError) as pruned:
+        prune(canonical_space, constraint)
+    with pytest.raises(EmptyFeasibleSpaceError) as tuned:
+        tune(canonical_space, lambda config: 0.5, TunerParams(2, 0), size_budget_mb=constraint.budget_mb)
+    assert str(pruned.value) == str(tuned.value)
 
 
 def test_tune_effectiveness_stays_in_unit_range(mini_space, mini_oracle):
