@@ -10,9 +10,10 @@ The package is pure Python, with no runtime dependency. Every name below is
 bound eagerly, since perfbench's tracer reads ``load_space``, ``prune``,
 ``build_indicator`` and ``tune`` from this module's dict and ``cli``'s. What
 makes start-up cheap instead: the record types are named tuples and plain
-classes, not dataclasses, and the standard-library modules that only the
-external oracle, the manifest timestamp or ``fit`` and ``tune``'s hashing
-need are imported where they are used.
+classes, not dataclasses; the standard-library modules that only the
+external oracle or the manifest timestamp need are imported where they are
+used; and ``fit`` and ``tune`` hash through :func:`cfgtune.space.sha256`,
+the interpreter's built-in SHA-256, which loads no OpenSSL.
 """
 
 __version__ = "0.1.0"

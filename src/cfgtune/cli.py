@@ -38,6 +38,7 @@ from .space import (
     is_json_number,
     load_space,
     save_space,
+    sha256,
     write_json,
     write_jsonl,
 )
@@ -69,9 +70,7 @@ class EmptyFrontError(ValueError):
 
 def derive_seed(master_seed: int, component: str) -> int:
     """Stable sub-seed for a named pipeline component."""
-    import hashlib  # only fit and tune derive seeds
-
-    digest = hashlib.sha256(f"{master_seed}:{component}".encode("utf-8")).digest()
+    digest = sha256(f"{master_seed}:{component}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -141,7 +140,7 @@ def cmd_prune(args) -> int:
 
 def cmd_fit(args) -> int:
     space = load_space(args.space)
-    if args.samples < 5:
+    if 2 <= args.samples < 5:
         print(
             f"warning: {args.samples} samples is a degenerate training set",
             file=sys.stderr,
@@ -218,6 +217,7 @@ def cmd_tune(args) -> int:
     manifest_path = _derived_path(args.out, ".manifest.json")
     manifest = {
         "tool_version": __version__,
+        "python_version": ".".join(map(str, sys.version_info[:3])),
         "space_checksum": checksum,
         "size_budget_mb": args.budget_mb,
         "surrogate_file": str(args.model),

@@ -307,10 +307,24 @@ class ConfigurationSpace:
         return {dim.name: dim.to_entry() for dim in self.dimensions}
 
     def checksum(self) -> str:
-        import hashlib  # only fit and tune name the space by checksum
-
         canonical = json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def sha256(data: bytes):
+    """SHA-256 hash object of ``data`` from the interpreter's own module
+    (``_sha256`` on CPython 3.10-3.11, ``_sha2`` on 3.12+), as ``random``
+    takes its SHA-512. The standard library's hash module loads OpenSSL's
+    libcrypto into the process, about 3.6 MB of RSS, so it is only the last
+    resort: every digest is the same SHA-256."""
+    try:
+        from _sha256 import sha256 as new
+    except ImportError:
+        try:
+            from _sha2 import sha256 as new
+        except ImportError:
+            from hashlib import sha256 as new
+    return new(data)
 
 
 def below(getrandbits, n: int) -> int:

@@ -302,6 +302,21 @@ def test_fit_prints_training_r_squared(tmp_path, space_file, capsys):
     assert f"train R^2={expected:.3f}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "samples, code, err",
+    [
+        ("1", EXIT_PARSE, "error: need k >= 2 samples to fit the surrogate\n"),
+        ("3", EXIT_OK, "warning: 3 samples is a degenerate training set\n"),
+    ],
+    ids=["1-rejected", "3-fitted"],
+)
+def test_fit_warns_only_about_a_count_it_fits(tmp_path, space_file, capsys, samples, code, err):
+    """A count below 2 gets only the error; 2 to 4 samples fit, with a warning."""
+    out = tmp_path / "m.json"
+    assert main(["fit", "--space", str(space_file), "--samples", samples, "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_fit_same_seed_byte_identical(tmp_path, space_file):
     outputs = []
     for name in ("a.json", "b.json"):
@@ -539,6 +554,7 @@ def test_tune_outputs_and_budget(pipeline):
     assert manifest["front_size"] == len(records)
     assert manifest["tuner_params"]["seed"] == derive_seed(7, "tune")
     assert manifest["hypervolume_reference"] == list(reference_point(space, 3.0))
+    assert manifest["python_version"] == ".".join(map(str, sys.version_info[:3]))
 
 
 def test_tune_same_seed_byte_identical_front(pipeline):
@@ -942,7 +958,7 @@ def test_missing_subcommand_is_usage_error():
 
 # sha256 of every artifact and of each stage's stdout of the README quickstart
 # (seed 11, an 8-member front). The manifest's digest is taken without its
-# written_at line.
+# python_version and written_at lines.
 QUICKSTART_DIGESTS = {
     "pruned.json": "6837f3c05c4c27d00edfaa153d919560c47de18b1356125105b1515409707947",
     "pruned.report.json": "daa1033d3200aeb3bd43dbabf1b8f8151d6e4dcea5fea298be967b0404a02e47",
@@ -976,7 +992,7 @@ def test_readme_quickstart_golden_bytes(tmp_path, monkeypatch, capsys):
     for path in tmp_path.iterdir():
         data = path.read_bytes()
         if path.name == "front.manifest.json":
-            data = re.sub(rb'\n  "written_at": "[^"]*"', b"", data)
+            data = re.sub(rb'\n  "(python_version|written_at)": "[^"]*",?', b"", data)
         digests[path.name] = hashlib.sha256(data).hexdigest()
     assert digests == QUICKSTART_DIGESTS
 

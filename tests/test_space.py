@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -26,10 +29,12 @@ from cfgtune import (
 from cfgtune.space import (
     INTEGER_DIMENSIONS,
     _dimension_from_entry,
+    sha256,
     write_json,
     write_jsonl,
 )
-from conftest import CANONICAL_SPACE_FILE, MINI_SPACE_DOCUMENT, make_config
+from cfgtune.cli import derive_seed
+from conftest import CANONICAL_SPACE_FILE, MINI_SPACE_DOCUMENT, REPO_ROOT, make_config
 
 
 def test_canonical_space_loads_with_13_dimensions(canonical_space):
@@ -201,6 +206,47 @@ def test_checksum_changes_with_content(canonical_space):
     doc = canonical_space.to_document()
     doc["vocab_size"] = {"min": 1000, "max": 50264}
     assert space_from_mapping(doc).checksum() != canonical_space.checksum()
+
+
+# The checksum of spaces/listing3.json and one derived seed, as hashlib gave
+# them before cfgtune had its own SHA-256 helper.
+LISTING3_CHECKSUM = "d96468b6df6dc46d087dc4bc9d69788c3a025041de1dc303b14d95ecd8326aba"
+ORACLE_SEED_OF_11 = 18206941476734909917
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"cfgtune prune", "Größe 模型 ≤ 3 MB".encode("utf-8"), bytes(range(256)) * 4096],
+    ids=["empty", "ascii", "utf-8", "1-MiB"],
+)
+def test_sha256_is_hashlibs_sha256(data):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_checksum_and_derived_seed_are_unchanged(canonical_space):
+    assert canonical_space.checksum() == LISTING3_CHECKSUM
+    assert derive_seed(11, "oracle") == ORACLE_SEED_OF_11
+
+
+def test_sha256_falls_back_to_hashlib_with_the_same_digests():
+    """With neither built-in SHA-256 module importable, the helper takes
+    ``hashlib``'s constructor, and the checksum and the seed stay the same."""
+    code = (
+        "import json, sys\n"
+        'sys.modules["_sha256"] = sys.modules["_sha2"] = None\n'
+        "from cfgtune import load_space\n"
+        "from cfgtune.cli import derive_seed\n"
+        "print(json.dumps([load_space(sys.argv[1]).checksum(), derive_seed(11, 'oracle'),"
+        " 'hashlib' in sys.modules]))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(CANONICAL_SPACE_FILE)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [LISTING3_CHECKSUM, ORACLE_SEED_OF_11, True]
 
 
 def test_save_load_round_trip(tmp_path, canonical_space):
