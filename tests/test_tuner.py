@@ -1055,6 +1055,38 @@ def test_tune_memo_decodes_to_a_fresh_scoring_in_evaluation_order(mini_space, pr
     # repr tells a -0.0 (a zero effectiveness, negated) from a 0.0.
     assert list(map(repr, result.genome_evaluations.values())) == rescored
     assert len(result.memo) == len(rescored)
+    # The memo stores only the negated, clamped score, as a float.
+    assert all(type(v) is float for v in result.memo.values())
+    assert list(map(repr, result.memo.values())) == [
+        repr(-min(1.0, max(0.0, float(predict(g))))) for g in indicator.genomes
+    ]
+
+
+def test_tune_memo_hits_give_the_first_evaluations_vectors(mini_space, mini_oracle, monkeypatch):
+    # Scores below 0.7 clamp to zero, so hits must also keep -0.0.
+    calls = []
+
+    def indicator(config):
+        calls.append(config)
+        return mini_oracle.evaluate(config) - 0.7
+
+    candidates = []
+    archived = tuner.update_archive
+
+    def recording(archive, members):
+        candidates.extend(members)
+        return archived(archive, members)
+
+    monkeypatch.setattr(tuner, "update_archive", recording)
+    params = TunerParams(population_size=8, generations=10, seed=2)
+    result = tune(mini_space, indicator, params)
+    assert len(calls) == len(result.memo) < params.population_size * (params.generations + 1)
+    assert len(candidates) == params.population_size * (params.generations + 1)
+    evaluated = result.genome_evaluations
+    assert any(repr(v.neg_effectiveness) == "-0.0" for v in evaluated.values())
+    # Every evaluation, memo hits included, gives the first one's vector.
+    assert all(repr(m.objectives) == repr(evaluated[m.genome]) for m in candidates)
+    assert all(repr(m.objectives) == repr(evaluated[mini_space.genome(m.config)]) for m in result.archive)
 
 
 def test_tune_memo_keeps_the_sign_of_a_zero_effectiveness(mini_space):
@@ -1265,10 +1297,11 @@ def test_tune_surrogate_memory_grows_with_evaluations_not_range_sizes(batch_max)
     assert peak < 2_000_000
 
 
-def test_tune_memo_retains_under_200_bytes_per_evaluation(pruned_space):
-    # Each entry is a packed key (13 two-byte indices at 3 MB) and a packed
-    # vector (three doubles): about 150 B with the dict's slot. A 13-int
-    # tuple key with a named tuple of three floats takes about 330 B.
+def test_tune_memo_retains_under_130_bytes_per_evaluation(pruned_space):
+    # Each entry is a packed key (13 two-byte indices at 3 MB) and one float
+    # (the negated effectiveness; size and GFLOPs are recomputed): about
+    # 117 B with the dict's slot. Storing the whole vector again (three
+    # packed doubles, about 150 B) fails the bound.
     oracle = SyntheticCapacityOracle(reference_space=pruned_space)
     tracemalloc.start()
     try:
@@ -1281,4 +1314,4 @@ def test_tune_memo_retains_under_200_bytes_per_evaluation(pruned_space):
     finally:
         tracemalloc.stop()
     assert count > 4000
-    assert 100 < retained / count < 200
+    assert 100 < retained / count < 130
