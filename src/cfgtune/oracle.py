@@ -30,7 +30,11 @@ from .surrogate import SurrogateModel, TrainingSet, fit
 
 
 class OracleError(Exception):
-    """Base class for effectiveness-oracle failures."""
+    """Base class for effectiveness-oracle failures. ``partial_rows`` holds
+    the ``(config dict, effectiveness)`` rows that completed before the
+    failure; only :class:`ExternalProcessOracle`'s response errors fill it."""
+
+    partial_rows = ()
 
 
 class OracleProcessError(OracleError):
@@ -39,10 +43,6 @@ class OracleProcessError(OracleError):
 
 class OracleResponseError(OracleError):
     """The evaluator response was missing, malformed, or incomplete."""
-
-    def __init__(self, message: str, partial: dict | None = None):
-        super().__init__(message)
-        self.partial = partial or {}
 
 
 class OracleTimeoutError(OracleError):
@@ -244,7 +244,9 @@ class ExternalProcessOracle:
     with the request path and a response path appended. The evaluator must
     write one {"id", "effectiveness"} object per line, ids matching the
     request exactly; partial responses are an error. Reported values are
-    clamped to [0, 1]. The evaluator runs in a session of its own; on timeout
+    clamped to [0, 1]. A response error carries, as ``partial_rows``, one row
+    per requested configuration whose line was read before the fault, in
+    request order. The evaluator runs in a session of its own; on timeout
     its whole process group is killed, so no process it started outlives it.
     The modules that run it are imported on the first call, so a process that
     never runs an evaluator does not load them.
@@ -262,8 +264,7 @@ class ExternalProcessOracle:
         import tempfile
 
         timeout = _oracle_timeout_s()  # a bad setting fails before any evaluator starts
-        configs = list(configs)
-        ids = [f"cfg-{index}" for index in range(len(configs))]
+        requested = {f"cfg-{index}": config for index, config in enumerate(configs)}
         with tempfile.TemporaryDirectory(prefix="cfgtune-oracle-") as workdir:
             request_path = os.path.join(workdir, "request.jsonl")
             response_path = os.path.join(workdir, "response.jsonl")
@@ -271,7 +272,7 @@ class ExternalProcessOracle:
                 request_path,
                 (
                     {"id": i, "config": c.as_dict(), "space_checksum": self.space_checksum}
-                    for i, c in zip(ids, configs)
+                    for i, c in requested.items()
                 ),
             )
             argv = list(self.command) + [request_path, response_path]
@@ -299,12 +300,18 @@ class ExternalProcessOracle:
                     f"evaluator exited with status {process.returncode}: "
                     f"{stderr.strip()[:500]}"
                 )
-            return self._parse_response(response_path, ids)
+            return self._parse_response(response_path, requested)
 
-    def _parse_response(self, response_path: str, ids: list[str]) -> list[float]:
-        if not os.path.exists(response_path):
-            raise OracleResponseError("evaluator wrote no response file")
+    def _parse_response(self, response_path: str, requested: dict[str, Configuration]) -> list[float]:
         reported: dict[str, float] = {}
+
+        def failure(message: str) -> OracleResponseError:
+            err = OracleResponseError(message)
+            err.partial_rows = [(c.as_dict(), reported[i]) for i, c in requested.items() if i in reported]
+            return err
+
+        if not os.path.exists(response_path):
+            raise failure("evaluator wrote no response file")
         with open(response_path, "r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -314,34 +321,22 @@ class ExternalProcessOracle:
                     record = json.loads(line)
                     request_id, value = record["id"], record["effectiveness"]
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                    raise OracleResponseError(
-                        f"malformed response line {line_number}: {err}",
-                        partial=reported,
-                    ) from err
+                    raise failure(f"malformed response line {line_number}: {err}") from err
                 if not isinstance(request_id, str):
-                    raise OracleResponseError(
-                        f"response id on line {line_number} is not a string: {request_id!r}",
-                        partial=reported,
-                    )
+                    raise failure(f"response id on line {line_number} is not a string: {request_id!r}")
                 if not is_json_number(value):
-                    raise OracleResponseError(
-                        f"non-finite or non-numeric effectiveness on response line {line_number}",
-                        partial=reported,
-                    )
+                    raise failure(f"non-finite or non-numeric effectiveness on response line {line_number}")
                 if request_id in reported:
-                    raise OracleResponseError(
-                        f"duplicate response id {request_id!r}", partial=reported
-                    )
+                    raise failure(f"duplicate response id {request_id!r}")
                 reported[request_id] = _clamp(float(value))
-        missing = [i for i in ids if i not in reported]
-        extra = sorted(set(reported) - set(ids))
+        missing = [i for i in requested if i not in reported]
+        extra = sorted(reported.keys() - requested.keys())
         if missing or extra:
-            raise OracleResponseError(
+            raise failure(
                 f"response ids do not match request: missing {missing[:5]}, "
-                f"unexpected {extra[:5]}",
-                partial=reported,
+                f"unexpected {extra[:5]}"
             )
-        return [reported[i] for i in ids]
+        return [reported[i] for i in requested]
 
 
 def build_indicator(
@@ -353,24 +348,15 @@ def build_indicator(
     """Sample k configurations, score them, fit the surrogate.
 
     Returns (model, training set, sampled configurations); rows are kept in
-    sampled order so the fit is order-deterministic. Oracle failures abort
-    with whatever rows completed attached to the raised error.
+    sampled order so the fit is order-deterministic. An oracle failure
+    propagates as the oracle raised it, with the rows that completed in its
+    ``partial_rows`` (filled by :class:`ExternalProcessOracle`'s response
+    errors, empty otherwise).
     """
     if k < 2:
         raise ValueError("need k >= 2 samples to fit the surrogate")
     configs = space.sample_uniform(k, seed)
-    try:
-        scores = list(oracle.evaluate_many(configs))
-    except OracleError as err:
-        # Attach whatever completed so the caller can report partial results.
-        partial = getattr(err, "partial", None) or {}
-        rows = []
-        for index, config in enumerate(configs):
-            request_id = f"cfg-{index}"
-            if request_id in partial:
-                rows.append((config.as_dict(), partial[request_id]))
-        err.partial_rows = rows
-        raise
+    scores = oracle.evaluate_many(configs)
     vectors = tuple(space.encode(c) for c in configs)
     targets = tuple(float(s) for s in scores)
     if any(not 0.0 <= t <= 1.0 for t in targets):

@@ -518,8 +518,9 @@ def tune(
         neg_effectiveness = memo.get(key)
         if neg_effectiveness is None:
             effectiveness = float(effectiveness_of(genome))
-            # The raw effectiveness is checked: the clamp maps NaN to 0.0.
-            if not (isfinite(size_mb) and isfinite(gflops) and isfinite(effectiveness)):
+            # The raw effectiveness is checked, as the clamp maps NaN to 0.0. Size and
+            # GFLOPs are exact integers over constants: finite, or an OverflowError.
+            if not isfinite(effectiveness):
                 raise RuntimeError(f"non-finite objectives for {space.configuration(genome)}")
             neg_effectiveness = memo[key] = -min(1.0, max(0.0, effectiveness))
         return member((genome, vector((size_mb, gflops, neg_effectiveness))))

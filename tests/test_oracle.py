@@ -385,10 +385,29 @@ def test_external_oracle_clamps_to_unit_interval(tmp_path, pruned_space):
 def test_external_oracle_partial_response(tmp_path, pruned_space):
     command = write_evaluator(tmp_path, "partial.py", PARTIAL_EVALUATOR)
     oracle = ExternalProcessOracle(command=command)
+    configs = pruned_space.sample_uniform(3, seed=1)
     with pytest.raises(OracleResponseError) as err:
-        oracle.evaluate_many(pruned_space.sample_uniform(3, seed=1))
+        oracle.evaluate_many(configs)
     assert "missing" in str(err.value)
-    assert set(err.value.partial) == {"cfg-1", "cfg-2"}
+    assert err.value.partial_rows == [(configs[1].as_dict(), 0.5), (configs[2].as_dict(), 0.5)]
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("not json", "malformed response line 2"),
+        ('{"id": "cfg-1"}', "malformed response line 2"),
+        ('{"id": "cfg-0", "effectiveness": 0.25}', "duplicate response id 'cfg-0'"),
+    ],
+)
+def test_external_oracle_bad_line_keeps_the_rows_before_it(tmp_path, pruned_space, bad_line, message):
+    lines = '{"id": "cfg-0", "effectiveness": 0.5}\n' + bad_line + "\n"
+    body = f"import sys\nwith open(sys.argv[2], 'w') as out:\n    out.write({lines!r})\n"
+    oracle = ExternalProcessOracle(command=write_evaluator(tmp_path, "bad_line.py", body))
+    configs = pruned_space.sample_uniform(3, seed=1)
+    with pytest.raises(OracleResponseError, match=message) as err:
+        oracle.evaluate_many(configs)
+    assert err.value.partial_rows == [(configs[0].as_dict(), 0.5)]
 
 
 def test_external_oracle_malformed_response(tmp_path, pruned_space):
@@ -511,3 +530,13 @@ def test_build_indicator_attaches_partial_rows(tmp_path, pruned_space):
     rows = err.value.partial_rows
     assert len(rows) == 3  # evaluator skipped the first request
     assert all(value == 0.5 for _, value in rows)
+
+
+def test_build_indicator_rejects_out_of_range_scores_with_no_rows(pruned_space):
+    class OverOneOracle:
+        def evaluate_many(self, configs):
+            return [1.5 for _ in configs]
+
+    with pytest.raises(OracleResponseError, match=r"outside \[0, 1\]") as err:
+        build_indicator(pruned_space, OverOneOracle(), k=3, seed=0)
+    assert err.value.partial_rows == ()

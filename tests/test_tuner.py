@@ -916,6 +916,24 @@ def test_tune_is_deterministic(mini_space, mini_oracle):
     assert a.records == b.records
 
 
+@pytest.mark.parametrize("population_size", [1, 7])
+def test_tune_odd_population_mutates_the_unpaired_parent(mini_space, mini_oracle, monkeypatch, population_size):
+    # An odd population leaves one parent out of the pairs; it joins the
+    # children unchanged by crossover and is mutated with them.
+    mutate, calls = tuner.boundary_random_mutation, []
+
+    def counted(*args):
+        calls.append(args)
+        return mutate(*args)
+
+    monkeypatch.setattr(tuner, "boundary_random_mutation", counted)
+    params = TunerParams(population_size=population_size, generations=4, seed=5)
+    result = tune(mini_space, mini_oracle, params)
+    assert len(calls) == population_size * params.generations
+    assert len(result.records) == params.generations + 1
+    assert tune(mini_space, mini_oracle, params).records == result.records
+
+
 def test_tune_members_validate_and_are_memoized(mini_space, mini_oracle):
     result = tune(mini_space, mini_oracle, TunerParams(seed=1))
     evaluations = result.evaluations
