@@ -65,23 +65,18 @@ from .space import (
     space_from_mapping,
 )
 from .surrogate import ModelFormatError, SurrogateModel, TrainingSet, fit, r_squared
+from .pareto import Individual, ObjectiveVector, ParetoArchive, dominates, hypervolume, update_archive
 from .tuner import (
     GenerationRecord,
-    Individual,
-    ObjectiveVector,
-    ParetoArchive,
     TuneResult,
     TunerParams,
     adaptive_random_init,
     boundary_random_mutation,
     crossover_at,
     crowding_distances,
-    dominates,
-    hypervolume,
     reference_point,
     select_deployment_config,
     tournament_select,
     tune,
     two_point_crossover,
-    update_archive,
 )

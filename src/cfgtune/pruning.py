@@ -5,8 +5,11 @@ containing it fits the byte budget. The size model is strictly increasing in
 each size-relevant dimension, so that minimum is attained at the all-minimum
 corner of the remaining dimensions and the survivors are the values up to a
 cutoff, found by bisection: O(log range) closed-form evaluations per
-dimension, no solver needed. The space's all-minimum corner is sized once: if
-it fits, some configuration does, and it is every bisection's lowest probe.
+dimension, no solver needed. The space's all-minimum corner is sized once, as
+every bisection's lowest probe. Some valid configuration fits iff that corner
+does with the least hidden size an in-range head count divides, since head
+divisibility is the only rule that ties two dimensions; else nothing is
+pruned and :class:`EmptyFeasibleSpaceError` is raised.
 The sizes at the probed values must strictly increase with the value, else
 ``RuntimeError``; values between probes are not evaluated.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .costs import MEGABYTE, SIZE_RELEVANT_DIMENSIONS, parameter_file_bytes, size_relevant
-from .space import ConfigurationSpace, Dimension
+from .space import ConfigurationSpace, Dimension, UnsatisfiableSpaceError, least_valid_hidden_size
 
 
 class EmptyFeasibleSpaceError(ValueError):
@@ -45,12 +48,22 @@ def min_corner_bytes(space: ConfigurationSpace, dim_name: str | None = None, val
 
 def feasible_min_corner_bytes(space: ConfigurationSpace, constraint: SizeConstraint) -> int:
     """The all-minimum corner's size in bytes, or :class:`EmptyFeasibleSpaceError`
-    if it is over budget, as then no configuration fits."""
+    if no valid configuration fits: the corner is sized with the least
+    hidden_size that an in-range head count divides, the smallest size of a
+    valid configuration. A space without a valid hidden_size raises
+    :class:`~cfgtune.space.UnsatisfiableSpaceError`."""
     corner_bytes = min_corner_bytes(space)
-    if not constraint.admits(corner_bytes):
+    hidden = least_valid_hidden_size(space)
+    if hidden is None:
+        raise UnsatisfiableSpaceError("no hidden_size in range is divisible by any in-range head count")
+    detail, valid_bytes = "", corner_bytes
+    if hidden != space.dimension("hidden_size").min_value():
+        detail = f" with hidden_size {hidden}, the least that an in-range head count divides,"
+        valid_bytes = min_corner_bytes(space, "hidden_size", hidden)
+    if not constraint.admits(valid_bytes):
         raise EmptyFeasibleSpaceError(
             f"no configuration fits {constraint.budget_mb} MB; even the "
-            f"all-minimum corner exceeds the budget"
+            f"all-minimum corner{detail} exceeds the budget"
         )
     return corner_bytes
 

@@ -477,6 +477,15 @@ def _heads_dividing(space: ConfigurationSpace, hidden: int) -> tuple[int, ...]:
     return indices
 
 
+def least_valid_hidden_size(space: ConfigurationSpace) -> int | None:
+    """The smallest hidden_size that an in-range head count divides, so the
+    smallest of any valid configuration, or None if no head count divides
+    any; the values are tried in ascending order."""
+    hiddens = space.dimensions[_HIDDEN].domain
+    ascending = hiddens if isinstance(hiddens, range) else sorted(hiddens)
+    return next((hidden for hidden in ascending if _heads_dividing(space, hidden)), None)
+
+
 def correct(genome: Genome, space: ConfigurationSpace, rng: random.Random) -> Genome:
     """Repair a genome so its configuration satisfies
     :meth:`ConfigurationSpace.validate`.

@@ -21,11 +21,13 @@ without one (an external oracle, a callable) or with noise (the noisy
 synthetic oracle), and for the members of the final archive when
 :func:`tune` returns. :attr:`TuneResult.genome_evaluations` and
 :attr:`TuneResult.evaluations` decode the memo, and recompute the costs, on
-each access. Each record's hypervolume carries over from the previous
-record's sweep every point whose 2-D staircase is unchanged, matching points
-by identity, and sweeps only the rest. A memo hit gives a new vector equal to
-the genome's first one, and the archive rejects a vector equal to a member's,
-so the sweep's points stay the objects first inserted.
+each access. The archive and the hypervolume are :mod:`cfgtune.pareto`'s.
+Each record's hypervolume resumes the archive's own sweep, whose staircases
+also answer the archive's rejection test, and the record reads the best size
+and GFLOPs off the last staircase. A memo hit gives a new vector equal to the
+genome's first one, and the archive rejects a vector equal to a member's, so
+the sweep's points, which it matches by identity, stay the objects first
+inserted.
 Sampling, repair, variation and selection draw indices with
 :func:`~cfgtune.space.below`, which draws what ``randrange`` would. Every
 distinct pair, crossover's cut points and a tournament's entrants alike,
@@ -35,35 +37,16 @@ nothing more.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import itertools
 import math
-import operator
 import random
 import struct
 from typing import Callable, NamedTuple
 
 from .costs import forward_gflops, genome_costs, model_size_mb
+from .pareto import Individual, ObjectiveVector, ParetoArchive, hypervolume, update_archive
 from .pruning import SizeConstraint, feasible_min_corner_bytes
 from .space import Configuration, ConfigurationSpace, Genome, below, correct
-
-
-class ObjectiveVector(NamedTuple):
-    """One point in minimization space; effectiveness enters negated."""
-
-    size_mb: float
-    gflops: float
-    neg_effectiveness: float
-
-    @property
-    def effectiveness(self) -> float:
-        return -self.neg_effectiveness
-
-
-class Individual(NamedTuple):
-    config: Configuration
-    objectives: ObjectiveVector
 
 
 class _Member(NamedTuple):
@@ -71,63 +54,6 @@ class _Member(NamedTuple):
 
     genome: Genome
     objectives: ObjectiveVector
-
-
-def dominates(u: ObjectiveVector, v: ObjectiveVector) -> bool:
-    """u is at least as good everywhere and strictly better somewhere."""
-    return (
-        u[0] <= v[0]
-        and u[1] <= v[1]
-        and u[2] <= v[2]
-        and (u[0] < v[0] or u[1] < v[1] or u[2] < v[2])
-    )
-
-
-class ParetoArchive:
-    """Mutually non-dominated entries that carry ``objectives`` (individuals,
-    or the population members of :func:`tune`), one per objective vector.
-
-    A candidate is rejected by the first member <= it in every objective,
-    an equal vector included (first insert wins), and that member moves to
-    the front. An admitted candidate evicts every member it is <= in every
-    objective, none equal to it and so each dominated. The final vector set
-    does not depend on insertion order; iteration order is not contractual.
-    """
-
-    def __init__(self):
-        self._members: list[Individual] = []
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self):
-        return iter(self._members)
-
-    def objective_vectors(self) -> list[ObjectiveVector]:
-        return [m.objectives for m in self._members]
-
-    def insert(self, candidate: Individual) -> bool:
-        """Returns True iff the candidate was admitted."""
-        c0, c1, c2 = candidate.objectives
-        members = self._members
-        for i, member in enumerate(members):
-            m0, m1, m2 = member.objectives
-            if m0 <= c0 and m1 <= c1 and m2 <= c2:
-                members.insert(0, members.pop(i))
-                return False
-        self._members = [
-            m for m in members for m0, m1, m2 in (m.objectives,)
-            if not (c0 <= m0 and c1 <= m1 and c2 <= m2)
-        ]
-        self._members.append(candidate)
-        return True
-
-
-def update_archive(archive: ParetoArchive, candidates) -> ParetoArchive:
-    """Inserts the candidates in order; returns the archive."""
-    for candidate in candidates:
-        archive.insert(candidate)
-    return archive
 
 
 CROSSOVER_RATE = 0.6  # per pair of parents
@@ -318,111 +244,6 @@ def reference_point(
     return (size, forward_gflops(corner), 0.0)
 
 
-class HypervolumeSweep:
-    """What :func:`hypervolume` carries over from its last call: the reference,
-    the clipped, z-sorted points and, for each of them, the staircase after it
-    stored with its area as ``(xs, ys, area)`` (lists replaced when they
-    change, never edited, so they are shared), and the term the point's level
-    boundary added (0.0 if none)."""
-
-    def __init__(self, reference=None):
-        self.reference, self.points, self.stairs, self.terms = reference, [], [], []
-
-
-def _staircase_area(xs: list[float], ys: list[float], rx: float, ry: float) -> float:
-    area = 0.0
-    for x0, x1, y0 in zip(xs, xs[1:] + [rx], ys):
-        area += (x1 - x0) * (ry - y0)
-    return area
-
-
-def hypervolume(
-    points: list[ObjectiveVector], reference: tuple[float, float, float], sweep: HypervolumeSweep | None = None
-) -> float:
-    """Volume dominated by the point set within the reference box
-    (3 objectives, minimization); points outside the box count for nothing.
-    :func:`reference_point` gives the box :func:`tune` records against.
-
-    A dimension sweep: points inside the box are inserted in ascending third
-    coordinate into one 2-d staircase (x strictly ascending, y strictly
-    descending); when a level is complete, the staircase area times the gap
-    to the next level (or the reference) is added. From no state that is
-    O(n log n) for the sort plus O(n) per point, so O(n^2) in all, and the
-    value equals the per-level definition (the staircase rebuilt at every
-    level, the same left-to-right sums) exactly.
-
-    Given the ``sweep`` state of its last call (as :func:`tune` keeps one), a
-    call sweeps only the points whose staircase differs from the last call's.
-    While the staircase equals the last call's after the same previous point,
-    the longest run of following points that are the same objects in the same
-    order is carried: staircases with their areas, and terms, copied as
-    slices, and the terms added left to right as a sweep adds them. Any other
-    point is swept as from no state, and carrying starts again where the
-    staircase after it equals the last call's after the same object. A call
-    costs O(n) list work in C plus O(n) Python steps per swept point;
-    :func:`tune` at 64 MB, pop 100 x 200 sweeps 6-8% of its records' points.
-    A call without a state sweeps into a fresh one and drops it. The value is
-    bit for bit a sweep's from no state: staircases equal by ``==`` have equal
-    areas, as a -0.0 for a 0.0 only flips the sign of a zero factor, and a
-    zero product adds nothing to an area that starts at +0.0. Points are
-    matched by identity, which tells -0.0 from 0.0, so they must be
-    immutable; the state holds them, so no id among them is reused. A
-    reference that differs in any bit starts over.
-
-    A point that completes no level adds a 0.0 term, and no factor needs a
-    clamp at zero: x strictly ascends along the staircase, z through the list,
-    and every clipped point has x <= rx, y <= ry and z <= rz. ``max(0.0, v)``
-    could only turn a -0.0 (``rx - x`` with signed zeros) into +0.0, and
-    either zero added to an area or volume that starts at +0.0 gives the same
-    float.
-    """
-    rx, ry, rz = reference
-    clipped = sorted([p for p in points if p[0] <= rx and p[1] <= ry and p[2] <= rz], key=operator.itemgetter(2))
-    last = HypervolumeSweep() if sweep is None else sweep
-    if repr(last.reference) != repr((rx, ry, rz)):
-        last.__init__((rx, ry, rz))
-    old, position = last.points, dict(zip(map(id, last.points), itertools.count()))
-    stairs, terms = [], []
-    xs, ys, area, volume = [], [], 0.0, 0.0
-    # Synced: clipped[i - 1] is old[j - 1] (or i == j == 0) and the
-    # staircase equals the last call's after it.
-    synced, i, j, n = True, 0, 0, len(clipped)
-    while i < n:
-        same = list(map(operator.is_, clipped[i:], old[j:])) if synced else []
-        m = same.index(False) if False in same else len(same)
-        if m:  # carry the run; the point after it is not old[j + m], so it is swept
-            stairs += last.stairs[j:j + m]
-            terms += last.terms[j:j + m]
-            volume = functools.reduce(operator.add, last.terms[j:j + m], volume)
-            xs, ys, area = stairs[-1]
-            i, synced = i + m, False
-            continue
-        x, y, z = point = clipped[i]
-        term = 0.0
-        if i and z != clipped[i - 1][2]:  # the level below is complete
-            term = area * (z - clipped[i - 1][2])
-            volume += term
-        right = bisect.bisect_right(xs, x)
-        # Skip a point weakly dominated by the staircase; the member with the
-        # largest x' <= x has the smallest y' among those.
-        if not (right and ys[right - 1] <= y):
-            left = bisect.bisect_left(xs, x)
-            end = left
-            while end < len(ys) and ys[end] >= y:
-                end += 1
-            xs, ys = xs[:left] + [x] + xs[end:], ys[:left] + [y] + ys[end:]
-            area = _staircase_area(xs, ys, rx, ry)
-        stairs.append((xs, ys, area))
-        terms.append(term)
-        j = position.get(id(point), -1) + 1
-        synced = j > 0 and last.stairs[j - 1] == stairs[-1]
-        i += 1
-    if clipped:
-        volume += area * (rz - clipped[-1][2])
-    last.points, last.stairs, last.terms = clipped, stairs, terms
-    return volume
-
-
 class GenerationRecord(NamedTuple):
     generation: int
     archive_size: int
@@ -533,20 +354,19 @@ def tune(
 
     archive = ParetoArchive()
     records: list[GenerationRecord] = []
-    sweep = HypervolumeSweep()
 
     def record_generation() -> None:
-        snapshot = archive.objective_vectors()
-        records.append(
-            GenerationRecord(
-                generation=len(records),
-                archive_size=len(snapshot),
-                hypervolume=hypervolume(snapshot, reference, sweep),
-                best_size_mb=min((p[0] for p in snapshot), default=None),
-                best_gflops=min((p[1] for p in snapshot), default=None),
-                best_effectiveness=max((-p[2] for p in snapshot), default=None),
-            )
-        )
+        volume = hypervolume(archive.objective_vectors(), reference, archive.sweep)
+        best = None, None, None
+        if archive:
+            # The reference box bounds every member (see reference_point), so
+            # the sweep held them all: its first point has the least
+            # neg_effectiveness, and its last staircase starts at the least
+            # size and ends at the least GFLOPs.
+            sweep = archive.sweep
+            xs, ys, _ = sweep.stairs[-1]
+            best = xs[0], ys[-1], sweep.points[0].effectiveness
+        records.append(GenerationRecord(len(records), len(archive), volume, *best))
 
     population = [
         evaluate(genome)
@@ -580,10 +400,11 @@ def tune(
         pool = population + offspring
         population = tournament_select(pool, params.population_size, rng)
 
-    # The members are mutually non-dominated and distinct, so decoding them
-    # in place keeps the archive's order and its invariant.
-    archive._members = [Individual(space.configuration(m.genome), m.objectives) for m in archive]
-    return TuneResult(archive, records, reference, space, memo)
+    # The members are mutually non-dominated, distinct and in z order, so a
+    # fresh archive holds them decoded; it leaves the run's sweep behind.
+    front = ParetoArchive()
+    front._members = [Individual(space.configuration(m.genome), m.objectives) for m in archive]
+    return TuneResult(front, records, reference, space, memo)
 
 
 def select_deployment_config(archive: ParetoArchive, target_mb: float) -> Individual:

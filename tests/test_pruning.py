@@ -13,14 +13,18 @@ from cfgtune import (
     MEGABYTE,
     SIZE_RELEVANT_DIMENSIONS,
     SizeConstraint,
+    TunerParams,
+    UnsatisfiableSpaceError,
     min_corner_bytes,
     parameter_file_bytes,
     prune,
     prune_report,
     space_from_mapping,
+    tune,
 )
 from cfgtune import load_space, pruning
-from cfgtune.cli import EXIT_OK, main
+from cfgtune.cli import EXIT_CONSTRAINT, EXIT_OK, main
+from cfgtune.space import least_valid_hidden_size
 from conftest import MINI_SPACE_DOCUMENT
 
 
@@ -307,6 +311,66 @@ def test_prune_with_huge_budget_is_identity(canonical_space):
 def test_prune_empty_feasible_set(canonical_space):
     with pytest.raises(EmptyFeasibleSpaceError):
         prune(canonical_space, SizeConstraint(0.00001))
+
+
+def with_heads(space, heads):
+    return ConfigurationSpace(tuple(
+        Dimension(d.name, heads) if d.name == "num_attention_heads" else d for d in space.dimensions
+    ))
+
+
+def test_prune_sizes_the_corner_with_a_hidden_size_a_head_count_divides(canonical_space, tmp_path, capsys):
+    # No head count of 7 and 11 divides hidden sizes 16-20, so the smallest
+    # valid configuration has hidden size 21. 0.0978 MB lies between the raw
+    # all-minimum corner (0.0839 MB) and that one (0.1119 MB).
+    space = with_heads(canonical_space, (7, 11))
+    assert least_valid_hidden_size(space) == 21
+    valid_bytes = min_corner_bytes(space, "hidden_size", 21)
+    assert min_corner_bytes(space) <= 0.0978 * MEGABYTE < valid_bytes
+    with pytest.raises(EmptyFeasibleSpaceError, match="hidden_size 21") as pruned:
+        prune(space, SizeConstraint(0.0978))
+    with pytest.raises(EmptyFeasibleSpaceError) as tuned:
+        tune(space, lambda config: 0.5, TunerParams(2, 0), size_budget_mb=0.0978)
+    assert str(pruned.value) == str(tuned.value)
+    # At exactly the valid corner's size, hidden size 21 survives.
+    assert 21 in prune(space, SizeConstraint(valid_bytes / MEGABYTE)).dimension("hidden_size").iter_values()
+
+    path, out = tmp_path / "space.json", tmp_path / "pruned.json"
+    path.write_text(json.dumps(space.to_document()))
+    assert main(["prune", "--space", str(path), "--budget-mb", "0.0978", "--out", str(out)]) == EXIT_CONSTRAINT
+    assert "hidden_size 21" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_least_valid_hidden_size_takes_the_smallest_value_of_an_unsorted_set(canonical_space):
+    space = with_heads(canonical_space, (3, 5))
+    hiddens = ConfigurationSpace(tuple(
+        Dimension(d.name, (64, 49, 25, 21, 16)) if d.name == "hidden_size" else d for d in space.dimensions
+    ))
+    assert least_valid_hidden_size(hiddens) == 21
+    assert least_valid_hidden_size(with_heads(hiddens, (7,))) == 21
+    assert least_valid_hidden_size(with_heads(hiddens, (11,))) is None
+    with pytest.raises(UnsatisfiableSpaceError):
+        prune(with_heads(hiddens, (11,)), SizeConstraint(1e6))
+
+
+@given(heads=st.sets(st.integers(1, 40), min_size=1, max_size=4), budget=st.integers(80_000, 400_000))
+def test_prune_fails_exactly_when_no_valid_configuration_fits(heads, budget):
+    # Brute force over the downscaled space's size-relevant values and the
+    # (hidden size, head count) rule.
+    space = with_heads(downscaled_space(), tuple(sorted(heads)))
+    dims = {name: list(space.dimension(name).iter_values()) for name in SIZE_RELEVANT_DIMENSIONS}
+    valid_hidden = [h for h in dims["hidden_size"] if any(h % n == 0 for n in heads)]
+    fits = any(
+        parameter_file_bytes(v, l, h, i, s) <= budget
+        for v in dims["vocab_size"] for l in dims["num_hidden_layers"] for h in valid_hidden
+        for i in dims["intermediate_size"] for s in dims["max_sequence_length"]
+    )
+    if fits:
+        prune(space, SizeConstraint(budget / MEGABYTE))
+    else:
+        with pytest.raises((EmptyFeasibleSpaceError, UnsatisfiableSpaceError)):
+            prune(space, SizeConstraint(budget / MEGABYTE))
 
 
 @pytest.mark.parametrize("name, bad_value", [("num_hidden_layers", 2), ("hidden_size", 32)])

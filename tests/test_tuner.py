@@ -34,6 +34,7 @@ from cfgtune import (
     two_point_crossover,
     update_archive,
 )
+import cfgtune.pareto as pareto
 import cfgtune.tuner as tuner
 from cfgtune.cli import _front_sort_key
 from cfgtune.costs import genome_costs
@@ -112,14 +113,15 @@ def test_archive_rejects_objective_duplicates_keeps_first():
 
 
 def test_archive_reinsertion_is_stable():
-    # Each re-offered member rejects itself and moves to the front, so the
-    # order changes; the members do not.
+    # Each re-offered member rejects itself; neither the members nor their
+    # order (ascending neg_effectiveness) change.
     archive = ParetoArchive()
     members = [ind(1, 3, -0.2, 1), ind(2, 2, -0.4, 2), ind(3, 1, -0.6, 3)]
     update_archive(archive, members)
     before = list(archive)
+    assert before == members[::-1]
     assert [archive.insert(m) for m in before] == [False] * len(before)
-    assert sorted(map(id, archive)) == sorted(map(id, before))
+    assert list(archive) == before
     assert set(archive.objective_vectors()) == {m.objectives for m in before}
 
 
@@ -778,7 +780,7 @@ def test_resumed_hypervolume_equals_per_level_definition_at_every_step(data, coo
     # One sweep state through a sequence of point sets, as tune drives it.
     # Grid coordinates repeat z levels and land outside the box; a signed
     # reference and -0.0 copies compare equal to their +0.0 twins.
-    sweep = tuner.HypervolumeSweep()
+    sweep = pareto.HypervolumeSweep()
     points = []
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
         step = data.draw(st.sampled_from(
@@ -813,7 +815,7 @@ def test_resumed_hypervolume_equals_a_sweep_from_no_state_on_random_fronts():
     # and then the reference changes, which must start the sweep over.
     rng = random.Random(23)
     for trial in range(20):
-        sweep = tuner.HypervolumeSweep()
+        sweep = pareto.HypervolumeSweep()
         archive = ParetoArchive()
         draw = rng.random if trial % 2 else lambda: rng.choice([k / 10 for k in range(11)])
         for step in range(60):
@@ -834,8 +836,8 @@ def test_resumed_hypervolume_sweeps_only_points_whose_staircase_changed(monkeypa
         points.append(vec(x, y, -(x + y)))
     reference = (1.0, 1.0, 0.0)
     calls = []
-    bisect_right = tuner.bisect.bisect_right
-    monkeypatch.setattr(tuner.bisect, "bisect_right", lambda *a: calls.append(a) or bisect_right(*a))
+    bisect_right = pareto.bisect.bisect_right
+    monkeypatch.setattr(pareto.bisect, "bisect_right", lambda *a: calls.append(a) or bisect_right(*a))
 
     def swept(points, sweep):
         calls.clear()
@@ -843,7 +845,7 @@ def test_resumed_hypervolume_sweeps_only_points_whose_staircase_changed(monkeypa
         assert repr(value) == repr(per_level_hypervolume(points, reference))
         return len(calls)
 
-    sweep = tuner.HypervolumeSweep()
+    sweep = pareto.HypervolumeSweep()
     assert swept(points, sweep) == 200
     assert swept(list(points), sweep) == 0
     top = max(range(200), key=lambda k: points[k][2])
@@ -854,7 +856,7 @@ def test_resumed_hypervolume_sweeps_only_points_whose_staircase_changed(monkeypa
     bottom = min(range(200), key=lambda k: points[k][2])
     points[bottom] = vec(*points[bottom])
     assert swept(points, sweep) == 2
-    assert swept(points, tuner.HypervolumeSweep()) == 200
+    assert swept(points, pareto.HypervolumeSweep()) == 200
 
 
 def test_resumed_hypervolume_uses_the_area_after_a_carried_run():
@@ -863,10 +865,64 @@ def test_resumed_hypervolume_uses_the_area_after_a_carried_run():
     # final term must use the area after d, not the one from before it.
     a, b, c, d = vec(0.5, 0.5, 0.0), vec(0.6, 0.6, 0.25), vec(0.7, 0.7, 0.5), vec(0.1, 0.1, 0.75)
     reference = (1.0, 1.0, 1.0)
-    sweep = tuner.HypervolumeSweep()
+    sweep = pareto.HypervolumeSweep()
     hypervolume([a, b, c, d], reference, sweep)
     points = [a, vec(*b), c, d]
     assert repr(hypervolume(points, reference, sweep)) == repr(per_level_hypervolume(points, reference))
+
+
+# Grid values tie in every objective and repeat whole vectors; -0.0 equals
+# 0.0. A reference drawn from the same grid clips some members out of its box.
+archive_coordinates = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+archive_steps = st.one_of(
+    st.tuples(st.just("insert"), st.tuples(archive_coordinates, archive_coordinates, archive_coordinates)),
+    st.tuples(st.sampled_from(["sweep", "stale sweep"]), st.tuples(archive_coordinates, archive_coordinates, archive_coordinates)),
+    st.tuples(st.just("foreign sweep"), point_lists(archive_coordinates, 6)),
+)
+
+
+@settings(max_examples=300)
+@given(steps=st.lists(archive_steps, max_size=60))
+@example(steps=[
+    ("insert", (1.0, 0.25, 0.0)), ("insert", (0.25, 1.0, 0.0)), ("sweep", (0.5, 1.0, 1.0)),
+    ("insert", (1.0, 0.5, 0.5)), ("insert", (0.25, 1.0, 0.5)),
+])
+# Vectors taken before an admission, then swept: the admitted member is not
+# in that sweep, and it alone dominates the last candidate.
+@example(steps=[
+    ("insert", (1.0, 0.0, 0.0)), ("insert", (0.0, 1.0, 0.0)), ("insert", (0.0, 0.0, 1.0)),
+    ("insert", (0.25, 0.25, 0.25)), ("stale sweep", (1.0, 1.0, 1.0)), ("insert", (0.5, 0.5, 0.5)),
+])
+def test_archive_keeps_the_first_insert_of_each_non_dominated_vector_between_sweeps(steps):
+    # The archive's sweep state is driven as tune drives it ("sweep"), with
+    # vectors taken before later inserts ("stale sweep") and with points that
+    # are not the archive's ("foreign sweep"); members outside a reference box
+    # are not in its sweep. Whatever the sweep holds, after every insert the
+    # archive is the brute-force front of all offered vectors, each the object
+    # first offered with its vector, in ascending neg_effectiveness.
+    archive, offered, stale = ParetoArchive(), [], []
+    for kind, values in steps:
+        if kind == "insert":
+            candidate = ind(*values, tag=len(offered))
+            offered.append(candidate)
+            admitted = archive.insert(candidate)
+            first = {}
+            for earlier in offered:
+                first.setdefault(tuple(earlier.objectives), earlier)
+            assert {tuple(v) for v in archive.objective_vectors()} == brute_force_front(list(first))
+            assert all(first[tuple(m.objectives)] is m for m in archive)
+            assert admitted == any(m is candidate for m in archive)
+            z = [m.objectives.neg_effectiveness for m in archive]
+            assert z == sorted(z)
+        else:
+            points = {
+                "sweep": archive.objective_vectors,
+                "stale sweep": lambda: stale,
+                "foreign sweep": lambda: [vec(*p) for p in values],
+            }[kind]()
+            reference = values if kind != "foreign sweep" else (1.0, 1.0, 1.0)
+            assert repr(hypervolume(points, reference, archive.sweep)) == repr(per_level_hypervolume(points, reference))
+        stale = archive.objective_vectors() if len(offered) % 3 == 0 else stale
 
 
 # --- the full loop -----------------------------------------------------------
@@ -1181,6 +1237,35 @@ def test_tune_reproduces_golden_large_archive(canonical_space):
     assert (front_digest(result), records_digest(result)) == GOLDEN_LARGE_ARCHIVE_DIGESTS
 
 
+# The same digests of two archive-heavy runs on listing3 pruned to 64 MB
+# (pop 100 x 60, seed 7), pinned before the archive rejected by the sweep's
+# staircases: without a budget, where every offspring reaches
+# ``ParetoArchive.insert`` (283 members), and at 64 MB (166 members).
+GOLDEN_ARCHIVE_STREAM_DIGESTS = {
+    None: (
+        "29dcfabd220cbf40417fb0bf0a4f8c4ac1ac4f79cd0c6dcc101133648bf54ee2",
+        "1c6ab2ef18d27042250d08ed68b417257a5d229102d20b6fd54282ae7084441a",
+    ),
+    64.0: (
+        "1ae1a837dd5c7aafe7f63b3faa4cdb199d41730b2070a01b5b632adb9751b9e0",
+        "0f5ed6e92bcd271a291ad4aa2cc7a710631bb6e247570e05ee851de1994b2908",
+    ),
+}
+
+
+@pytest.mark.parametrize("budget_mb", [None, 64.0])
+def test_tune_reproduces_golden_archive_streams(canonical_space, budget_mb):
+    pruned = prune(canonical_space, SizeConstraint(64.0))
+    result = tune(
+        pruned,
+        SyntheticCapacityOracle(reference_space=pruned),
+        TunerParams(population_size=100, generations=60, seed=7),
+        size_budget_mb=budget_mb,
+    )
+    assert len(result.archive) == {None: 283, 64.0: 166}[budget_mb]
+    assert (front_digest(result), records_digest(result)) == GOLDEN_ARCHIVE_STREAM_DIGESTS[budget_mb]
+
+
 # The same digests of a tune-tight-sized run (3 MB, pop 200 x 100) scored by
 # a surrogate fitted on 20 oracle samples, as ``tune`` runs from the CLI;
 # the fit is pure Python too, so no BLAS build can move them either.
@@ -1255,10 +1340,15 @@ def test_last_record_is_the_archive_hypervolume(pruned_space, budget_mb):
         TunerParams(population_size=20, generations=10, seed=3),
         size_budget_mb=budget_mb,
     )
-    assert result.records[-1].hypervolume == hypervolume(
-        result.archive.objective_vectors(), reference_point(pruned_space, budget_mb)
-    )
+    vectors = result.archive.objective_vectors()
+    assert result.records[-1].hypervolume == hypervolume(vectors, reference_point(pruned_space, budget_mb))
     assert result.records[-1].hypervolume > 0.0
+    # The best values are read off the sweep; they are the archive's extremes.
+    assert result.records[-1][3:] == (
+        min(v.size_mb for v in vectors),
+        min(v.gflops for v in vectors),
+        max(v.effectiveness for v in vectors),
+    )
 
 
 def test_tuner_params_validation():
